@@ -8,7 +8,7 @@ Library layout:
 * ``solver``    semi-discrete refractor design (radii from target masses)
 * ``fresnel``   Fresnel sheet algebra and material-to-norm conversion
 * ``transport`` exact optimal-transport verification oracle
-* ``kernels``   numba/NumPy backends for the hot solver loops
+* ``kernels``   numpy scoring, tally and threshold kernels
 * ``cli``       command-line front end (``refractor`` entry point)
 """
 

@@ -6,19 +6,17 @@ emit solution JSON / CSV report / OBJ mesh / convergence log), fresnel
 export (meshes from a solved problem).
 
 Exit codes: 0 ok, 1 validation, 2 no refraction, 3 non-convergence,
-4 infeasible.  REFRACTOR_THREADS overrides --threads.
+4 infeasible.  --threads / REFRACTOR_THREADS are accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import kernels
 from .errors import (ConstraintViolation, Infeasible, InfeasibleTarget,
                      NoRefraction, NonConvergence, NonrealRoots,
                      NotProportional, OutOfDomain, RefractorError,
@@ -47,15 +45,6 @@ def _emit(payload: dict, out_path) -> None:
         write_json(out_path, payload)
     else:
         sys.stdout.write(dumps17(payload) + "\n")
-
-
-def _apply_threads(requested) -> int:
-    env = os.environ.get("REFRACTOR_THREADS")
-    if env is not None:
-        requested = int(env)
-    if requested is None:
-        requested = os.cpu_count() or 1
-    return kernels.set_threads(requested)
 
 
 def _load_json(path) -> dict:
@@ -88,7 +77,6 @@ def _solve_problem(spec, tol, max_sweeps, init_factor=1.0):
 def cmd_design(args) -> int:
     from .solver import refractor_measure, refractor_to_obj
 
-    _apply_threads(args.threads)
     spec = load_problem(args.problem)
     tol = args.tol if args.tol is not None else spec.tol
     try:
@@ -154,7 +142,6 @@ def cmd_verify(args) -> int:
     from .solver import refractor_measure
     from .transport import assignment_agreement, build_cost, solve_ot_exact
 
-    _apply_threads(args.threads)
     spec = load_problem(args.problem)
     budget = min(args.nodes, 2000)
     spec = replace(spec, node_count=min(spec.node_count, budget))
@@ -216,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh")
     p.add_argument("--report")
     p.add_argument("--log")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fresnel", help="sheet radii CSV and induced norm")
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--nodes", type=int, default=500)
     p.add_argument("--max-sweeps", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export meshes for a problem")

@@ -1,196 +1,61 @@
-"""Hot numeric kernels of the design solver, with two interchangeable backends.
+"""Min-envelope kernels of the design solver.
 
-The solver spends nearly all of its time scoring every quadrature node
-against every target surface: h_ji = b_i / denom_ji with denom precomputed
-from the node/target dot products, then an argmin over targets and a
-weighted tally per target.  The numba backend fuses those passes into one
-JIT-compiled loop; the numpy backend is a vectorized fallback.
-
-Backend selection: environment variable REFRACTOR_BACKEND=numba|numpy
-(default: numba when importable).  Results are deterministic for any worker
-count: per-node outputs are written elementwise and per-target masses are
-accumulated over fixed-size node chunks combined by a pairwise tree in fixed
-chunk order.
+A refractor is the min-envelope rho(x) = min_i h_i(x) of uniformly
+refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
+in Case I and x.p2(m_i) - 1 in Case II.  ``heights`` is the one place that
+formula is evaluated; ``tally`` and ``win_thresholds``, where the solver
+spends nearly all of its time, score every node against every target
+through it.  Everything is vectorized numpy and deterministic.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-__all__ = ["tally", "win_thresholds", "active_backend", "set_backend",
-           "set_threads"]
+__all__ = ["heights", "tally", "win_thresholds", "active_backend", "TIE_RTOL"]
 
-_CHUNK = 4096  # fixed chunking keeps reductions independent of thread count
-
-warnings.filterwarnings("ignore", category=UserWarning, module="numba")
-
-try:
-    import numba
-    from numba import njit, prange
-    from numba.core.errors import NumbaWarning
-
-    warnings.filterwarnings("ignore", category=NumbaWarning)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
-
-
-def _env_backend() -> str:
-    env = os.environ.get("REFRACTOR_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("REFRACTOR_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _env_backend()
+TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
 
 
 def active_backend() -> str:
-    return _BACKEND
+    # recorded in the benchmark's environment block
+    return "numpy"
 
 
-def set_backend(name: str) -> str:
-    """Override the backend (tests and benchmarks); returns the previous one."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(name)
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    prev, _BACKEND = _BACKEND, name
-    return prev
+def _denominators(dots, case2: bool):
+    return (dots - 1.0) if case2 else (1.0 - dots)
 
 
-def set_threads(count: int) -> int:
-    """Clamp and apply the numba worker count; inert on the numpy backend."""
-    if not HAVE_NUMBA:
-        return 1
-    count = max(1, min(int(count), numba.config.NUMBA_NUM_THREADS))
-    numba.set_num_threads(count)
-    return count
+def heights(dots, b, case2: bool = False):
+    """h = b / denom for node/target dots, +inf where denom <= 0 (the
+    surface does not reach that node)."""
+    denom = _denominators(dots, case2)
+    reach = denom > 0.0
+    # in place: every (J, N) temporary is paged in afresh on each call
+    h = np.divide(b, denom, out=denom, where=reach)
+    h[~reach] = np.inf
+    return h
 
 
-def _tally_numpy(dots, b, w, case2, tie_rtol):
-    denom = (dots - 1.0) if case2 else (1.0 - dots)
-    H = np.where(denom > 0.0, b / np.where(denom > 0.0, denom, 1.0), np.inf)
-    hmin = H.min(axis=1)
-    winner = np.argmin(H, axis=1).astype(np.int64)
-    feasible = np.isfinite(hmin)
-    winner[~feasible] = -1
-    tie = H <= hmin[:, None] * (1.0 + tie_rtol)
-    tie[~feasible] = False
-    ntie = tie.sum(axis=1).astype(np.int64)
-    share = np.where(ntie > 0, w / np.maximum(ntie, 1), 0.0)
-    masses = (share[:, None] * tie).sum(axis=0)
-    return masses, winner, ntie, hmin
-
-
-def _thresholds_numpy(dots, b, i, case2):
-    denom = (dots - 1.0) if case2 else (1.0 - dots)
-    H = np.where(denom > 0.0, b / np.where(denom > 0.0, denom, 1.0), np.inf)
-    H[:, i] = np.inf
-    hmin_other = H.min(axis=1)
-    den_i = denom[:, i]
-    return np.where(den_i > 0.0, hmin_other * den_i, -np.inf)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _h_of(d, bi, case2):
-        den = (d - 1.0) if case2 else (1.0 - d)
-        if den > 0.0:
-            return bi / den
-        return np.inf
-
-    @njit(parallel=True, cache=True)
-    def _tally_numba(dots, b, w, case2, tie_rtol, chunk):
-        J, N = dots.shape
-        nch = (J + chunk - 1) // chunk
-        part = np.zeros((nch, N))
-        winner = np.empty(J, dtype=np.int64)
-        ntie = np.empty(J, dtype=np.int64)
-        hmin = np.empty(J)
-        for c in prange(nch):
-            j0 = c * chunk
-            j1 = min(j0 + chunk, J)
-            for j in range(j0, j1):
-                best = np.inf
-                bi = -1
-                for i in range(N):
-                    h = _h_of(dots[j, i], b[i], case2)
-                    if h < best:
-                        best = h
-                        bi = i
-                hmin[j] = best
-                winner[j] = bi
-                if bi < 0:
-                    ntie[j] = 0
-                    continue
-                thr = best * (1.0 + tie_rtol)
-                cnt = 0
-                for i in range(N):
-                    if _h_of(dots[j, i], b[i], case2) <= thr:
-                        cnt += 1
-                ntie[j] = cnt
-                share = w[j] / cnt
-                for i in range(N):
-                    if _h_of(dots[j, i], b[i], case2) <= thr:
-                        part[c, i] += share
-        # pairwise tree over chunk partials, fixed order
-        step = 1
-        while step < nch:
-            for c in range(0, nch - step, 2 * step):
-                for i in range(N):
-                    part[c, i] += part[c + step, i]
-            step *= 2
-        return part[0], winner, ntie, hmin
-
-    @njit(parallel=True, cache=True)
-    def _thresholds_numba(dots, b, i, case2, chunk):
-        J, N = dots.shape
-        out = np.empty(J)
-        nch = (J + chunk - 1) // chunk
-        for c in prange(nch):
-            j0 = c * chunk
-            j1 = min(j0 + chunk, J)
-            for j in range(j0, j1):
-                other = np.inf
-                for k in range(N):
-                    if k == i:
-                        continue
-                    h = _h_of(dots[j, k], b[k], case2)
-                    if h < other:
-                        other = h
-                d = dots[j, i]
-                den = (d - 1.0) if case2 else (1.0 - d)
-                if den > 0.0:
-                    out[j] = other * den
-                else:
-                    out[j] = -np.inf
-        return out
-
-
-def tally(dots, b, w, case2: bool = False, tie_rtol: float = 1e-12):
+def tally(dots, b, w, case2: bool = False):
     """Score nodes against targets and tally the refractor measure.
 
     dots: (J, N) array of x_j . p2(m_i); b: (N,) radii; w: (J,) node weights.
     Returns (masses, winner, ntie, hmin) where winner is the argmin target of
     each node (-1 if no target is feasible), ntie the number of targets tied
-    within tie_rtol relative, and masses the weights split equally over ties.
+    within TIE_RTOL relative, and masses the weights split equally over ties.
     """
-    dots = np.ascontiguousarray(dots, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    w = np.ascontiguousarray(w, dtype=float)
-    if _BACKEND == "numba":
-        return _tally_numba(dots, b, w, case2, tie_rtol, _CHUNK)
-    return _tally_numpy(dots, b, w, case2, tie_rtol)
+    H = heights(np.asarray(dots, dtype=float), b, case2)
+    hmin = H.min(axis=1)
+    winner = np.argmin(H, axis=1).astype(np.int64)
+    feasible = np.isfinite(hmin)
+    winner[~feasible] = -1
+    tie = H <= hmin[:, None] * (1.0 + TIE_RTOL)
+    tie[~feasible] = False
+    ntie = tie.sum(axis=1).astype(np.int64)
+    share = np.where(ntie > 0, w / np.maximum(ntie, 1), 0.0)
+    masses = (share[:, None] * tie).sum(axis=0)
+    return masses, winner, ntie, hmin
 
 
 def win_thresholds(dots, b, i: int, case2: bool = False):
@@ -200,8 +65,8 @@ def win_thresholds(dots, b, i: int, case2: bool = False):
     threshold (min over other targets of h, times i's denominator); -inf
     marks nodes i can never win, +inf nodes only i can serve.
     """
-    dots = np.ascontiguousarray(dots, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    if _BACKEND == "numba":
-        return _thresholds_numba(dots, b, int(i), case2, _CHUNK)
-    return _thresholds_numpy(dots, b, int(i), case2)
+    dots = np.asarray(dots, dtype=float)
+    H = heights(dots, b, case2)
+    H[:, i] = np.inf
+    den_i = _denominators(dots[:, i], case2)
+    return np.where(den_i > 0.0, H.min(axis=1) * den_i, -np.inf)

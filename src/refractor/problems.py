@@ -132,6 +132,13 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _finite(value, what: str):
+    # json.load accepts NaN and Infinity, which no comparison below rejects
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"{what} must be finite")
+    return value
+
+
 def load_problem(source) -> ProblemSpec:
     """Parse and validate a problem from a path, file object, or dict."""
     if isinstance(source, dict):
@@ -150,10 +157,11 @@ def load_problem(source) -> ProblemSpec:
         raise ValidationError("missing 'media' (or 'pair') in problem")
     pair = parse_pair(media, seed=seed)
     s = _require(raw, "source", "problem")
-    axis = np.asarray(_require(s, "axis", "source"), dtype=float)
+    axis = _finite(np.asarray(_require(s, "axis", "source"), dtype=float),
+                   "source axis")
     if axis.shape != (pair.dim,):
         raise ValidationError("source axis dimension does not match the media")
-    angle = float(_require(s, "angle", "source"))
+    angle = _finite(float(_require(s, "angle", "source")), "source angle")
     node_count = int(_require(s, "node_count", "source"))
     density = str(s.get("density", "uniform"))
 
@@ -162,17 +170,18 @@ def load_problem(source) -> ProblemSpec:
         raise ValidationError("at least one target is required")
     dirs, gs = [], []
     for k, t in enumerate(targets):
-        m = np.asarray(_require(t, "m", f"target {k}"), dtype=float)
+        m = _finite(np.asarray(_require(t, "m", f"target {k}"), dtype=float),
+                    f"target {k} direction")
         if m.shape != (pair.dim,):
             raise ValidationError(f"target {k} direction has wrong dimension")
-        g = float(_require(t, "g", f"target {k}"))
+        g = _finite(float(_require(t, "g", f"target {k}")), f"target {k} mass")
         if g <= 0.0:
             raise ValidationError(f"target {k} mass must be positive")
         dirs.append(m)
         gs.append(g)
 
-    b1 = float(_require(raw, "b1", "problem"))
-    tol = float(raw.get("tol", 1e-3))
+    b1 = _finite(float(_require(raw, "b1", "problem")), "b1")
+    tol = _finite(float(raw.get("tol", 1e-3)), "tol")
     if b1 <= 0.0 or tol <= 0.0:
         raise ValidationError("b1 and tol must be positive")
     return ProblemSpec(pair=pair, axis=axis, angle=angle,

@@ -171,24 +171,19 @@ class RefractorMeasureReport:
 def rho_values(r: Refractor, nodes) -> np.ndarray:
     """rho(x) = min_i h_{b_i, m_i}(x) for nodes on Sigma1."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    dots = r.dots(nodes)
-    denom = (dots - 1.0) if r.case2 else (1.0 - dots)
-    H = np.where(denom > 0.0, r.radii / np.where(denom > 0.0, denom, 1.0), np.inf)
-    return H.min(axis=1)
+    return kernels.heights(r.dots(nodes), r.radii, r.case2).min(axis=1)
 
 
 def refractor_map(r: Refractor, x):
     """Supporting target(s) of the node x: the argmin index, or the sorted
-    tuple of indices tied within 1e-12 relative."""
+    tuple of indices tied within kernels.TIE_RTOL relative."""
     x = np.asarray(x, dtype=float)
     x = x / norm_eval(r.pair.n1, x)
-    dots = r.p2m @ x
-    denom = (dots - 1.0) if r.case2 else (1.0 - dots)
-    h = np.where(denom > 0.0, r.radii / np.where(denom > 0.0, denom, 1.0), np.inf)
+    h = kernels.heights(r.p2m @ x, r.radii, r.case2)
     hmin = h.min()
     if not np.isfinite(hmin):
         raise InfeasibleTarget("node is infeasible for every target")
-    ties = np.flatnonzero(h <= hmin * (1.0 + 1e-12))
+    ties = np.flatnonzero(h <= hmin * (1.0 + kernels.TIE_RTOL))
     if ties.size == 1:
         return int(ties[0])
     return tuple(int(i) for i in ties)

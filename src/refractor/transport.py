@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from . import kernels
 from .errors import Infeasible, ValidationError
 from .norms import MediumPair, Regime, norm_gradient
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
@@ -165,10 +166,7 @@ def assignment_agreement(r: Refractor, src: SourceDensity,
     """
     report = refractor_measure(r, src)
     dominant = np.argmax(plan, axis=1)
-    dots = r.dots(src.nodes)
-    denom = (dots - 1.0) if r.case2 else (1.0 - dots)
-    H = np.where(denom > 0.0, r.radii / np.where(denom > 0.0, denom, 1.0),
-                 np.inf)
+    H = kernels.heights(r.dots(src.nodes), r.radii, r.case2)
     Hs = np.sort(H, axis=1)
     band = (Hs[:, 1] - Hs[:, 0]) <= band_rtol * Hs[:, 0] if H.shape[1] > 1 \
         else np.zeros(src.count, dtype=bool)

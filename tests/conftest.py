@@ -1,17 +1,7 @@
-import importlib.util
-
 import numpy as np
 import pytest
 
 from refractor.norms import MediumPair, Norm, dual_gradient, norm_gradient
-
-
-def pytest_configure(config):
-    # numba is optional; a filter naming it in the ini file would fail to
-    # import where it is absent, so register it only where it is present
-    if importlib.util.find_spec("numba") is not None:
-        config.addinivalue_line("filterwarnings",
-                                "ignore::numba.core.errors.NumbaWarning")
 
 
 def pytest_addoption(parser):

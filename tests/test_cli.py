@@ -87,6 +87,27 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["design", str(bad)]) == 1
 
 
+NON_FINITE_EDITS = {
+    "tol": lambda p: p.update(tol=float("nan")),
+    "b1": lambda p: p.update(b1=float("inf")),
+    "angle": lambda p: p["source"].update(angle=float("nan")),
+    "axis": lambda p: p["source"].update(axis=[0.0, float("nan"), 1.0]),
+    "g": lambda p: p["targets"][1].update(g=float("nan")),
+    "m": lambda p: p["targets"][2].update(m=[float("nan"), 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("edit", NON_FINITE_EDITS.values(),
+                         ids=NON_FINITE_EDITS.keys())
+def test_non_finite_input_exit_code(tmp_path, capsys, edit):
+    prob = json.loads(small_problem(tmp_path).read_text())
+    edit(prob)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(prob))  # writes NaN / Infinity literals
+    assert main(["design", str(path), "--max-sweeps", "30"]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_design_artifacts(tmp_path):
     prob = small_problem(tmp_path)
     sol = tmp_path / "sol.json"
@@ -149,7 +170,8 @@ def test_golden_problem(tmp_path, regen_golden):
     if regen_golden or not GOLDEN_SOLUTION.exists():
         GOLDEN_SOLUTION.write_text(dumps17(got) + "\n")
     expect = json.loads(GOLDEN_SOLUTION.read_text())
-    assert np.allclose(got["radii"], expect["radii"], rtol=1e-6, atol=0)
+    assert np.allclose(got["radii"], expect["radii"], rtol=1e-12, atol=0)
+    assert np.allclose(got["masses"], expect["masses"], rtol=1e-12, atol=0)
     assert got["residual"] <= 1e-3
 
 

@@ -13,76 +13,18 @@ def instance():
     return dots, b, w
 
 
-@pytest.fixture
-def on_backend(request):
-    prev = kernels.active_backend()
-    yield
-    kernels.set_backend(prev)
-
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba is not installed")
-
-
-@needs_numba
-def test_backends_agree(instance, on_backend):
-    dots, b, w = instance
-    kernels.set_backend("numba")
-    m1 = kernels.tally(dots, b, w)
-    s1 = kernels.win_thresholds(dots, b, 3)
-    kernels.set_backend("numpy")
-    m2 = kernels.tally(dots, b, w)
-    s2 = kernels.win_thresholds(dots, b, 3)
-    assert np.allclose(m1[0], m2[0], rtol=1e-12, atol=0)
-    assert np.array_equal(m1[1], m2[1])
-    assert np.array_equal(m1[2], m2[2])
-    assert np.array_equal(m1[3], m2[3])
-    assert np.array_equal(s1, s2)
-
-
-@needs_numba
-def test_backends_agree_case2(on_backend):
-    rng = np.random.default_rng(1)
-    dots = rng.uniform(0.8, 1.8, (3000, 4))
-    b = rng.uniform(0.5, 2.0, 4)
-    w = rng.uniform(0.1, 1.0, 3000)
-    kernels.set_backend("numba")
-    a = kernels.tally(dots, b, w, case2=True)
-    kernels.set_backend("numpy")
-    c = kernels.tally(dots, b, w, case2=True)
-    assert np.allclose(a[0], c[0], rtol=1e-12, atol=0)
-    assert np.array_equal(a[1], c[1])
-    # infeasible nodes are flagged, their weight is dropped from all bins
-    assert np.any(a[1] == -1)
-    feas = a[1] >= 0
-    assert np.sum(a[0]) == pytest.approx(np.sum(w[feas]), rel=1e-12)
-
-
-def test_case2_infeasible_nodes_dropped(on_backend):
+def test_case2_infeasible_nodes_dropped():
     # Case II: a node with no feasible target is flagged -1, is not counted
     # as a tie, and its weight is dropped from every bin
     rng = np.random.default_rng(1)
     dots = rng.uniform(0.8, 1.8, (3000, 4))
     b = rng.uniform(0.5, 2.0, 4)
     w = rng.uniform(0.1, 1.0, 3000)
-    kernels.set_backend("numpy")
     masses, winner, ntie, hmin = kernels.tally(dots, b, w, case2=True)
     infeas = winner == -1
     assert np.any(infeas)
     assert np.all(ntie[infeas] == 0)
     assert np.sum(masses) == pytest.approx(np.sum(w[~infeas]), rel=1e-12)
-
-
-def test_thread_count_invariance(instance):
-    if kernels.active_backend() != "numba":
-        pytest.skip("thread invariance is a numba-path property")
-    dots, b, w = instance
-    kernels.set_threads(1)
-    r1 = kernels.tally(dots, b, w)
-    kernels.set_threads(2)
-    r2 = kernels.tally(dots, b, w)
-    for a, c in zip(r1, r2):
-        assert np.array_equal(a, c)
 
 
 def test_tie_split():
@@ -116,16 +58,3 @@ def test_thresholds_semantics(instance):
         # ties at exact equality may differ; exclude the boundary
         off = np.abs(s - beta) > 1e-12 * np.abs(beta)
         assert np.array_equal(in_cell[off], predicted[off])
-
-
-def test_env_flag(monkeypatch):
-    monkeypatch.setenv("REFRACTOR_BACKEND", "numpy")
-    assert kernels._env_backend() == "numpy"
-    monkeypatch.setenv("REFRACTOR_BACKEND", "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels._env_backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError, match="not importable"):
-            kernels._env_backend()
-    monkeypatch.delenv("REFRACTOR_BACKEND")
-    assert kernels._env_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
