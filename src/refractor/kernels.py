@@ -3,16 +3,27 @@
 A refractor is the min-envelope rho(x) = min_i h_i(x) of uniformly
 refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
 in Case I and x.p2(m_i) - 1 in Case II.  ``heights`` is the one place that
-formula is evaluated; ``tally`` and ``win_thresholds``, where the solver
-spends nearly all of its time, score every node against every target
+formula is evaluated; ``tally`` scores every node against every target
 through it.  Everything is vectorized numpy and deterministic.
+
+The design sweep also keeps, per node, the envelope's winner and its best
+and second-best heights (``Top2``).  Target i's cell threshold needs only
+the minimum over the other targets, which is the second-best height where
+i wins and the best height elsewhere, so ``win_thresholds`` is O(J) rather
+than a fresh (J, N) pass.  The state stays exact because radii only shrink
+during a solve: after b_i shrinks, ``lower`` folds target i's new column of
+heights into it with the floating-point minima a rebuild would take, so
+thresholds are bit-identical to a rebuild's.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["heights", "tally", "win_thresholds", "active_backend", "TIE_RTOL"]
+__all__ = ["denominators", "heights", "tally", "Top2", "win_thresholds",
+           "lower", "active_backend", "TIE_RTOL"]
 
 TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
 
@@ -22,14 +33,15 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _denominators(dots, case2: bool):
+def denominators(dots, case2: bool = False):
+    """denom = 1 - x.p2(m) (Case I) or x.p2(m) - 1 (Case II)."""
     return (dots - 1.0) if case2 else (1.0 - dots)
 
 
 def heights(dots, b, case2: bool = False):
     """h = b / denom for node/target dots, +inf where denom <= 0 (the
     surface does not reach that node)."""
-    denom = _denominators(dots, case2)
+    denom = denominators(dots, case2)
     reach = denom > 0.0
     # in place: every (J, N) temporary is paged in afresh on each call
     h = np.divide(b, denom, out=denom, where=reach)
@@ -58,15 +70,50 @@ def tally(dots, b, w, case2: bool = False):
     return masses, winner, ntie, hmin
 
 
-def win_thresholds(dots, b, i: int, case2: bool = False):
+class Top2(NamedTuple):
+    """Per-node min-envelope state: the winning target and the best and
+    second-best heights (+inf where fewer surfaces reach the node)."""
+
+    win: np.ndarray     # (J,) int64, an argmin target of each node
+    first: np.ndarray   # (J,) min_k h_k
+    second: np.ndarray  # (J,) min over k != win of h_k
+
+    @classmethod
+    def of(cls, H) -> "Top2":
+        """The state of a (J, N) heights matrix, which is overwritten."""
+        rows = np.arange(H.shape[0])
+        win = np.argmin(H, axis=1).astype(np.int64)
+        first = H[rows, win]
+        H[rows, win] = np.inf
+        return cls(win, first, H.min(axis=1))
+
+
+def win_thresholds(denom, top: Top2, i: int):
     """Per-node radius thresholds for target i at fixed other radii.
 
-    Node j belongs to target i's cell iff b_i <= s_j with s_j the returned
+    denom: (J, N) denominators; top: the state at the current radii.  Node j
+    belongs to target i's cell iff b_i <= s_j with s_j the returned
     threshold (min over other targets of h, times i's denominator); -inf
     marks nodes i can never win, +inf nodes only i can serve.
     """
-    dots = np.asarray(dots, dtype=float)
-    H = heights(dots, b, case2)
-    H[:, i] = np.inf
-    den_i = _denominators(dots[:, i], case2)
-    return np.where(den_i > 0.0, H.min(axis=1) * den_i, -np.inf)
+    den_i = denom[:, i]
+    reach = den_i > 0.0
+    s = np.where(top.win == i, top.second, top.first)
+    np.multiply(s, den_i, out=s, where=reach)
+    s[~reach] = -np.inf
+    return s
+
+
+def lower(top: Top2, h_i, i: int) -> None:
+    """Update the state in place after radius i shrinks; h_i: (J,) target
+    i's new heights.
+
+    Exact only when no height grew: a grown radius could hand a node's win
+    to a surface the state no longer knows.
+    """
+    win, first, second = top
+    # where i wins, its old height leaves the pair; +inf stands in for it
+    first[win == i] = np.inf
+    np.minimum(second, np.maximum(first, h_i), out=second)
+    win[h_i < first] = i
+    np.minimum(first, h_i, out=first)

@@ -89,8 +89,9 @@ def parse_pair(media: dict, seed: int = 0) -> MediumPair:
     if not isinstance(media, dict):
         raise ValidationError("'media' must be an object")
     if "A1" in media and "A2" in media:
-        return MediumPair(Norm.ellipsoidal(np.asarray(media["A1"], float)),
-                          Norm.ellipsoidal(np.asarray(media["A2"], float)),
+        A1, A2 = (_finite(np.asarray(media[k], float), f"media {k}")
+                  for k in ("A1", "A2"))
+        return MediumPair(Norm.ellipsoidal(A1), Norm.ellipsoidal(A2),
                           seed=seed)
     if "n1" in media and "n2" in media:
         return MediumPair(Norm.from_json_dict(media["n1"]),
@@ -157,15 +158,22 @@ def load_problem(source) -> ProblemSpec:
         raise ValidationError("missing 'media' (or 'pair') in problem")
     pair = parse_pair(media, seed=seed)
     s = _require(raw, "source", "problem")
+    if not isinstance(s, dict):
+        raise ValidationError("'source' must be an object")
     axis = _finite(np.asarray(_require(s, "axis", "source"), dtype=float),
                    "source axis")
     if axis.shape != (pair.dim,):
         raise ValidationError("source axis dimension does not match the media")
+    if not np.any(axis):
+        raise ValidationError("source axis must be nonzero")
     angle = _finite(float(_require(s, "angle", "source")), "source angle")
     node_count = int(_require(s, "node_count", "source"))
     density = str(s.get("density", "uniform"))
 
     targets = _require(raw, "targets", "problem")
+    if not (isinstance(targets, list)
+            and all(isinstance(t, dict) for t in targets)):
+        raise ValidationError("'targets' must be a list of objects")
     if not targets:
         raise ValidationError("at least one target is required")
     dirs, gs = [], []

@@ -272,7 +272,8 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     N = tgt.count
     p2m = norm_gradient(pair.n2, tgt.directions)
     dots = np.ascontiguousarray(src.nodes @ p2m.T)
-    denom = (dots - 1.0) if case2 else (1.0 - dots)
+    # column-major: the sweep reads one target's column at a time
+    denom = np.asfortranarray(kernels.denominators(dots, case2))
 
     b = np.empty(N)
     b[0] = b1
@@ -300,6 +301,8 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     delta = tol * src.total
     delta_c = 0.9 * delta / max(1, N - 1)
     info = SolveInfo()
+    # radii only shrink from here on, which keeps this state exact
+    top = kernels.Top2.of(kernels.heights(dots, b, case2))
 
     for sweep in range(max_sweeps):
         masses = kernels.tally(dots, b, w, case2=case2)[0]
@@ -312,7 +315,7 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         for i in range(1, N):
             if masses[i] >= g[i] - delta_c:
                 continue
-            s = kernels.win_thresholds(dots, b, i, case2=case2)
+            s = kernels.win_thresholds(denom, top, i)
             M = _mass_profile(s, w)
             hi = float(b[i])
             if case2:
@@ -341,6 +344,7 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             b[i] = new_b if new_b is not None else hi
             # when the window sits on a quadrature jump, keep the
             # under-filled side: overfilling cannot be undone later
+            kernels.lower(top, kernels.heights(dots[:, i], b[i], case2), i)
         # re-tally happens at the top of the next sweep
     raise NonConvergence(
         f"residual {info.residual:.3e} > tol {tol:.3e} after {max_sweeps} "

@@ -94,6 +94,10 @@ NON_FINITE_EDITS = {
     "axis": lambda p: p["source"].update(axis=[0.0, float("nan"), 1.0]),
     "g": lambda p: p["targets"][1].update(g=float("nan")),
     "m": lambda p: p["targets"][2].update(m=[float("nan"), 0.0, 1.0]),
+    "A1": lambda p: p["media"].update(
+        A1=[[float("nan"), 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]]),
+    "A2": lambda p: p["media"].update(
+        A2=[[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 1.0]]),
 }
 
 
@@ -106,6 +110,29 @@ def test_non_finite_input_exit_code(tmp_path, capsys, edit):
     path.write_text(json.dumps(prob))  # writes NaN / Infinity literals
     assert main(["design", str(path), "--max-sweeps", "30"]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+MALFORMED_EDITS = {
+    "targets_object": (lambda p: p.update(targets={"m": 1}),
+                       "'targets' must be a list of objects"),
+    "targets_numbers": (lambda p: p.update(targets=[1, 2]),
+                        "'targets' must be a list of objects"),
+    "source_number": (lambda p: p.update(source=5),
+                      "'source' must be an object"),
+    "zero_axis": (lambda p: p["source"].update(axis=[0.0, 0.0, 0.0]),
+                  "source axis must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_EDITS.values(),
+                         ids=MALFORMED_EDITS.keys())
+def test_malformed_input_exit_code(tmp_path, capsys, edit, message):
+    prob = json.loads(small_problem(tmp_path).read_text())
+    edit(prob)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(prob))
+    assert main(["design", str(path), "--max-sweeps", "30"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_design_artifacts(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refractor import kernels
 
@@ -44,11 +46,22 @@ def test_conservation(instance):
     assert np.sum(masses) == pytest.approx(np.sum(w), rel=1e-12)
 
 
+def thresholds_oracle(dots, b, i, case2=False):
+    # from scratch: min over the other targets' heights, times i's denom
+    H = kernels.heights(dots, b, case2)
+    H[:, i] = np.inf
+    den_i = kernels.denominators(dots[:, i], case2)
+    with np.errstate(invalid="ignore"):  # inf * 0 where den_i is 0
+        return np.where(den_i > 0.0, H.min(axis=1) * den_i, -np.inf)
+
+
 def test_thresholds_semantics(instance):
     # node j is in cell i at radius beta iff beta <= s_j
     dots, b, w = instance
     i = 2
-    s = kernels.win_thresholds(dots, b, i)
+    top = kernels.Top2.of(kernels.heights(dots, b))
+    s = kernels.win_thresholds(kernels.denominators(dots), top, i)
+    assert np.array_equal(s, thresholds_oracle(dots, b, i))
     for beta in (0.3, 0.9, 1.7):
         b2 = b.copy()
         b2[i] = beta
@@ -58,3 +71,48 @@ def test_thresholds_semantics(instance):
         # ties at exact equality may differ; exclude the boundary
         off = np.abs(s - beta) > 1e-12 * np.abs(beta)
         assert np.array_equal(in_cell[off], predicted[off])
+
+
+@st.composite
+def shrinking_runs(draw):
+    """A random (J, N) instance, Case I or II, with zero and negative
+    denominators and duplicated target columns (exact ties), plus a
+    sequence of radius updates that never grow a radius."""
+    J = draw(st.integers(1, 40))
+    N = draw(st.integers(1, 6))
+    case2 = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dots = rng.uniform(-0.5, 1.5, (J, N))  # denominators of both signs
+    dots[rng.random((J, N)) < 0.15] = 1.0  # zero denominators
+    b = rng.uniform(0.5, 2.0, N)
+    twin = np.arange(N)
+    for k in range(1, N):
+        if rng.random() < 0.4:
+            twin[k] = rng.integers(0, k)
+            dots[:, k] = dots[:, twin[k]]
+            b[k] = b[twin[k]]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, N - 1),
+                  st.sampled_from(["keep", "tie", 0.5, 0.9, 1e-3])),
+        max_size=25))
+    return dots, b, twin, case2, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(shrinking_runs())
+def test_maintained_thresholds_are_exact(run):
+    dots, b, twin, case2, steps = run
+    denom = kernels.denominators(dots, case2)
+    top = kernels.Top2.of(kernels.heights(dots, b, case2))
+    for i, step in steps:
+        if step == "tie":  # take the twin's radius when it is smaller
+            b[i] = min(b[i], b[twin[i]])
+        elif step != "keep":
+            b[i] *= step
+        kernels.lower(top, kernels.heights(dots[:, i], b[i], case2), i)
+        H = kernels.heights(dots, b, case2)
+        assert np.array_equal(top.first, H.min(axis=1))
+        assert np.array_equal(H[np.arange(len(H)), top.win], top.first)
+        for k in range(len(b)):
+            assert np.array_equal(kernels.win_thresholds(denom, top, k),
+                                  thresholds_oracle(dots, b, k, case2))
