@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from .errors import (ConstraintViolation, Infeasible, InfeasibleTarget,
-                     NoRefraction, NonConvergence, NonrealRoots,
-                     NotProportional, OutOfDomain, RefractorError,
-                     RegimeViolation, ValidationError)
+from .errors import (Infeasible, InfeasibleTarget, NoRefraction,
+                     NonConvergence, NotProportional, RefractorError,
+                     ValidationError)
 from .geometry import fibonacci_sphere
 from .problems import dumps17, load_problem, parse_pair, write_csv, write_json
 from .norms import Regime
@@ -34,9 +33,7 @@ _EXIT_CODES = [
     (NoRefraction, EXIT_NO_REFRACTION),
     (NonConvergence, EXIT_NON_CONVERGENCE),
     ((InfeasibleTarget, Infeasible, NotProportional), EXIT_INFEASIBLE),
-    ((ValidationError, RegimeViolation, ConstraintViolation, OutOfDomain,
-      NonrealRoots, RefractorError, json.JSONDecodeError, OSError, ValueError,
-      KeyError), EXIT_VALIDATION),
+    ((RefractorError, OSError, ValueError, KeyError), EXIT_VALIDATION),
 ]
 
 
@@ -63,14 +60,13 @@ def cmd_snell(args) -> int:
     return 0
 
 
-def _solve_problem(spec, tol, max_sweeps, init_factor=1.0):
+def _solve_problem(spec, tol, max_sweeps):
     from .solver import solve_discrete, solve_discrete_caseII
 
     pair, src, tgt = spec.build()
     solve = solve_discrete if pair.regime is Regime.CASE_I \
         else solve_discrete_caseII
-    refr = solve(pair, src, tgt, spec.b1, tol=tol, max_sweeps=max_sweeps,
-                 init_factor=init_factor)
+    refr = solve(pair, src, tgt, spec.b1, tol=tol, max_sweeps=max_sweeps)
     return pair, src, tgt, refr
 
 
@@ -80,8 +76,7 @@ def cmd_design(args) -> int:
     spec = load_problem(args.problem)
     tol = args.tol if args.tol is not None else spec.tol
     try:
-        pair, src, tgt, refr = _solve_problem(spec, tol, args.max_sweeps,
-                                              args.init_factor)
+        pair, src, tgt, refr = _solve_problem(spec, tol, args.max_sweeps)
     except NonConvergence as exc:
         _emit({"error": str(exc)}, args.output)
         raise
@@ -140,11 +135,11 @@ def cmd_verify(args) -> int:
     from dataclasses import replace
 
     from .solver import refractor_measure
-    from .transport import assignment_agreement, build_cost, solve_ot_exact
+    from .transport import (MAX_NODES, assignment_agreement, build_cost,
+                            solve_ot_exact)
 
     spec = load_problem(args.problem)
-    budget = min(args.nodes, 2000)
-    spec = replace(spec, node_count=min(spec.node_count, budget))
+    spec = replace(spec, node_count=min(spec.node_count, args.nodes, MAX_NODES))
     pair, src, tgt, refr = _solve_problem(spec, spec.tol, args.max_sweeps)
     report = refractor_measure(refr, src)
     cost = build_cost(pair, src, tgt)
@@ -199,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-sweeps", type=int, default=10_000)
-    p.add_argument("--init-factor", type=float, default=1.0)
     p.add_argument("--mesh")
     p.add_argument("--report")
     p.add_argument("--log")

@@ -82,8 +82,13 @@ class FresnelMaterial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FresnelMaterial":
-        return cls(np.asarray(d["eps"], dtype=float),
-                   np.asarray(d["mu"], dtype=float))
+        if not isinstance(d, dict):
+            raise ValidationError(f"a material must be an object, got {d!r}")
+        try:
+            return cls(np.asarray(d["eps"], dtype=float),
+                       np.asarray(d["mu"], dtype=float))
+        except KeyError as exc:
+            raise ValidationError(f"material is missing {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 A refractor is the min-envelope rho(x) = min_i h_i(x) of uniformly
 refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
-in Case I and x.p2(m_i) - 1 in Case II.  ``heights`` is the one place that
-formula is evaluated; ``tally`` scores every node against every target
-through it.  Everything is vectorized numpy and deterministic.
+in Case I and x.p2(m_i) - 1 in Case II, written only in ``denominators``
+and evaluated only in ``heights``.  ``tally`` scores every node against
+every target and splits its weight over the tied ones: that (J, N) split is
+the refractor's transport plan, whose column sums the sweep balances and
+which ``verify`` prices.  Everything is vectorized numpy and deterministic.
 
 The design sweep also keeps, per node, the envelope's winner and its best
 and second-best heights (``Top2``).  Target i's cell threshold needs only
@@ -50,12 +52,13 @@ def heights(dots, b, case2: bool = False):
 
 
 def tally(dots, b, w, case2: bool = False):
-    """Score nodes against targets and tally the refractor measure.
+    """Score nodes against targets and split their weights over ties.
 
     dots: (J, N) array of x_j . p2(m_i); b: (N,) radii; w: (J,) node weights.
-    Returns (masses, winner, ntie, hmin) where winner is the argmin target of
-    each node (-1 if no target is feasible), ntie the number of targets tied
-    within TIE_RTOL relative, and masses the weights split equally over ties.
+    Returns (plan, winner, ntie, hmin): plan (J, N) holds each node's weight
+    split equally over the ntie targets tied within TIE_RTOL relative (a zero
+    row where none is feasible) and its column sums are the cell masses;
+    winner is each node's argmin target (-1 where none is feasible).
     """
     H = heights(np.asarray(dots, dtype=float), b, case2)
     hmin = H.min(axis=1)
@@ -66,8 +69,7 @@ def tally(dots, b, w, case2: bool = False):
     tie[~feasible] = False
     ntie = tie.sum(axis=1).astype(np.int64)
     share = np.where(ntie > 0, w / np.maximum(ntie, 1), 0.0)
-    masses = (share[:, None] * tie).sum(axis=0)
-    return masses, winner, ntie, hmin
+    return share[:, None] * tie, winner, ntie, hmin
 
 
 class Top2(NamedTuple):

@@ -102,11 +102,18 @@ class Norm:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Norm":
+        if not isinstance(d, dict):
+            raise ValidationError(f"a norm must be an object, got {d!r}")
         kind = d.get("kind")
-        if kind == "ellipsoidal":
-            return cls.ellipsoidal(np.asarray(d["A"], dtype=float))
-        if kind == "lq":
-            return cls.lq(float(d["q"]), int(d["dim"]))
+        try:
+            if kind == "ellipsoidal":
+                return cls.ellipsoidal(np.asarray(d["A"], dtype=float))
+            if kind == "lq":
+                return cls.lq(float(d["q"]), int(d["dim"]))
+        except KeyError as exc:
+            raise ValidationError(f"{kind} norm is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {kind} norm: {exc}") from None
         raise ValidationError(f"unknown norm kind {kind!r}")
 
     def __repr__(self):
@@ -255,19 +262,6 @@ class MediumPair:
     @property
     def dim(self) -> int:
         return self.n1.dim
-
-    def p1(self, x) -> np.ndarray:
-        return norm_gradient(self.n1, x)
-
-    def p2(self, m) -> np.ndarray:
-        return norm_gradient(self.n2, m)
-
-    def to_json_dict(self) -> dict:
-        return {"n1": self.n1.to_json_dict(), "n2": self.n2.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MediumPair":
-        return cls(Norm.from_json_dict(d["n1"]), Norm.from_json_dict(d["n2"]))
 
     def __repr__(self):
         return (f"MediumPair(kappa={self.kappa:.6g}, "

@@ -20,6 +20,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,18 @@ def _finite(value, what: str):
     return value
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return _finite(float(value), what)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_problem(source) -> ProblemSpec:
     """Parse and validate a problem from a path, file object, or dict."""
     if isinstance(source, dict):
@@ -152,7 +165,7 @@ def load_problem(source) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ValidationError("problem file must hold a JSON object")
 
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
     media = raw.get("media", raw.get("pair"))
     if media is None:
         raise ValidationError("missing 'media' (or 'pair') in problem")
@@ -166,8 +179,9 @@ def load_problem(source) -> ProblemSpec:
         raise ValidationError("source axis dimension does not match the media")
     if not np.any(axis):
         raise ValidationError("source axis must be nonzero")
-    angle = _finite(float(_require(s, "angle", "source")), "source angle")
-    node_count = int(_require(s, "node_count", "source"))
+    angle = _number(_require(s, "angle", "source"), "source angle")
+    node_count = _integer(_require(s, "node_count", "source"),
+                          "source node_count")
     density = str(s.get("density", "uniform"))
 
     targets = _require(raw, "targets", "problem")
@@ -182,14 +196,14 @@ def load_problem(source) -> ProblemSpec:
                     f"target {k} direction")
         if m.shape != (pair.dim,):
             raise ValidationError(f"target {k} direction has wrong dimension")
-        g = _finite(float(_require(t, "g", f"target {k}")), f"target {k} mass")
+        g = _number(_require(t, "g", f"target {k}"), f"target {k} mass")
         if g <= 0.0:
             raise ValidationError(f"target {k} mass must be positive")
         dirs.append(m)
         gs.append(g)
 
-    b1 = _finite(float(_require(raw, "b1", "problem")), "b1")
-    tol = _finite(float(raw.get("tol", 1e-3)), "tol")
+    b1 = _number(_require(raw, "b1", "problem"), "b1")
+    tol = _number(raw.get("tol", 1e-3), "tol")
     if b1 <= 0.0 or tol <= 0.0:
         raise ValidationError("b1 and tol must be positive")
     return ProblemSpec(pair=pair, axis=axis, angle=angle,

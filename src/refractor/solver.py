@@ -115,13 +115,11 @@ class TargetDensity:
     axis: np.ndarray
     angle: float
     total_mass: float
-    density: str = "uniform"   # name in _DENSITIES or a callable dirs -> values
+    density: str = "uniform"   # a name in _DENSITIES
 
     def values(self, dirs: np.ndarray) -> np.ndarray:
         axis = np.asarray(self.axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        if callable(self.density):
-            return np.asarray(self.density(dirs), dtype=float)
         return _DENSITIES[self.density](dirs, axis)
 
 
@@ -158,11 +156,13 @@ class Refractor:
 @dataclass(frozen=True)
 class RefractorMeasureReport:
     """Per-target masses of a refractor, max relative residual against the
-    target masses, and the node-to-target assignment (argmin indices, with
-    tie counts; tied nodes split their weight equally)."""
+    target masses, and the node-to-target assignment: the (J, N) plan from
+    kernels.tally (tied nodes split their weight equally), whose column sums
+    are the masses, plus the argmin indices and tie counts."""
 
     masses: np.ndarray
     residual: float
+    plan: np.ndarray         # (J, N) node weight sent to each target
     assignment: np.ndarray
     tie_counts: np.ndarray
     min_radii: np.ndarray    # rho(x_j) for each node
@@ -179,11 +179,11 @@ def refractor_map(r: Refractor, x):
     tuple of indices tied within kernels.TIE_RTOL relative."""
     x = np.asarray(x, dtype=float)
     x = x / norm_eval(r.pair.n1, x)
-    h = kernels.heights(r.p2m @ x, r.radii, r.case2)
-    hmin = h.min()
-    if not np.isfinite(hmin):
+    plan, winner = kernels.tally(r.dots(x[None, :]), r.radii, np.ones(1),
+                                 r.case2)[:2]
+    if winner[0] < 0:
         raise InfeasibleTarget("node is infeasible for every target")
-    ties = np.flatnonzero(h <= hmin * (1.0 + kernels.TIE_RTOL))
+    ties = np.flatnonzero(plan[0])
     if ties.size == 1:
         return int(ties[0])
     return tuple(int(i) for i in ties)
@@ -196,13 +196,14 @@ def refractor_measure(r: Refractor, src: SourceDensity) -> RefractorMeasureRepor
     equally.  The residual is max_i |M_i - g_i| / total.
     """
     dots = r.dots(src.nodes)
-    masses, winner, ntie, hmin = kernels.tally(dots, r.radii, src.weights,
-                                               case2=r.case2)
+    plan, winner, ntie, hmin = kernels.tally(dots, r.radii, src.weights,
+                                             case2=r.case2)
     if np.any(winner < 0):
         bad = int(np.flatnonzero(winner < 0)[0])
         raise InfeasibleTarget(f"node {bad} is infeasible for every target")
+    masses = plan.sum(axis=0)
     resid = float(np.max(np.abs(masses - r.target.masses))) / src.total
-    return RefractorMeasureReport(masses=masses, residual=resid,
+    return RefractorMeasureReport(masses=masses, residual=resid, plan=plan,
                                   assignment=winner, tie_counts=ntie,
                                   min_radii=hmin)
 
@@ -229,7 +230,8 @@ def check_admissibility(pair: MediumPair, src: SourceDensity,
                           stacklevel=2)
     else:
         dots = src.nodes @ norm_gradient(pair.n2, tgt.directions).T
-        uncovered = np.flatnonzero(np.all(dots <= 1.0, axis=1))
+        denom = kernels.denominators(dots, case2=True)
+        uncovered = np.flatnonzero(np.all(denom <= 0.0, axis=1))
         if uncovered.size:
             raise InfeasibleTarget(
                 f"{uncovered.size} nodes (first: {int(uncovered[0])}) have "
@@ -262,8 +264,13 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
            case2: bool) -> Refractor:
     if b1 <= 0.0:
         raise ValidationError("b1 must be positive")
-    if init_factor < 1.0:
-        raise ValidationError("init_factor must be >= 1 to start admissibly")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    if max_sweeps < 1:
+        raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
+    if not (np.isfinite(init_factor) and init_factor >= 1.0):
+        raise ValidationError("init_factor must be finite and >= 1 to start "
+                              f"admissibly, got {init_factor!r}")
     _check_balance(src, tgt)
     check_admissibility(pair, src, tgt)
 
@@ -305,7 +312,7 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     top = kernels.Top2.of(kernels.heights(dots, b, case2))
 
     for sweep in range(max_sweeps):
-        masses = kernels.tally(dots, b, w, case2=case2)[0]
+        masses = kernels.tally(dots, b, w, case2=case2)[0].sum(axis=0)
         resid = float(np.max(np.abs(masses - g)))
         info.sweeps = sweep
         info.residual = resid / src.total

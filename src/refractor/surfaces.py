@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import OutOfDomain, ValidationError
 from .geometry import write_obj
 from .norms import MediumPair, Regime, norm_eval, norm_gradient
@@ -47,21 +48,11 @@ class UniformSurface:
         return self.pair.regime
 
 
-def _denominators(s: UniformSurface, x: np.ndarray) -> np.ndarray:
-    dot = x @ s.p2m
-    if s.regime is Regime.CASE_I:
-        return 1.0 - dot
-    return dot - 1.0
-
-
 def _check_domain(s: UniformSurface, x: np.ndarray) -> None:
-    if s.regime is Regime.CASE_I:
-        mp1 = norm_gradient(s.pair.n1, x) @ s.m
-        if np.any(mp1 < 1.0 - 1e-12):
+    if not np.all(domain_mask(s, x)):
+        if s.regime is Regime.CASE_I:
             raise OutOfDomain("Case I requires m.p1(x) >= 1 on the evaluated nodes")
-    else:
-        if np.any(x @ s.p2m <= 1.0):
-            raise OutOfDomain("Case II requires x.p2(m) > 1 on the evaluated nodes")
+        raise OutOfDomain("Case II requires x.p2(m) > 1 on the evaluated nodes")
 
 
 def surface_radius(s: UniformSurface, x) -> np.ndarray:
@@ -72,7 +63,7 @@ def surface_radius(s: UniformSurface, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _check_domain(s, x)
-    return s.b / _denominators(s, x)
+    return s.b / kernels.denominators(x @ s.p2m, s.regime is Regime.CASE_II)
 
 
 def surface_normal(s: UniformSurface, x) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +101,7 @@ def domain_mask(s: UniformSurface, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     if s.regime is Regime.CASE_I:
         return norm_gradient(s.pair.n1, nodes) @ s.m >= 1.0 - 1e-12
-    return nodes @ s.p2m > 1.0
+    return kernels.denominators(nodes @ s.p2m, case2=True) > 0.0
 
 
 def radius_bounds(s: UniformSurface) -> tuple[float, float]:

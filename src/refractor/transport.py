@@ -9,8 +9,10 @@ between its source quadrature and its own measure.  In Case II the cost is
 c(x, m) = log(x.p2(m) - 1) and the same structure flips the objective to a
 maximization (log h = log b - c there).
 
-The exact plan comes from an LP vertex solve (HiGHS); entropic solvers are
-deliberately not used, their blur would contaminate the tie-band comparison.
+The refractor's plan is kernels.tally's weight split, which the measure
+report carries.  The exact plan comes from an LP vertex solve (HiGHS);
+entropic solvers are deliberately not used, their blur would contaminate
+the tie-band comparison.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from . import kernels
 from .errors import Infeasible, ValidationError
 from .norms import MediumPair, Regime, norm_gradient
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
-                     TargetMeasure, refractor_map, refractor_measure,
-                     rho_values)
+                     TargetMeasure, refractor_measure, rho_values)
 
 __all__ = ["CostMatrix", "build_cost", "solve_ot_exact", "plan_objective",
            "check_c_concavity", "c_concavity_defect", "assignment_agreement"]
@@ -54,8 +55,9 @@ def build_cost(pair: MediumPair, src: SourceDensity,
     dots = src.nodes @ p2m.T
     if pair.regime is Regime.CASE_I:
         return CostMatrix(entries=-np.log1p(-dots), case2=False)
+    denom = kernels.denominators(dots, case2=True)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(dots > 1.0, np.log(np.maximum(dots - 1.0, 1e-300)), -np.inf)
+        c = np.where(denom > 0.0, np.log(np.maximum(denom, 1e-300)), -np.inf)
     return CostMatrix(entries=c, case2=True)
 
 
@@ -116,16 +118,7 @@ def refractor_plan(r: Refractor, src: SourceDensity,
     """The plan induced by the refractor map (ties split equally)."""
     if report is None:
         report = refractor_measure(r, src)
-    J = src.count
-    N = r.target.count
-    plan = np.zeros((J, N))
-    single = report.tie_counts == 1
-    plan[np.arange(J)[single], report.assignment[single]] = src.weights[single]
-    for j in np.flatnonzero(~single):
-        ties = refractor_map(r, src.nodes[j])
-        ties = (ties,) if isinstance(ties, int) else ties
-        plan[j, list(ties)] = src.weights[j] / len(ties)
-    return plan
+    return report.plan
 
 
 def c_concavity_defect(cost: CostMatrix, log_rho: np.ndarray) -> float:
@@ -166,13 +159,11 @@ def assignment_agreement(r: Refractor, src: SourceDensity,
     """
     report = refractor_measure(r, src)
     dominant = np.argmax(plan, axis=1)
-    H = kernels.heights(r.dots(src.nodes), r.radii, r.case2)
-    Hs = np.sort(H, axis=1)
-    band = (Hs[:, 1] - Hs[:, 0]) <= band_rtol * Hs[:, 0] if H.shape[1] > 1 \
-        else np.zeros(src.count, dtype=bool)
+    top = kernels.Top2.of(kernels.heights(r.dots(src.nodes), r.radii, r.case2))
+    band = (top.second - top.first) <= band_rtol * top.first
     mismatch = (dominant != report.assignment) & ~band
     obj_lp = plan_objective(cost, plan)
-    obj_rf = plan_objective(cost, refractor_plan(r, src, report))
+    obj_rf = plan_objective(cost, report.plan)
     return {
         "mismatch_mass": float(np.sum(src.weights[mismatch])),
         "tie_band_mass": float(np.sum(src.weights[band])),

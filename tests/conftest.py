@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from refractor.norms import MediumPair, Norm, dual_gradient, norm_gradient
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env():
+    """The environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports this refractor without an install."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 def pytest_addoption(parser):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import admissible_targets, random_ellipsoidal_pair
+from conftest import admissible_targets, random_ellipsoidal_pair, src_env
 from refractor.errors import NoRefraction
 from refractor.fresnel import (FresnelMaterial, pair_kappa_from_materials,
                                phi_psi, sheet_radii, single_sheet_check)
@@ -332,7 +332,7 @@ def test_criterion_9_determinism_across_threads(tmp_path):
             [sys.executable, "-m", "refractor.cli", "design", str(problem),
              "-o", str(sol), "--report", str(csv), "--mesh", str(mesh),
              "--threads", str(threads)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert res.returncode == 0, res.stderr
         blobs.append(sol.read_bytes() + csv.read_bytes() + mesh.read_bytes())
     assert blobs[0] == blobs[1]

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import src_env
 from refractor.cli import main
 from refractor.problems import dumps17, load_problem
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_PROBLEM = REPO / "problems" / "iso_5targets.json"
 GOLDEN_SOLUTION = REPO / "problems" / "iso_5targets.golden.json"
+GOLDEN_VERIFY = REPO / "problems" / "iso_5targets.verify.golden.json"
 
 
 def small_problem(tmp_path, node_count=1200, tol=3e-3, n1=1.5, n2=1.0):
@@ -112,6 +114,7 @@ def test_non_finite_input_exit_code(tmp_path, capsys, edit):
     assert "must be finite" in capsys.readouterr().err
 
 
+LQ2 = {"kind": "lq", "q": 2.0, "dim": 3}
 MALFORMED_EDITS = {
     "targets_object": (lambda p: p.update(targets={"m": 1}),
                        "'targets' must be a list of objects"),
@@ -121,6 +124,27 @@ MALFORMED_EDITS = {
                       "'source' must be an object"),
     "zero_axis": (lambda p: p["source"].update(axis=[0.0, 0.0, 0.0]),
                   "source axis must be nonzero"),
+    "b1_null": (lambda p: p.update(b1=None), "b1 must be a number"),
+    "angle_null": (lambda p: p["source"].update(angle=None),
+                   "source angle must be a number"),
+    "seed_null": (lambda p: p.update(seed=None), "seed must be an integer"),
+    "g_null": (lambda p: p["targets"][1].update(g=None),
+               "target 1 mass must be a number"),
+    "node_count_list": (lambda p: p["source"].update(node_count=[5]),
+                        "source node_count must be an integer"),
+    "node_count_fraction": (lambda p: p["source"].update(node_count=2000.7),
+                            "source node_count must be an integer"),
+    "norm_string": (lambda p: p.update(media={"n1": "x", "n2": LQ2}),
+                    "a norm must be an object"),
+    "lq_without_q": (lambda p: p.update(media={
+        "n1": {"kind": "lq", "dim": 3}, "n2": LQ2}), "lq norm is missing 'q'"),
+    "lq_q_null": (lambda p: p.update(media={
+        "n1": {"kind": "lq", "q": None, "dim": 3}, "n2": LQ2}),
+        "malformed lq norm"),
+    "material_without_mu": (lambda p: p.update(media={
+        "material1": {"eps": (2.25 * np.eye(3)).tolist()},
+        "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),
+        "material is missing 'mu'"),
 }
 
 
@@ -132,6 +156,22 @@ def test_malformed_input_exit_code(tmp_path, capsys, edit, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(prob))
     assert main(["design", str(path), "--max-sweeps", "30"]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["--tol", "inf"], "tol must be finite and positive, got inf"),
+    (["--tol", "0"], "tol must be finite and positive, got 0.0"),
+    (["--tol", "-1"], "tol must be finite and positive, got -1.0"),
+    (["--max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
+    (["--max-sweeps", "-3"], "max_sweeps must be >= 1, got -3"),
+], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative", "sweeps_zero",
+        "sweeps_negative"])
+def test_invalid_solve_flags_exit_code(tmp_path, capsys, flags, message):
+    # rejected before the sweep, not after a full budget of sweeps
+    prob = small_problem(tmp_path)
+    assert main(["design", str(prob), *flags]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -202,6 +242,21 @@ def test_golden_problem(tmp_path, regen_golden):
     assert got["residual"] <= 1e-3
 
 
+def test_verify_golden(tmp_path, regen_golden):
+    out = tmp_path / "verify.json"
+    assert main(["verify", str(GOLDEN_PROBLEM), "-o", str(out)]) == 0
+    got = json.loads(out.read_text())
+    if regen_golden or not GOLDEN_VERIFY.exists():
+        GOLDEN_VERIFY.write_text(dumps17(got) + "\n")
+    expect = json.loads(GOLDEN_VERIFY.read_text())
+    assert got.keys() == expect.keys()
+    assert got["agrees"] is expect["agrees"] is True
+    # a roundoff-sized gap, not a figure to reproduce
+    assert got["objective_gap_rel"] <= 1e-9
+    for key in expect.keys() - {"agrees", "objective_gap_rel"}:
+        assert np.isclose(got[key], expect[key], rtol=1e-12, atol=0), key
+
+
 def test_fresnel_csv_and_norm(tmp_path):
     mat = tmp_path / "mat.json"
     mat.write_text(json.dumps({"eps": np.diag([1.0, 2.0, 3.0]).tolist(),
@@ -263,7 +318,7 @@ def test_export_solution_and_surface(tmp_path):
     assert main(["export", str(prob), "--mesh", str(tmp_path / "x.obj")]) == 1
 
 
-def test_threads_env_overrides_flag(tmp_path, monkeypatch, capsys):
+def test_threads_env_is_ignored(tmp_path, monkeypatch, capsys):
     prob = small_problem(tmp_path, node_count=400, tol=2e-2)
     monkeypatch.setenv("REFRACTOR_THREADS", "1")
     assert main(["design", str(prob), "--threads", "8"]) == 0
@@ -297,6 +352,7 @@ def test_cli_entry_point_subprocess(tmp_path):
     # the installed console script path stays wired up
     prob = small_problem(tmp_path, node_count=400, tol=2e-2)
     res = subprocess.run([sys.executable, "-m", "refractor.cli", "design",
-                          str(prob)], capture_output=True, text=True)
+                          str(prob)], capture_output=True, text=True,
+                         env=src_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["residual"] <= 2e-2

@@ -22,7 +22,8 @@ def test_case2_infeasible_nodes_dropped():
     dots = rng.uniform(0.8, 1.8, (3000, 4))
     b = rng.uniform(0.5, 2.0, 4)
     w = rng.uniform(0.1, 1.0, 3000)
-    masses, winner, ntie, hmin = kernels.tally(dots, b, w, case2=True)
+    plan, winner, ntie, hmin = kernels.tally(dots, b, w, case2=True)
+    masses = plan.sum(axis=0)
     infeas = winner == -1
     assert np.any(infeas)
     assert np.all(ntie[infeas] == 0)
@@ -34,7 +35,8 @@ def test_tie_split():
     dots = np.array([[0.2, 0.2], [0.5, 0.5], [-0.1, -0.1]])
     b = np.array([1.0, 1.0])
     w = np.array([2.0, 4.0, 6.0])
-    masses, winner, ntie, hmin = kernels.tally(dots, b, w)
+    plan, winner, ntie, hmin = kernels.tally(dots, b, w)
+    masses = plan.sum(axis=0)
     assert np.all(ntie == 2)
     assert np.allclose(masses, [6.0, 6.0])
     assert np.array_equal(winner, [0, 0, 0])  # lowest index wins argmin
@@ -42,7 +44,8 @@ def test_tie_split():
 
 def test_conservation(instance):
     dots, b, w = instance
-    masses, winner, ntie, hmin = kernels.tally(dots, b, w)
+    plan, winner, ntie, hmin = kernels.tally(dots, b, w)
+    masses = plan.sum(axis=0)
     assert np.sum(masses) == pytest.approx(np.sum(w), rel=1e-12)
 
 

@@ -297,6 +297,19 @@ def test_balance_required():
         solve_discrete(pair, src, bad, b1=1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"init_factor": float("nan")}, "init_factor must be finite"),
+    ({"init_factor": float("inf")}, "init_factor must be finite"),
+    ({"init_factor": 0.5}, "init_factor must be finite and >= 1"),
+    ({"tol": float("nan")}, "tol must be finite and positive"),
+    ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
+])
+def test_invalid_solve_arguments(kwargs, message):
+    pair, src, tgt = small_instance(nodes=300)
+    with pytest.raises(ValidationError, match=message):
+        solve_discrete(pair, src, tgt, b1=1.0, **kwargs)
+
+
 def test_convergence_log_monotone_after_warmup():
     pair, src, tgt = small_instance(nodes=2000, count=5, seed=12)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)

@@ -5,8 +5,9 @@ from conftest import admissible_targets
 from refractor.errors import Infeasible, ValidationError
 from refractor.norms import MediumPair, norm_gradient
 from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
-                              dilate, refractor_measure, rho_values,
-                              solve_discrete, solve_discrete_caseII)
+                              dilate, refractor_map, refractor_measure,
+                              rho_values, solve_discrete,
+                              solve_discrete_caseII)
 from refractor.transport import (CostMatrix, assignment_agreement, build_cost,
                                  c_concavity_defect, check_c_concavity,
                                  plan_objective, refractor_plan,
@@ -112,6 +113,26 @@ def test_refractor_plan_is_optimal_case2():
     obj_lp = plan_objective(cost, plan)
     obj_rf = plan_objective(cost, refractor_plan(refr, src, rep))
     assert abs(obj_rf - obj_lp) <= 1e-9 * abs(obj_lp)
+
+
+def test_refractor_plan_is_the_measure_split():
+    # 2-D, mirror-symmetric about the cap axis: the on-axis node ties
+    # exactly between the two targets
+    pair = MediumPair.isotropic(1.5, 1.0, dim=2)
+    src = SourceDensity.from_cap(pair.n1, np.array([0.0, 1.0]), 0.25, 41)
+    t = 0.1
+    dirs = np.array([[np.sin(t), np.cos(t)], [-np.sin(t), np.cos(t)]])
+    tgt = TargetMeasure.of(pair.n2, dirs, np.full(2, src.total / 2))
+    refr = Refractor(pair, tgt, np.array([1.0, 1.0]))
+    rep = refractor_measure(refr, src)
+    plan = refractor_plan(refr, src, rep)
+    j = src.count // 2
+    assert src.nodes[j, 0] == 0.0
+    assert np.array_equal(plan.sum(axis=1), src.weights)
+    assert np.array_equal(plan.sum(axis=0), rep.masses)
+    assert np.array_equal(plan[j], np.full(2, src.weights[j] / 2))
+    assert refractor_map(refr, src.nodes[j]) == (0, 1)
+    assert np.count_nonzero(rep.tie_counts > 1) == 1
 
 
 def test_assignment_agreement():
