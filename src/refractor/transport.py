@@ -10,9 +10,9 @@ c(x, m) = log(x.p2(m) - 1) and the same structure flips the objective to a
 maximization (log h = log b - c there).
 
 The refractor's plan is kernels.tally's weight split, which the measure
-report carries.  The exact plan comes from an LP vertex solve (HiGHS);
-entropic solvers are deliberately not used, their blur would contaminate
-the tie-band comparison.
+report carries; `certificate` checks both conditions on it.  The exact LP
+plan of `solve_ot_exact` (HiGHS vertex solve, no entropic blur in the tie
+band) is an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import kernels
 from .errors import Infeasible, ValidationError
@@ -29,7 +28,8 @@ from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
                      TargetMeasure, refractor_measure, rho_values)
 
 __all__ = ["CostMatrix", "build_cost", "solve_ot_exact", "plan_objective",
-           "check_c_concavity", "c_concavity_defect", "assignment_agreement"]
+           "certificate", "check_c_concavity", "c_concavity_defect",
+           "assignment_agreement"]
 
 MAX_NODES = 2000
 MAX_TARGETS = 50
@@ -88,6 +88,7 @@ def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
     rows_j = var_idx // N
     rows_i = var_idx % N
 
+    from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
 
     # node marginals plus all but the last target marginal (redundant row)
@@ -113,12 +114,27 @@ def plan_objective(cost: CostMatrix, plan: np.ndarray) -> float:
     return float(np.sum(plan[mask] * cost.entries[mask]))
 
 
-def refractor_plan(r: Refractor, src: SourceDensity,
-                   report: RefractorMeasureReport | None = None) -> np.ndarray:
-    """The plan induced by the refractor map (ties split equally)."""
-    if report is None:
-        report = refractor_measure(r, src)
-    return report.plan
+def certificate(r: Refractor, src: SourceDensity,
+                report: RefractorMeasureReport, cost: CostMatrix) -> dict:
+    """Weak-duality certificate of report.plan, u = log rho and v = -log b:
+    every arc slack sigma*c - u - v >= 0 (excluded Case II arcs give +inf),
+    sigma * sum(plan * c) = w.u + M.v, and the plan's marginals are w, M."""
+    sigma = -1.0 if cost.case2 else 1.0
+    u, v = np.log(report.min_radii), -np.log(r.radii)
+    objective = plan_objective(cost, report.plan)
+    gap = abs(sigma * objective - src.weights @ u - report.masses @ v)
+    marginal = max(np.max(np.abs(report.plan.sum(axis=1) - src.weights)),
+                   np.max(np.abs(report.plan.sum(axis=0) - report.masses)))
+    out = {"min_slack": float(np.min(sigma * cost.entries - u[:, None] - v)),
+           "duality_gap_rel": float(gap) / max(abs(objective), 1e-300),
+           "marginal_error": float(marginal) / src.total,
+           "tie_band_mass": float(np.sum(src.weights[report.tie_counts > 1])),
+           "total_mass": src.total, "objective": objective,
+           "residual": report.residual}
+    out["agrees"] = (out["min_slack"] >= -1e-12
+                     and out["duality_gap_rel"] <= 1e-9
+                     and out["marginal_error"] <= 1e-12)
+    return out
 
 
 def c_concavity_defect(cost: CostMatrix, log_rho: np.ndarray) -> float:

@@ -25,8 +25,7 @@ from refractor.solver import (SourceDensity, TargetMeasure, dilate,
                               solve_discrete_caseII)
 from refractor.surfaces import UniformSurface, surface_normal
 from refractor.transport import (assignment_agreement, build_cost,
-                                 plan_objective, refractor_plan,
-                                 solve_ot_exact)
+                                 plan_objective, solve_ot_exact)
 
 REPO = Path(__file__).resolve().parents[1]
 Z = np.array([0.0, 0.0, 1.0])
@@ -247,7 +246,7 @@ def test_criterion_6_ot_agreement():
     assert agree["mismatch_mass"] <= 1e-3 * src.total
     assert agree["tie_band_mass"] <= 1e-3 * src.total
     gap = abs(plan_objective(cost, plan)
-              - plan_objective(cost, refractor_plan(refr, src, rep)))
+              - plan_objective(cost, rep.plan))
     assert gap <= 1e-9 * abs(plan_objective(cost, plan))
     for C in (0.5, 2.0, 10.0):
         rep_d = refractor_measure(dilate(refr, C), src)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
                               rho_values, solve_discrete,
                               solve_discrete_caseII)
 from refractor.transport import (CostMatrix, assignment_agreement, build_cost,
-                                 c_concavity_defect, check_c_concavity,
-                                 plan_objective, refractor_plan,
+                                 c_concavity_defect, certificate,
+                                 check_c_concavity, plan_objective,
                                  solve_ot_exact)
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -96,13 +98,27 @@ def test_refractor_plan_is_optimal_case1():
     cost = build_cost(pair, src, tgt)
     plan = solve_ot_exact(cost, src, tgt, masses=rep.masses)
     obj_lp = plan_objective(cost, plan)
-    obj_rf = plan_objective(cost, refractor_plan(refr, src, rep))
+    obj_rf = plan_objective(cost, rep.plan)
     assert abs(obj_rf - obj_lp) <= 1e-9 * abs(obj_lp)
+    cert = certificate(refr, src, rep, cost)
+    assert cert["agrees"] is True
+    assert abs(cert["objective"] - obj_lp) <= 1e-9 * abs(obj_lp)
     # the minimization direction is essential: maximizing disagrees
     fl = CostMatrix(entries=-cost.entries, case2=False)
     obj_max = -plan_objective(fl, solve_ot_exact(fl, src, tgt,
                                                  masses=rep.masses))
     assert obj_max > obj_lp * (1.0 + 1e-6)
+    # moving one node to a target off its argmin breaks the certificate
+    # even with consistent masses: the duality gap opens
+    j = int(np.argmax(src.weights))
+    k = (rep.assignment[j] + 1) % tgt.count
+    moved = rep.plan.copy()
+    moved[j] = 0.0
+    moved[j, k] = src.weights[j]
+    bad = replace(rep, plan=moved, masses=moved.sum(axis=0))
+    cert = certificate(refr, src, bad, cost)
+    assert cert["agrees"] is False
+    assert cert["duality_gap_rel"] > 1e-9
 
 
 def test_refractor_plan_is_optimal_case2():
@@ -111,8 +127,12 @@ def test_refractor_plan_is_optimal_case2():
     cost = build_cost(pair, src, tgt)
     plan = solve_ot_exact(cost, src, tgt, masses=rep.masses)
     obj_lp = plan_objective(cost, plan)
-    obj_rf = plan_objective(cost, refractor_plan(refr, src, rep))
+    obj_rf = plan_objective(cost, rep.plan)
     assert abs(obj_rf - obj_lp) <= 1e-9 * abs(obj_lp)
+    cert = certificate(refr, src, rep, cost)
+    assert cert["agrees"] is True
+    assert cert["min_slack"] >= -1e-12  # excluded arcs count as +inf
+    assert abs(cert["objective"] - obj_lp) <= 1e-9 * abs(obj_lp)
 
 
 def test_refractor_plan_is_the_measure_split():
@@ -125,7 +145,7 @@ def test_refractor_plan_is_the_measure_split():
     tgt = TargetMeasure.of(pair.n2, dirs, np.full(2, src.total / 2))
     refr = Refractor(pair, tgt, np.array([1.0, 1.0]))
     rep = refractor_measure(refr, src)
-    plan = refractor_plan(refr, src, rep)
+    plan = rep.plan
     j = src.count // 2
     assert src.nodes[j, 0] == 0.0
     assert np.array_equal(plan.sum(axis=1), src.weights)
@@ -169,6 +189,12 @@ def test_c_concavity_corrupted_radius_still_min_structure():
     assert check_c_concavity(corrupted, src)  # still a min of surfaces
     rep = refractor_measure(corrupted, src)
     assert rep.residual > refractor_measure(refr, src).residual
+    # the certificate of refr must not pass with u taken from other radii
+    cost = build_cost(pair, src, tgt)
+    cert = certificate(refr, src, replace(refractor_measure(refr, src),
+                                          min_radii=rep.min_radii), cost)
+    assert cert["agrees"] is False
+    assert cert["min_slack"] < -1e-6
 
 
 def test_c_concavity_random_profile_fails():
