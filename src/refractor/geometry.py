@@ -1,10 +1,12 @@
 """Shared geometric plumbing: tangent frames, cap lattices, meshes, OBJ export.
 
 The source aperture is a geodesic cap on the Euclidean unit sphere (axis and
-half-angle).  Quadrature nodes come from a Fibonacci lattice on the cap,
-triangulated through the gnomonic chart; node weights are one third of the
-area of the incident triangles measured after mapping the vertices onto the
-wave-front sphere, so the chart Jacobian is picked up automatically.
+half-angle).  Quadrature nodes sit on concentric rings of equal-area node
+counts around the axis, with the outermost ring on the rim; the mesh between
+consecutive rings is written down directly from the ring structure, and is
+positively oriented in the gnomonic chart.  Node weights are one third of
+the area of the incident triangles measured after mapping the vertices onto
+the wave-front sphere, so the chart Jacobian is picked up automatically.
 """
 
 from __future__ import annotations
@@ -55,13 +57,22 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
+def _ring_total(count: int) -> int:
+    """Number of rings around the centre node of a count-node cap lattice
+    (ring k holds about 6k nodes)."""
+    return int(round(np.sqrt((count - 1) / 3.0)))
+
+
 def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     """Quasi-uniform lattice of `count` Euclidean unit vectors on the cap
     {y : y.axis >= cos(angle)} (3D), or uniformly spaced arc directions (2D).
 
-    A Fibonacci lattice fills the interior and an explicit ring sits exactly
-    on the rim, so the triangulation covers the whole cap (the plain lattice
-    would undercount a rim strip of width ~ 1/sqrt(count)).
+    3D: the axis itself, then K = round(sqrt((count - 1) / 3)) rings at polar
+    angles angle * k / K, the last one exactly on the rim.  Ring k holds
+    n_k ~ sin(angle * k / K) nodes (equal area per node, rounded by largest
+    remainder so the counts sum to count - 1) at azimuths 2 pi (i + 1/2) / n_k.
+    Nodes are stored ring by ring in azimuth order, which is the structure
+    `cap_triangulation` reads.  (The name predates the ring lattice.)
     """
     axis = np.asarray(axis, dtype=float)
     if count < 1:
@@ -76,29 +87,33 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
         return pts @ R.T
     if count < 12:
         raise ValidationError("a 3D cap lattice needs at least 12 nodes")
-    z_lo = np.cos(angle)
-    area = 2.0 * np.pi * (1.0 - z_lo)
-    spacing = np.sqrt(area / count)
-    n_rim = int(np.clip(round(2.0 * np.pi * np.sin(angle) / spacing),
-                        6, count - 6))
-    n_int = count - n_rim
-    k = np.arange(n_int) + 0.5
-    z = 1.0 - (1.0 - z_lo) * k / (n_int + 0.5)  # strictly inside the rim
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = GOLDEN_ANGLE * np.arange(n_int)
-    interior = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-    phi_rim = 2.0 * np.pi * (np.arange(n_rim) + 0.5) / n_rim
-    s = np.sin(angle)
-    rim = np.stack([s * np.cos(phi_rim), s * np.sin(phi_rim),
-                    np.full(n_rim, z_lo)], axis=-1)
-    return np.vstack([interior, rim]) @ R.T
+    K = _ring_total(count)
+    theta = angle * (np.arange(1, K + 1) / K)  # theta[-1] == angle exactly
+    share = (count - 1) * np.sin(theta) / np.sum(np.sin(theta))
+    n = np.floor(share).astype(np.intp)
+    n[np.argsort(n - share, kind="stable")[:count - 1 - int(n.sum())]] += 1
+    start = np.cumsum(n) - n
+    i = np.arange(count - 1) - np.repeat(start, n)
+    phi = 2.0 * np.pi * (i + 0.5) / np.repeat(n, n)
+    t = np.repeat(theta, n)
+    pts = np.empty((count, 3))
+    pts[0] = (0.0, 0.0, 1.0)
+    pts[1:, 0] = np.sin(t) * np.cos(phi)
+    pts[1:, 1] = np.sin(t) * np.sin(phi)
+    pts[1:, 2] = np.cos(t)
+    return pts @ R.T
 
 
 def cap_triangulation(dirs: np.ndarray, axis) -> np.ndarray:
-    """Delaunay triangulation of cap directions in the gnomonic chart.
+    """Triangulation of the cap lattice that `fibonacci_cap` returns for this
+    axis (not of arbitrary points).
 
-    3D: returns (n_tri, 3) vertex indices.  2D: returns (n_seg, 2) segment
-    indices of the arc ordered by angle.
+    3D: returns (n_tri, 3) vertex indices, counter-clockwise in the gnomonic
+    chart: a fan from the centre node to ring 1, then a zipper between each
+    pair of consecutive rings, n_k + n_(k+1) triangles each, written down in
+    O(J) integer arithmetic.  The rings are read off the nodes' polar
+    angles.  2D: returns (n_seg, 2) segment indices of the arc ordered by
+    angle.
     """
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -110,29 +125,50 @@ def cap_triangulation(dirs: np.ndarray, axis) -> np.ndarray:
         t = (dirs @ E) / proj
         order = np.argsort(t)
         return np.stack([order[:-1], order[1:]], axis=-1)
-    from scipy.spatial import Delaunay
-
-    E = tangent_basis(axis)
-    uv = (dirs @ E) / proj[:, None]
-    return Delaunay(uv).simplices.copy()
+    theta = np.arctan2(np.linalg.norm(dirs - proj[:, None] * axis, axis=-1),
+                       proj)
+    J = dirs.shape[0]
+    K = _ring_total(J)
+    ring = np.rint(theta * (K / theta.max())).astype(np.intp)
+    n = np.bincount(ring, minlength=K + 1)
+    if n[0] != 1 or np.any(np.diff(ring) < 0):
+        raise ValidationError("cap_triangulation needs the ring lattice of "
+                              "fibonacci_cap")
+    # Edge e of ring k joins its nodes e-1 and e; its midpoint sits at
+    # azimuth 2 pi e / n_k.  Zipping two rings walks both rings' edges in
+    # midpoint order, the inner ring's first on a tie, and each edge makes a
+    # triangle with the other ring's node current at its midpoint: node
+    # floor(e n_in / n_k) of the ring inside (ring 0 is the centre node, so
+    # ring 1 gets the fan) and node ceil(e n_out / n_k) - 1 of the ring
+    # outside.
+    start = np.cumsum(n) - n
+    node = np.arange(1, J)
+    k = ring[1:]
+    e = node - start[k]
+    prev = start[k] + (e - 1) % n[k]
+    inward = np.stack([prev, node, start[k - 1] + e * n[k - 1] // n[k]],
+                      axis=-1)
+    o = k < K
+    k, e = k[o], e[o]
+    outward = np.stack([prev[o],
+                        start[k + 1] + (e * n[k + 1] - 1) // n[k] % n[k + 1],
+                        node[o]], axis=-1)
+    return np.concatenate([inward, outward])
 
 
 def node_area_weights(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Per-node share of surface area: one third (half in 2D) of each incident
     triangle (segment) measured on the given embedded points."""
-    w = np.zeros(points.shape[0])
     if points.shape[1] == 2:
-        seg = np.linalg.norm(points[tris[:, 1]] - points[tris[:, 0]], axis=-1)
-        np.add.at(w, tris[:, 0], 0.5 * seg)
-        np.add.at(w, tris[:, 1], 0.5 * seg)
-        return w
-    a = points[tris[:, 0]]
-    area = 0.5 * np.linalg.norm(
-        np.cross(points[tris[:, 1]] - a, points[tris[:, 2]] - a), axis=-1
-    )
-    for k in range(3):
-        np.add.at(w, tris[:, k], area / 3.0)
-    return w
+        share = 0.5 * np.linalg.norm(points[tris[:, 1]] - points[tris[:, 0]],
+                                     axis=-1)
+    else:
+        a = points[tris[:, 0]]
+        share = np.linalg.norm(
+            np.cross(points[tris[:, 1]] - a, points[tris[:, 2]] - a), axis=-1
+        ) / 6.0
+    return np.bincount(tris.ravel(), weights=np.repeat(share, tris.shape[1]),
+                       minlength=points.shape[0])
 
 
 def format_float(x: float) -> str:

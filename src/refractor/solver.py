@@ -56,9 +56,10 @@ class SourceDensity:
     @classmethod
     def from_cap(cls, norm1: Norm, axis, angle: float, node_count: int,
                  density: str = "uniform") -> "SourceDensity":
-        """Fibonacci-lattice quadrature of the cap {y.axis >= cos(angle)},
-        mapped onto Sigma1 by x = y / N1(y); node weights are local mapped
-        triangle areas times the density."""
+        """Ring-lattice quadrature of the cap {y.axis >= cos(angle)}
+        (`fibonacci_cap`, triangulated by `cap_triangulation`), mapped onto
+        Sigma1 by x = y / N1(y); node weights are local mapped triangle
+        areas times the density."""
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         dirs = fibonacci_cap(axis, angle, node_count)
@@ -140,8 +141,8 @@ class Refractor:
         radii = np.asarray(radii, dtype=float)
         if radii.shape != (target.count,):
             raise ValidationError("one radius per target required")
-        if np.any(radii <= 0.0):
-            raise ValidationError("radii must be positive")
+        if not np.all(np.isfinite(radii) & (radii > 0.0)):
+            raise ValidationError("radii must be finite and positive")
         self.pair = pair
         self.target = target
         self.radii = radii

@@ -35,8 +35,9 @@ class UniformSurface:
     __slots__ = ("pair", "m", "b", "p2m")
 
     def __init__(self, pair: MediumPair, m, b: float):
-        if b <= 0.0:
-            raise ValidationError("radius parameter b must be positive")
+        if not (np.isfinite(b) and b > 0.0):
+            raise ValidationError("radius parameter b must be finite and "
+                                  "positive")
         m = np.asarray(m, dtype=float)
         self.pair = pair
         self.m = m / norm_eval(pair.n2, m)

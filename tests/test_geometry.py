@@ -56,6 +56,66 @@ def test_cap_triangulation_covers_nodes():
     assert np.sum(w) == pytest.approx(2 * np.pi * (1 - np.cos(0.3)), rel=5e-3)
 
 
+def _edges(tris):
+    """Undirected edges of a triangulation with the number of triangles each
+    lies in."""
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                tris[:, [2, 0]]]), axis=1)
+    return np.unique(e, axis=0, return_counts=True)
+
+
+@pytest.mark.parametrize("angle", [0.25, 0.6])
+@pytest.mark.parametrize("count", [12, 200, 8000, 20000])
+def test_cap_mesh_properties(count, angle):
+    axis = np.array([0.3, -0.2, 0.9])
+    axis /= np.linalg.norm(axis)
+    dirs = fibonacci_cap(axis, angle, count)
+    tris = cap_triangulation(dirs, axis)
+    assert dirs.shape == (count, 3)
+    assert np.allclose(dirs[0], axis, rtol=0.0, atol=1e-15)  # axis node
+    proj = dirs @ axis
+    on_rim = np.abs(proj - np.cos(angle)) <= 1e-12
+    edges, uses = _edges(tris)
+    assert set(uses.tolist()) == {1, 2}
+    rim_edges = edges[uses == 1]
+    assert np.all(on_rim[rim_edges])  # one triangle only on the rim
+    assert len(rim_edges) == np.sum(on_rim)  # the rim is one closed loop
+    # positive, consistently oriented area in the gnomonic chart
+    uv = (dirs @ tangent_basis(axis)) / proj[:, None]
+    a, b, c = uv[tris[:, 0]], uv[tris[:, 1]], uv[tris[:, 2]]
+    signed = (b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0]
+    assert np.all(signed > 0.0)
+    # the inscribed flat triangles underestimate the cap area by 0.6-0.85/J;
+    # at J = 12 the seven-node rim heptagon alone misses
+    # 1 - 7 sin(2 pi / 7) / (2 pi) = 12.9 % of the cap, above 1/12
+    area = 2.0 * np.pi * (1.0 - np.cos(angle))
+    total = np.sum(node_area_weights(dirs, tris))
+    assert total <= area
+    assert area - total <= (2.0 if count == 12 else 1.0) / count * area
+
+
+def test_node_area_weights_match_per_triangle_sum():
+    for axis, count in ((np.array([0.0, 0.0, 1.0]), 200),
+                        (np.array([0.0, 1.0]), 40)):
+        pts = fibonacci_cap(axis, 0.3, count)
+        tris = cap_triangulation(pts, axis)
+        ref = np.zeros(count)
+        for t in tris:
+            p = pts[t]
+            size = np.linalg.norm(p[1] - p[0]) if len(t) == 2 else \
+                0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
+            ref[t] += size / len(t)
+        assert np.allclose(node_area_weights(pts, tris), ref, rtol=1e-14,
+                           atol=0.0)
+
+
+def test_cap_triangulation_rejects_other_points():
+    axis = np.array([0.0, 0.0, 1.0])
+    pts = fibonacci_cap(axis, 0.3, 200)
+    with pytest.raises(ValidationError):
+        cap_triangulation(pts[::-1], axis)
+
+
 def test_cap_2d_ordering():
     axis = np.array([0.0, 1.0])
     pts = fibonacci_cap(axis, 0.5, 40)
