@@ -5,8 +5,8 @@ emit solution JSON / CSV report / OBJ mesh / convergence log), fresnel
 (sheet radii CSV and induced norm), verify (design's duality certificate),
 export (meshes from a solved problem).
 
-Exit codes: 0 ok, 1 validation, 2 no refraction, 3 non-convergence,
-4 infeasible.  --threads / REFRACTOR_THREADS are accepted and ignored.
+Exit codes: 0 ok, 1 validation (usage errors included), 2 no refraction,
+3 non-convergence, 4 infeasible.
 """
 
 from __future__ import annotations
@@ -174,9 +174,16 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1), not argparse's exit 2,
+    which means no refraction here; subparsers are built from this class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="refractor",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="refractor", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snell", help="solve one refraction event")
@@ -192,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh")
     p.add_argument("--report")
     p.add_argument("--log")
-    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fresnel", help="sheet radii CSV and induced norm")
@@ -206,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("-o", "--output")
     p.add_argument("--max-sweeps", type=int, default=10_000)
-    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export meshes for a problem")
@@ -220,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # map to documented exit codes
         for types, code in _EXIT_CODES:

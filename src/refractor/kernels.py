@@ -2,11 +2,13 @@
 
 A refractor is the min-envelope rho(x) = min_i h_i(x) of uniformly
 refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
-in Case I and x.p2(m_i) - 1 in Case II, written only in ``denominators``
-and evaluated only in ``heights``.  ``tally`` scores every node against
-every target and splits its weight over the tied ones: that (J, N) split is
-the refractor's transport plan, whose column sums the sweep balances and
-which ``verify`` prices.  Everything is vectorized numpy and deterministic.
+in Case I and x.p2(m_i) - 1 in Case II.  The regime is read only in
+``denominators``; every other kernel takes its (J, N) denominators and
+never asks which regime they came from.  ``heights`` is the one place
+b / denom is evaluated.  ``tally`` scores every node against every target
+and splits its weight over the tied ones: that (J, N) split is the
+refractor's transport plan, whose column sums the sweep balances and which
+``verify`` prices.  Everything is vectorized numpy and deterministic.
 
 The design sweep also keeps, per node, the envelope's winner and its best
 and second-best heights (``Top2``).  Target i's cell threshold needs only
@@ -40,27 +42,25 @@ def denominators(dots, case2: bool = False):
     return (dots - 1.0) if case2 else (1.0 - dots)
 
 
-def heights(dots, b, case2: bool = False):
-    """h = b / denom for node/target dots, +inf where denom <= 0 (the
-    surface does not reach that node)."""
-    denom = denominators(dots, case2)
-    reach = denom > 0.0
-    # in place: every (J, N) temporary is paged in afresh on each call
-    h = np.divide(b, denom, out=denom, where=reach)
-    h[~reach] = np.inf
+def heights(denom, b):
+    """h = b / denom, +inf where denom <= 0 (the surface does not reach
+    that node); a fresh C-order array, denom is left as it is."""
+    with np.errstate(divide="ignore"):
+        h = np.divide(b, denom, order="C")
+    h[denom <= 0.0] = np.inf
     return h
 
 
-def tally(dots, b, w, case2: bool = False):
+def tally(denom, b, w):
     """Score nodes against targets and split their weights over ties.
 
-    dots: (J, N) array of x_j . p2(m_i); b: (N,) radii; w: (J,) node weights.
+    denom: (J, N) denominators; b: (N,) radii; w: (J,) node weights.
     Returns (plan, winner, ntie, hmin): plan (J, N) holds each node's weight
     split equally over the ntie targets tied within TIE_RTOL relative (a zero
     row where none is feasible) and its column sums are the cell masses;
     winner is each node's argmin target (-1 where none is feasible).
     """
-    H = heights(np.asarray(dots, dtype=float), b, case2)
+    H = heights(denom, b)
     hmin = H.min(axis=1)
     winner = np.argmin(H, axis=1).astype(np.int64)
     feasible = np.isfinite(hmin)

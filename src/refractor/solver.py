@@ -44,13 +44,12 @@ _DENSITIES = {
 @dataclass(frozen=True)
 class SourceDensity:
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
-    positive weights w_j, plus the Euclidean directions and triangulation the
-    nodes were built from (kept for meshing and refinement)."""
+    positive weights w_j, plus the triangulation of the Euclidean directions
+    the nodes were built from (for meshes and edge difference quotients)."""
 
     nodes: np.ndarray      # (J, n) on Sigma1
     weights: np.ndarray    # (J,) positive
-    dirs: np.ndarray       # (J, n) Euclidean unit directions
-    tris: np.ndarray       # triangulation of dirs (segments when n = 2)
+    tris: np.ndarray       # node triangles (segments when n = 2)
     total: float
 
     @classmethod
@@ -71,7 +70,7 @@ class SourceDensity:
         w = f * node_area_weights(nodes, tris)
         if np.any(w <= 0.0):
             raise ValidationError("source weights must be positive")
-        return cls(nodes=nodes, weights=w, dirs=dirs, tris=tris,
+        return cls(nodes=nodes, weights=w, tris=tris,
                    total=float(np.sum(w)))
 
     @property
@@ -150,8 +149,9 @@ class Refractor:
         self.case2 = pair.regime is Regime.CASE_II
         self.info = info
 
-    def dots(self, nodes: np.ndarray) -> np.ndarray:
-        return np.asarray(nodes, dtype=float) @ self.p2m.T
+    def denom(self, nodes: np.ndarray) -> np.ndarray:
+        dots = np.asarray(nodes, dtype=float) @ self.p2m.T
+        return kernels.denominators(dots, self.case2)
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class RefractorMeasureReport:
 def rho_values(r: Refractor, nodes) -> np.ndarray:
     """rho(x) = min_i h_{b_i, m_i}(x) for nodes on Sigma1."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    return kernels.heights(r.dots(nodes), r.radii, r.case2).min(axis=1)
+    return kernels.heights(r.denom(nodes), r.radii).min(axis=1)
 
 
 def refractor_map(r: Refractor, x):
@@ -180,8 +180,7 @@ def refractor_map(r: Refractor, x):
     tuple of indices tied within kernels.TIE_RTOL relative."""
     x = np.asarray(x, dtype=float)
     x = x / norm_eval(r.pair.n1, x)
-    plan, winner = kernels.tally(r.dots(x[None, :]), r.radii, np.ones(1),
-                                 r.case2)[:2]
+    plan, winner = kernels.tally(r.denom(x[None, :]), r.radii, np.ones(1))[:2]
     if winner[0] < 0:
         raise InfeasibleTarget("node is infeasible for every target")
     ties = np.flatnonzero(plan[0])
@@ -196,9 +195,8 @@ def refractor_measure(r: Refractor, src: SourceDensity) -> RefractorMeasureRepor
     M_i collects the weights of the nodes assigned to target i; ties split
     equally.  The residual is max_i |M_i - g_i| / total.
     """
-    dots = r.dots(src.nodes)
-    plan, winner, ntie, hmin = kernels.tally(dots, r.radii, src.weights,
-                                             case2=r.case2)
+    plan, winner, ntie, hmin = kernels.tally(r.denom(src.nodes), r.radii,
+                                             src.weights)
     if np.any(winner < 0):
         bad = int(np.flatnonzero(winner < 0)[0])
         raise InfeasibleTarget(f"node {bad} is infeasible for every target")
@@ -261,8 +259,8 @@ def _mass_profile(s: np.ndarray, w: np.ndarray):
 
 
 def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-           b1: float, tol: float, max_sweeps: int, init_factor: float,
-           case2: bool) -> Refractor:
+           b1: float, tol: float, max_sweeps: int,
+           init_factor: float) -> Refractor:
     if b1 <= 0.0:
         raise ValidationError("b1 must be positive")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -279,41 +277,32 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     w = src.weights
     N = tgt.count
     p2m = norm_gradient(pair.n2, tgt.directions)
-    dots = np.ascontiguousarray(src.nodes @ p2m.T)
     # column-major: the sweep reads one target's column at a time
-    denom = np.asfortranarray(kernels.denominators(dots, case2))
+    denom = np.asfortranarray(kernels.denominators(
+        src.nodes @ p2m.T, pair.regime is Regime.CASE_II))
 
+    # every other surface starts above the anchor's at every node, inactive
+    if np.any(denom[:, 0] <= 0.0):
+        raise InfeasibleTarget(
+            "the construction needs every node feasible for the anchor "
+            "target m_1")
     b = np.empty(N)
     b[0] = b1
-    if N > 1:
-        if case2:
-            if np.any(denom[:, 0] <= 0.0):
-                raise InfeasibleTarget(
-                    "Case II construction needs every node feasible for the "
-                    "anchor target m_1")
-            for i in range(1, N):
-                feas = denom[:, i] > 0.0
-                if not np.any(feas):
-                    raise InfeasibleTarget(f"target {i} is feasible for no node")
-                ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
-                b[i] = b1 * ratio * (1.0 + 1e-6) * init_factor
-        else:
-            k = pair.kappa
-            b[1:] = b1 * (1.0 + k) / (1.0 - k) * (1.0 + 1e-6) * init_factor
-
-    if case2:
-        lo_default = None  # computed per coordinate from the thresholds
-    else:
-        lo_default = b1 * (1.0 - pair.kappa) / (1.0 + pair.kappa) * 1e-6
+    for i in range(1, N):
+        feas = denom[:, i] > 0.0
+        if not np.any(feas):
+            raise InfeasibleTarget(f"target {i} is feasible for no node")
+        ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
+        b[i] = b1 * ratio * (1.0 + 1e-6) * init_factor
 
     delta = tol * src.total
     delta_c = 0.9 * delta / max(1, N - 1)
     info = SolveInfo()
     # radii only shrink from here on, which keeps this state exact
-    top = kernels.Top2.of(kernels.heights(dots, b, case2))
+    top = kernels.Top2.of(kernels.heights(denom, b))
 
     for sweep in range(max_sweeps):
-        masses = kernels.tally(dots, b, w, case2=case2)[0].sum(axis=0)
+        masses = kernels.tally(denom, b, w)[0].sum(axis=0)
         resid = float(np.max(np.abs(masses - g)))
         info.sweeps = sweep
         info.residual = resid / src.total
@@ -324,15 +313,12 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             if masses[i] >= g[i] - delta_c:
                 continue
             s = kernels.win_thresholds(denom, top, i)
+            finite = s[np.isfinite(s)]
+            if finite.size == 0:
+                continue  # cell fixed by feasibility alone
             M = _mass_profile(s, w)
             hi = float(b[i])
-            if case2:
-                finite = s[np.isfinite(s)]
-                if finite.size == 0:
-                    continue  # cell fixed by feasibility alone
-                lo = min(0.5 * float(np.min(finite)), 0.5 * hi)
-            else:
-                lo = lo_default
+            lo = min(0.5 * float(np.min(finite)), 0.5 * hi)
             if M(lo) < g[i] - 0.5 * delta_c:
                 raise InfeasibleTarget(
                     f"target {i} cannot absorb its mass even at radius {lo:g}")
@@ -352,7 +338,7 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             b[i] = new_b if new_b is not None else hi
             # when the window sits on a quadrature jump, keep the
             # under-filled side: overfilling cannot be undone later
-            kernels.lower(top, kernels.heights(dots[:, i], b[i], case2), i)
+            kernels.lower(top, kernels.heights(denom[:, i], b[i]), i)
         # re-tally happens at the top of the next sweep
     raise NonConvergence(
         f"residual {info.residual:.3e} > tol {tol:.3e} after {max_sweeps} "
@@ -371,7 +357,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     if pair.regime is not Regime.CASE_I:
         raise ValidationError("solve_discrete requires a Case I pair "
                               "(use solve_discrete_caseII)")
-    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor, False)
+    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor)
 
 
 def solve_discrete_caseII(pair: MediumPair, src: SourceDensity,
@@ -381,7 +367,7 @@ def solve_discrete_caseII(pair: MediumPair, src: SourceDensity,
     """Case II design with the S_II surfaces; same monotone sweep."""
     if pair.regime is not Regime.CASE_II:
         raise ValidationError("solve_discrete_caseII requires a Case II pair")
-    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor, True)
+    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor)
 
 
 def approximate_measure(density_spec: TargetDensity, count: int,

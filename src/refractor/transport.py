@@ -1,13 +1,12 @@
 """Optimal-transport verification of designed refractors.
 
-With the cost c(x, m) = log(1 / (1 - x.p2(m))) (Case I) the supporting
-structure of a refractor reads log rho(x) = min_i (log b_i + c(x, m_i)).
-Taking u = log rho and v = -log b gives u_j + v_i <= c_ji with equality
-exactly on the refractor assignment: the refractor plan satisfies
-complementary slackness for the transport problem MINIMIZING sum(plan * c)
-between its source quadrature and its own measure.  In Case II the cost is
-c(x, m) = log(x.p2(m) - 1) and the same structure flips the objective to a
-maximization (log h = log b - c there).
+With the cost c(x, m) = -log denom(x, m), denom = 1 - x.p2(m) in Case I and
+x.p2(m) - 1 in Case II (+inf where the surface does not reach x), the
+supporting structure of a refractor reads log rho(x) = min_i (log b_i +
+c(x, m_i)) in both regimes.  Taking u = log rho and v = -log b gives
+u_j + v_i <= c_ji with equality exactly on the refractor assignment: the
+refractor plan satisfies complementary slackness for the transport problem
+minimizing sum(plan * c) between its source quadrature and its own measure.
 
 The refractor's plan is kernels.tally's weight split, which the measure
 report carries; `certificate` checks both conditions on it.  The exact LP
@@ -37,10 +36,9 @@ MAX_TARGETS = 50
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense node-by-target costs; -inf marks excluded (infeasible) arcs."""
+    """Dense node-by-target costs; +inf marks excluded (infeasible) arcs."""
 
     entries: np.ndarray
-    case2: bool
 
     @property
     def feasible(self) -> np.ndarray:
@@ -49,16 +47,16 @@ class CostMatrix:
 
 def build_cost(pair: MediumPair, src: SourceDensity,
                tgt: TargetMeasure) -> CostMatrix:
-    """c_ji = cost(x_j, m_i).  Case I entries are finite and bounded above by
-    log(1/(1-kappa)); Case II arcs with x.p2(m) <= 1 are masked with -inf."""
+    """c_ji = -log denom(x_j, m_i).  Case I entries are finite and bounded
+    above by log(1/(1-kappa)); arcs with denom <= 0 (Case II's x.p2(m) <= 1)
+    are masked with +inf."""
     p2m = norm_gradient(pair.n2, tgt.directions)
-    dots = src.nodes @ p2m.T
-    if pair.regime is Regime.CASE_I:
-        return CostMatrix(entries=-np.log1p(-dots), case2=False)
-    denom = kernels.denominators(dots, case2=True)
+    denom = kernels.denominators(src.nodes @ p2m.T,
+                                 pair.regime is Regime.CASE_II)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(denom > 0.0, np.log(np.maximum(denom, 1e-300)), -np.inf)
-    return CostMatrix(entries=c, case2=True)
+        c = -np.log(denom)
+    c[denom <= 0.0] = np.inf
+    return CostMatrix(entries=c)
 
 
 def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
@@ -66,8 +64,7 @@ def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
     """Exact optimal plan (J, N) between the node weights and the target
     masses (tgt.masses unless overridden).
 
-    Case I minimizes sum(plan * c); Case II maximizes it, matching the
-    supporting-envelope orientation of each regime.  Raises Infeasible when
+    Minimizes sum(plan * c) over the unmasked arcs.  Raises Infeasible when
     the masked arcs disconnect the instance.
     """
     J, N = cost.entries.shape
@@ -83,8 +80,6 @@ def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
     var_idx = np.flatnonzero(feas.ravel())
     nv = var_idx.size
     cvec = cost.entries.ravel()[var_idx]
-    if cost.case2:
-        cvec = -cvec  # maximize
     rows_j = var_idx // N
     rows_i = var_idx % N
 
@@ -117,15 +112,14 @@ def plan_objective(cost: CostMatrix, plan: np.ndarray) -> float:
 def certificate(r: Refractor, src: SourceDensity,
                 report: RefractorMeasureReport, cost: CostMatrix) -> dict:
     """Weak-duality certificate of report.plan, u = log rho and v = -log b:
-    every arc slack sigma*c - u - v >= 0 (excluded Case II arcs give +inf),
-    sigma * sum(plan * c) = w.u + M.v, and the plan's marginals are w, M."""
-    sigma = -1.0 if cost.case2 else 1.0
+    every arc slack c - u - v >= 0 (excluded arcs give +inf),
+    sum(plan * c) = w.u + M.v, and the plan's marginals are w, M."""
     u, v = np.log(report.min_radii), -np.log(r.radii)
     objective = plan_objective(cost, report.plan)
-    gap = abs(sigma * objective - src.weights @ u - report.masses @ v)
+    gap = abs(objective - src.weights @ u - report.masses @ v)
     marginal = max(np.max(np.abs(report.plan.sum(axis=1) - src.weights)),
                    np.max(np.abs(report.plan.sum(axis=0) - report.masses)))
-    out = {"min_slack": float(np.min(sigma * cost.entries - u[:, None] - v)),
+    out = {"min_slack": float(np.min(cost.entries - u[:, None] - v)),
            "duality_gap_rel": float(gap) / max(abs(objective), 1e-300),
            "marginal_error": float(marginal) / src.total,
            "tie_band_mass": float(np.sum(src.weights[report.tie_counts > 1])),
@@ -140,14 +134,13 @@ def certificate(r: Refractor, src: SourceDensity,
 def c_concavity_defect(cost: CostMatrix, log_rho: np.ndarray) -> float:
     """Double c-transform defect of a radial log-profile over the nodes.
 
-    phi is representable as min_i (psi_i + sigma c_ji), sigma the regime sign,
-    iff its double transform reproduces it; the defect is the max absolute
-    gap, zero (to roundoff) exactly for min-envelope refractors.
+    phi is representable as min_i (psi_i + c_ji) iff its double transform
+    reproduces it; the defect is the max absolute gap, zero (to roundoff)
+    exactly for min-envelope refractors.
     """
-    sigma = -1.0 if cost.case2 else 1.0
-    sc = sigma * cost.entries
-    psi = np.max(log_rho[:, None] - sc, axis=0)
-    back = np.min(sc + psi[None, :], axis=1)
+    c = cost.entries
+    psi = np.max(log_rho[:, None] - c, axis=0)
+    back = np.min(c + psi[None, :], axis=1)
     return float(np.max(np.abs(back - log_rho)))
 
 
@@ -157,8 +150,7 @@ def check_c_concavity(r: Refractor, src: SourceDensity,
     log rho must equal min_i(log b_i + c(., m_i)) at every node."""
     cost = build_cost(r.pair, src, r.target)
     log_rho = np.log(rho_values(r, src.nodes))
-    sigma = -1.0 if cost.case2 else 1.0
-    direct = np.min(np.log(r.radii)[None, :] + sigma * cost.entries, axis=1)
+    direct = np.min(np.log(r.radii)[None, :] + cost.entries, axis=1)
     if float(np.max(np.abs(direct - log_rho))) > tol:
         return False
     return c_concavity_defect(cost, log_rho) <= tol
@@ -175,7 +167,7 @@ def assignment_agreement(r: Refractor, src: SourceDensity,
     """
     report = refractor_measure(r, src)
     dominant = np.argmax(plan, axis=1)
-    top = kernels.Top2.of(kernels.heights(r.dots(src.nodes), r.radii, r.case2))
+    top = kernels.Top2.of(kernels.heights(r.denom(src.nodes), r.radii))
     band = (top.second - top.first) <= band_rtol * top.first
     mismatch = (dominant != report.assignment) & ~band
     obj_lp = plan_objective(cost, plan)

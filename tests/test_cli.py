@@ -9,6 +9,8 @@ import pytest
 from conftest import src_env
 from refractor.cli import main
 from refractor.problems import dumps17, load_problem
+from refractor.solver import Refractor
+from refractor.transport import check_c_concavity
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_PROBLEM = REPO / "problems" / "iso_5targets.json"
@@ -82,11 +84,16 @@ def test_snell_no_refraction_exit_code(tmp_path):
     assert main(["snell", str(inp)]) == 2
 
 
-def test_invalid_input_exit_code(tmp_path):
+def test_invalid_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["snell", str(bad)]) == 1
     assert main(["design", str(bad)]) == 1
+    # a usage error exits 1 too, not argparse's 2 (no refraction)
+    capsys.readouterr()
+    assert main(["design"]) == 1
+    assert capsys.readouterr().err == \
+        "error: the following arguments are required: problem\n"
 
 
 NON_FINITE_EDITS = {
@@ -166,8 +173,12 @@ def test_malformed_input_exit_code(tmp_path, capsys, edit, message):
     (["--tol", "-1"], "tol must be finite and positive, got -1.0"),
     (["--max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
     (["--max-sweeps", "-3"], "max_sweeps must be >= 1, got -3"),
+    (["--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["--max-sweeps", "1.5"],
+     "argument --max-sweeps: invalid int value: '1.5'"),
+    (["--threads", "8"], "unrecognized arguments: --threads 8"),
 ], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative", "sweeps_zero",
-        "sweeps_negative"])
+        "sweeps_negative", "tol_text", "sweeps_fraction", "threads_flag"])
 def test_invalid_solve_flags_exit_code(tmp_path, capsys, flags, message):
     # rejected before the sweep, not after a full budget of sweeps
     prob = small_problem(tmp_path)
@@ -223,12 +234,12 @@ def test_design_artifacts(tmp_path, capsys):
 def test_design_thread_count_invariance(tmp_path):
     prob = small_problem(tmp_path, node_count=900)
     outs = []
-    for threads, tag in ((1, "a"), (8, "b")):
+    for tag in ("a", "b"):
         sol = tmp_path / f"sol_{tag}.json"
         csv = tmp_path / f"rep_{tag}.csv"
         mesh = tmp_path / f"mesh_{tag}.obj"
         rc = main(["design", str(prob), "-o", str(sol), "--report", str(csv),
-                   "--mesh", str(mesh), "--threads", str(threads)])
+                   "--mesh", str(mesh)])
         assert rc == 0
         outs.append((sol.read_bytes(), csv.read_bytes(), mesh.read_bytes()))
     assert outs[0] == outs[1]
@@ -355,6 +366,55 @@ def test_verify_agreement(tmp_path, capsys):
         assert report["residual"] <= json.loads(prob.read_text())["tol"]
 
 
+def grid_norm(name, dim):
+    if name == "lq3":
+        return {"kind": "lq", "q": 3.0, "dim": dim}
+    return {"kind": "ellipsoidal", "A": (0.5 * np.eye(dim)).tolist()}
+
+
+def norm_grid_problem(tmp_path, n1, n2, dim, count=4):
+    """Media n1 -> n2 ("lq3" or "iso0.5") on a 0.15 rad cap of 2000 nodes;
+    targets within 0.03 rad of the axis; tol 3e-3."""
+    rng = np.random.default_rng(0)
+    if dim == 3:
+        th = 0.03 * np.sqrt(rng.uniform(size=count))
+        th[0] = 0.0
+        ph = rng.uniform(0, 2 * np.pi, count)
+        dirs = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                         np.cos(th)], axis=-1)
+    else:
+        th = np.linspace(-0.03, 0.03, count)
+        dirs = np.stack([np.sin(th), np.cos(th)], axis=-1)
+    prob = {"media": {"n1": grid_norm(n1, dim), "n2": grid_norm(n2, dim)},
+            "source": {"axis": [0.0] * (dim - 1) + [1.0], "angle": 0.15,
+                       "node_count": 2000},
+            "targets": [{"m": m.tolist(), "g": float(g)}
+                        for m, g in zip(dirs, rng.uniform(0.5, 1.5, count))],
+            "b1": 1.0, "tol": 3e-3}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(prob))
+    return path
+
+
+@pytest.mark.parametrize("n1, n2, dim, regime", [
+    ("lq3", "iso0.5", 3, "CaseI"), ("iso0.5", "lq3", 3, "CaseII"),
+    ("lq3", "iso0.5", 2, "CaseI"), ("iso0.5", "lq3", 2, "CaseII"),
+], ids=["case1_3d", "case2_3d", "case1_2d", "case2_2d"])
+def test_design_regime_norm_grid(tmp_path, capsys, n1, n2, dim, regime):
+    # lq and ellipsoidal media, both regimes, through design and verify
+    prob = norm_grid_problem(tmp_path, n1, n2, dim)
+    sol = tmp_path / "sol.json"
+    assert main(["design", str(prob), "-o", str(sol)]) == 0
+    out = json.loads(sol.read_text())
+    assert out["regime"] == regime
+    assert out["residual"] <= 3e-3
+    assert sum(out["masses"]) == pytest.approx(out["total"], rel=1e-12)
+    assert main(["verify", str(prob)]) == 0
+    assert json.loads(capsys.readouterr().out)["agrees"] is True
+    pair, src, tgt = load_problem(prob).build()
+    assert check_c_concavity(Refractor(pair, tgt, out["radii"]), src)
+
+
 def test_export_solution_and_surface(tmp_path, capsys):
     prob = small_problem(tmp_path)
     sol = tmp_path / "sol.json"
@@ -388,16 +448,6 @@ def test_export_solution_and_surface(tmp_path, capsys):
                      "--mesh", str(tmp_path / "x.obj")]) == 1
         assert "b must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "x.obj").exists()
-
-
-def test_threads_env_is_ignored(tmp_path, monkeypatch, capsys):
-    prob = small_problem(tmp_path, node_count=400, tol=2e-2)
-    monkeypatch.setenv("REFRACTOR_THREADS", "1")
-    assert main(["design", str(prob), "--threads", "8"]) == 0
-    out1 = capsys.readouterr().out
-    monkeypatch.delenv("REFRACTOR_THREADS")
-    assert main(["design", str(prob), "--threads", "8"]) == 0
-    assert capsys.readouterr().out == out1
 
 
 def test_export_case2_surface_clips_to_domain(tmp_path):

@@ -9,20 +9,20 @@ from refractor import kernels
 @pytest.fixture
 def instance():
     rng = np.random.default_rng(0)
-    dots = rng.uniform(-0.6, 0.6, (5000, 7))
+    denom = kernels.denominators(rng.uniform(-0.6, 0.6, (5000, 7)))
     b = rng.uniform(0.5, 2.0, 7)
     w = rng.uniform(0.1, 1.0, 5000)
-    return dots, b, w
+    return denom, b, w
 
 
 def test_case2_infeasible_nodes_dropped():
     # Case II: a node with no feasible target is flagged -1, is not counted
     # as a tie, and its weight is dropped from every bin
     rng = np.random.default_rng(1)
-    dots = rng.uniform(0.8, 1.8, (3000, 4))
+    denom = kernels.denominators(rng.uniform(0.8, 1.8, (3000, 4)), case2=True)
     b = rng.uniform(0.5, 2.0, 4)
     w = rng.uniform(0.1, 1.0, 3000)
-    plan, winner, ntie, hmin = kernels.tally(dots, b, w, case2=True)
+    plan, winner, ntie, hmin = kernels.tally(denom, b, w)
     masses = plan.sum(axis=0)
     infeas = winner == -1
     assert np.any(infeas)
@@ -32,10 +32,11 @@ def test_case2_infeasible_nodes_dropped():
 
 def test_tie_split():
     # two identical targets: every node ties, weight splits in half
-    dots = np.array([[0.2, 0.2], [0.5, 0.5], [-0.1, -0.1]])
+    denom = kernels.denominators(np.array([[0.2, 0.2], [0.5, 0.5],
+                                           [-0.1, -0.1]]))
     b = np.array([1.0, 1.0])
     w = np.array([2.0, 4.0, 6.0])
-    plan, winner, ntie, hmin = kernels.tally(dots, b, w)
+    plan, winner, ntie, hmin = kernels.tally(denom, b, w)
     masses = plan.sum(axis=0)
     assert np.all(ntie == 2)
     assert np.allclose(masses, [6.0, 6.0])
@@ -43,32 +44,32 @@ def test_tie_split():
 
 
 def test_conservation(instance):
-    dots, b, w = instance
-    plan, winner, ntie, hmin = kernels.tally(dots, b, w)
+    denom, b, w = instance
+    plan, winner, ntie, hmin = kernels.tally(denom, b, w)
     masses = plan.sum(axis=0)
     assert np.sum(masses) == pytest.approx(np.sum(w), rel=1e-12)
 
 
-def thresholds_oracle(dots, b, i, case2=False):
+def thresholds_oracle(denom, b, i):
     # from scratch: min over the other targets' heights, times i's denom
-    H = kernels.heights(dots, b, case2)
+    H = kernels.heights(denom, b)
     H[:, i] = np.inf
-    den_i = kernels.denominators(dots[:, i], case2)
+    den_i = denom[:, i]
     with np.errstate(invalid="ignore"):  # inf * 0 where den_i is 0
         return np.where(den_i > 0.0, H.min(axis=1) * den_i, -np.inf)
 
 
 def test_thresholds_semantics(instance):
     # node j is in cell i at radius beta iff beta <= s_j
-    dots, b, w = instance
+    denom, b, w = instance
     i = 2
-    top = kernels.Top2.of(kernels.heights(dots, b))
-    s = kernels.win_thresholds(kernels.denominators(dots), top, i)
-    assert np.array_equal(s, thresholds_oracle(dots, b, i))
+    top = kernels.Top2.of(kernels.heights(denom, b))
+    s = kernels.win_thresholds(denom, top, i)
+    assert np.array_equal(s, thresholds_oracle(denom, b, i))
     for beta in (0.3, 0.9, 1.7):
         b2 = b.copy()
         b2[i] = beta
-        _, winner, _, _ = kernels.tally(dots, b2, w)
+        _, winner, _, _ = kernels.tally(denom, b2, w)
         in_cell = winner == i
         predicted = s >= beta
         # ties at exact equality may differ; exclude the boundary
@@ -106,16 +107,16 @@ def shrinking_runs(draw):
 def test_maintained_thresholds_are_exact(run):
     dots, b, twin, case2, steps = run
     denom = kernels.denominators(dots, case2)
-    top = kernels.Top2.of(kernels.heights(dots, b, case2))
+    top = kernels.Top2.of(kernels.heights(denom, b))
     for i, step in steps:
         if step == "tie":  # take the twin's radius when it is smaller
             b[i] = min(b[i], b[twin[i]])
         elif step != "keep":
             b[i] *= step
-        kernels.lower(top, kernels.heights(dots[:, i], b[i], case2), i)
-        H = kernels.heights(dots, b, case2)
+        kernels.lower(top, kernels.heights(denom[:, i], b[i]), i)
+        H = kernels.heights(denom, b)
         assert np.array_equal(top.first, H.min(axis=1))
         assert np.array_equal(H[np.arange(len(H)), top.win], top.first)
         for k in range(len(b)):
             assert np.array_equal(kernels.win_thresholds(denom, top, k),
-                                  thresholds_oracle(dots, b, k, case2))
+                                  thresholds_oracle(denom, b, k))

@@ -81,7 +81,7 @@ def test_hand_instance_dominant_support():
     entries = np.full((src.count, 2), 5.0)
     entries[: src.count // 2, 0] = 0.1
     entries[src.count // 2:, 1] = 0.1
-    cost = CostMatrix(entries=entries, case2=False)
+    cost = CostMatrix(entries=entries)
     g = np.array([float(np.sum(src.weights[: src.count // 2])),
                   float(np.sum(src.weights[src.count // 2:]))])
     tgt = TargetMeasure.of(pair.n2, np.array([Z, [0.05, 0.0, 0.9987]]), g)
@@ -104,7 +104,7 @@ def test_refractor_plan_is_optimal_case1():
     assert cert["agrees"] is True
     assert abs(cert["objective"] - obj_lp) <= 1e-9 * abs(obj_lp)
     # the minimization direction is essential: maximizing disagrees
-    fl = CostMatrix(entries=-cost.entries, case2=False)
+    fl = CostMatrix(entries=-cost.entries)
     obj_max = -plan_objective(fl, solve_ot_exact(fl, src, tgt,
                                                  masses=rep.masses))
     assert obj_max > obj_lp * (1.0 + 1e-6)
@@ -209,19 +209,20 @@ def test_c_concavity_random_profile_fails():
 def test_case2_masked_arcs():
     pair, src, tgt, refr = solved_instance(n1=1.0, n2=1.5, seed=11)
     cost = build_cost(pair, src, tgt)
-    assert cost.case2
+    assert np.all(cost.feasible)
     # widen the instance past the x.p2(m) > 1 cone so arcs drop out
     wide = SourceDensity.from_cap(pair.n1, Z, 0.9, 300)
     cost_w = build_cost(pair, wide, tgt)
     assert np.any(~cost_w.feasible)
+    assert np.all(cost_w.entries[~cost_w.feasible] == np.inf)
     assert np.all(np.isfinite(cost_w.entries[cost_w.feasible]))
 
 
 def test_infeasible_disconnected():
     pair, src = source_and_pair(50)
-    entries = np.full((src.count, 2), -np.inf)
+    entries = np.full((src.count, 2), np.inf)
     entries[:, 0] = 1.0  # target 1 unreachable but must receive half
-    cost = CostMatrix(entries=entries, case2=True)
+    cost = CostMatrix(entries=entries)
     tgt = TargetMeasure.of(pair.n2, np.array([Z, [0.05, 0.0, 0.9987]]),
                            np.full(2, src.total / 2))
     with pytest.raises(Infeasible):
@@ -231,6 +232,6 @@ def test_infeasible_disconnected():
 def test_budget_guard():
     pair, src = source_and_pair(60)
     tgt = TargetMeasure.of(pair.n2, np.array([Z]), np.array([src.total]))
-    big = CostMatrix(entries=np.zeros((2001, 3)), case2=False)
+    big = CostMatrix(entries=np.zeros((2001, 3)))
     with pytest.raises(ValidationError):
         solve_ot_exact(big, src, tgt)
