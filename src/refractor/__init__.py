@@ -7,7 +7,7 @@ Library layout:
 * ``surfaces``  uniformly refracting surfaces S_I / S_II
 * ``solver``    semi-discrete refractor design (radii from target masses)
 * ``fresnel``   Fresnel sheet algebra and material-to-norm conversion
-* ``transport`` exact optimal-transport verification oracle
+* ``transport`` transport cost and the design's duality certificate
 * ``kernels``   numpy scoring, tally and threshold kernels
 * ``cli``       command-line front end (``refractor`` entry point)
 """
@@ -24,8 +24,7 @@ from .surfaces import (UniformSurface, support_test, surface_normal,
                        surface_radius)
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
                      TargetDensity, TargetMeasure, approximate_measure,
-                     dilate, refractor_map, refractor_measure, solve_discrete,
-                     solve_discrete_caseII)
+                     dilate, refractor_map, refractor_measure, solve_discrete)
 from .fresnel import (FresnelMaterial, SheetRadii, induced_norm,
                       pair_kappa_from_materials, phi_psi, sheet_radii,
                       single_sheet_check)

@@ -22,7 +22,6 @@ from .errors import (Infeasible, InfeasibleTarget, NoRefraction,
                      ValidationError)
 from .geometry import fibonacci_sphere
 from .problems import dumps17, load_problem, parse_pair, write_csv, write_json
-from .norms import Regime
 
 EXIT_VALIDATION = 1
 EXIT_NO_REFRACTION = 2
@@ -61,12 +60,11 @@ def cmd_snell(args) -> int:
 
 
 def _solve_problem(spec, tol, max_sweeps):
-    from .solver import solve_discrete, solve_discrete_caseII
+    from .solver import solve_discrete
 
     pair, src, tgt = spec.build()
-    solve = solve_discrete if pair.regime is Regime.CASE_I \
-        else solve_discrete_caseII
-    refr = solve(pair, src, tgt, spec.b1, tol=tol, max_sweeps=max_sweeps)
+    refr = solve_discrete(pair, src, tgt, spec.b1, tol=tol,
+                          max_sweeps=max_sweeps)
     return pair, src, tgt, refr
 
 

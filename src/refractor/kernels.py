@@ -3,7 +3,7 @@
 A refractor is the min-envelope rho(x) = min_i h_i(x) of uniformly
 refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
 in Case I and x.p2(m_i) - 1 in Case II.  The regime is read only in
-``denominators``; every other kernel takes its (J, N) denominators and
+``MediumPair.denominators``; every kernel takes its (J, N) denominators and
 never asks which regime they came from.  ``heights`` is the one place
 b / denom is evaluated.  ``tally`` scores every node against every target
 and splits its weight over the tied ones: that (J, N) split is the
@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["denominators", "heights", "tally", "Top2", "win_thresholds",
-           "lower", "active_backend", "TIE_RTOL"]
+__all__ = ["heights", "tally", "Top2", "win_thresholds", "lower",
+           "active_backend", "TIE_RTOL"]
 
 TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
 
@@ -35,11 +35,6 @@ TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
 def active_backend() -> str:
     # recorded in the benchmark's environment block
     return "numpy"
-
-
-def denominators(dots, case2: bool = False):
-    """denom = 1 - x.p2(m) (Case I) or x.p2(m) - 1 (Case II)."""
-    return (dots - 1.0) if case2 else (1.0 - dots)
 
 
 def heights(denom, b):

@@ -263,6 +263,18 @@ class MediumPair:
     def dim(self) -> int:
         return self.n1.dim
 
+    def denominators(self, nodes, directions) -> np.ndarray:
+        """denom(x, m) = 1 - x.p2(m) in Case I and x.p2(m) - 1 in Case II.
+
+        The surface through m reaches x iff denom > 0; its radius there is
+        b / denom.  nodes (J, n) against directions (N, n) gives (J, N); a
+        single direction (n,) gives (J,).  The only place the regime's sign
+        is applied.
+        """
+        dots = np.asarray(nodes, dtype=float) @ norm_gradient(
+            self.n2, directions).T
+        return 1.0 - dots if self.regime is Regime.CASE_I else dots - 1.0
+
     def __repr__(self):
         return (f"MediumPair(kappa={self.kappa:.6g}, "
                 f"regime={self.regime.value}, n1={self.n1!r}, n2={self.n2!r})")

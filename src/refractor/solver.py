@@ -30,8 +30,8 @@ from .norms import MediumPair, Norm, Regime, norm_eval, norm_gradient
 __all__ = [
     "SourceDensity", "TargetMeasure", "TargetDensity", "Refractor",
     "RefractorMeasureReport", "SolveInfo", "refractor_map",
-    "refractor_measure", "solve_discrete", "solve_discrete_caseII",
-    "approximate_measure", "dilate", "rho_values", "refractor_to_obj",
+    "refractor_measure", "solve_discrete", "approximate_measure", "dilate",
+    "rho_values", "refractor_to_obj",
     "lipschitz_bound", "max_difference_quotient", "check_admissibility",
 ]
 
@@ -89,7 +89,12 @@ class TargetMeasure:
     @classmethod
     def of(cls, norm2: Norm, directions, masses) -> "TargetMeasure":
         dirs = np.asarray(directions, dtype=float)
-        dirs = dirs / norm_eval(norm2, dirs)[:, None]
+        size = norm_eval(norm2, dirs)
+        zero = np.flatnonzero(size == 0.0)
+        if zero.size:
+            raise ValidationError(f"target {int(zero[0])} direction must be "
+                                  "nonzero")
+        dirs = dirs / size[:, None]
         masses = np.asarray(masses, dtype=float)
         if np.any(masses <= 0.0):
             raise ValidationError("target masses must be positive")
@@ -133,7 +138,7 @@ class SolveInfo:
 class Refractor:
     """Target directions plus radii defining rho(x) = min_i h_{b_i, m_i}(x)."""
 
-    __slots__ = ("pair", "target", "radii", "p2m", "case2", "info")
+    __slots__ = ("pair", "target", "radii", "info")
 
     def __init__(self, pair: MediumPair, target: TargetMeasure, radii,
                  info: SolveInfo | None = None):
@@ -145,13 +150,10 @@ class Refractor:
         self.pair = pair
         self.target = target
         self.radii = radii
-        self.p2m = norm_gradient(pair.n2, target.directions)
-        self.case2 = pair.regime is Regime.CASE_II
         self.info = info
 
     def denom(self, nodes: np.ndarray) -> np.ndarray:
-        dots = np.asarray(nodes, dtype=float) @ self.p2m.T
-        return kernels.denominators(dots, self.case2)
+        return self.pair.denominators(nodes, self.target.directions)
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,9 @@ def refractor_measure(r: Refractor, src: SourceDensity) -> RefractorMeasureRepor
 
 def check_admissibility(pair: MediumPair, src: SourceDensity,
                         tgt: TargetMeasure) -> None:
-    """Validate the regime's admissibility over every (node, target) pair.
-
-    Case I needs min m.p1(x) >= 1 (with a grazing warning below 1 + 1e-6);
-    Case II needs every node to have x.p2(m) > 1 for at least one target.
+    """Validate Case I admissibility over every (node, target) pair:
+    min m.p1(x) >= 1, with a grazing warning below 1 + 1e-6.  Case II's
+    x.p2(m) > 1 is the sign of the denominators, which the solve checks.
     """
     if pair.regime is Regime.CASE_I:
         p1 = norm_gradient(pair.n1, src.nodes)
@@ -227,14 +228,6 @@ def check_admissibility(pair: MediumPair, src: SourceDensity,
             warnings.warn("admissibility is within 1e-6 of grazing; the "
                           "discrete problem may be ill-conditioned",
                           stacklevel=2)
-    else:
-        dots = src.nodes @ norm_gradient(pair.n2, tgt.directions).T
-        denom = kernels.denominators(dots, case2=True)
-        uncovered = np.flatnonzero(np.all(denom <= 0.0, axis=1))
-        if uncovered.size:
-            raise InfeasibleTarget(
-                f"{uncovered.size} nodes (first: {int(uncovered[0])}) have "
-                "x.p2(m) <= 1 for every target")
 
 
 def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
@@ -258,11 +251,18 @@ def _mass_profile(s: np.ndarray, w: np.ndarray):
     return M
 
 
-def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-           b1: float, tol: float, max_sweeps: int,
-           init_factor: float) -> Refractor:
-    if b1 <= 0.0:
-        raise ValidationError("b1 must be positive")
+def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
+                   b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
+                   init_factor: float = 1.0) -> Refractor:
+    """Design in either regime: unique radii (b_1 fixed) with residual
+    <= tol * total.
+
+    init_factor >= 1 scales the inactive-surface initialization; any value
+    keeps the construction admissible, so re-solving with a different factor
+    probes uniqueness at the quadrature scale.
+    """
+    if not (np.isfinite(b1) and b1 > 0.0):
+        raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     if max_sweeps < 1:
@@ -276,16 +276,17 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     g = tgt.masses
     w = src.weights
     N = tgt.count
-    p2m = norm_gradient(pair.n2, tgt.directions)
     # column-major: the sweep reads one target's column at a time
-    denom = np.asfortranarray(kernels.denominators(
-        src.nodes @ p2m.T, pair.regime is Regime.CASE_II))
+    denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
 
     # every other surface starts above the anchor's at every node, inactive
-    if np.any(denom[:, 0] <= 0.0):
+    bad = np.flatnonzero(denom[:, 0] <= 0.0)
+    if bad.size:
+        unreached = int(np.sum(np.all(denom[bad] <= 0.0, axis=1)))
         raise InfeasibleTarget(
-            "the construction needs every node feasible for the anchor "
-            "target m_1")
+            f"{bad.size} nodes (first: {int(bad[0])}) are outside the anchor "
+            f"target's domain, {unreached} of them outside every target's; "
+            "the construction needs the anchor m_1 to reach every node")
     b = np.empty(N)
     b[0] = b1
     for i in range(1, N):
@@ -345,29 +346,8 @@ def _solve(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         "sweeps (tolerance is below the quadrature resolution?)")
 
 
-def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-                   b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
-                   init_factor: float = 1.0) -> Refractor:
-    """Case I design: unique radii (b_1 fixed) with residual <= tol * total.
-
-    init_factor >= 1 scales the inactive-surface initialization; any value
-    keeps the construction admissible, so re-solving with a different factor
-    probes uniqueness at the quadrature scale.
-    """
-    if pair.regime is not Regime.CASE_I:
-        raise ValidationError("solve_discrete requires a Case I pair "
-                              "(use solve_discrete_caseII)")
-    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor)
-
-
-def solve_discrete_caseII(pair: MediumPair, src: SourceDensity,
-                          tgt: TargetMeasure, b1: float, tol: float = 1e-3,
-                          max_sweeps: int = 10_000,
-                          init_factor: float = 1.0) -> Refractor:
-    """Case II design with the S_II surfaces; same monotone sweep."""
-    if pair.regime is not Regime.CASE_II:
-        raise ValidationError("solve_discrete_caseII requires a Case II pair")
-    return _solve(pair, src, tgt, b1, tol, max_sweeps, init_factor)
+# perfbench/spans.py looks this name up on the module
+solve_discrete_caseII = solve_discrete
 
 
 def approximate_measure(density_spec: TargetDensity, count: int,
@@ -442,11 +422,12 @@ def dilate(r: Refractor, C: float) -> Refractor:
 
 def lipschitz_bound(r: Refractor, src: SourceDensity) -> float:
     """(max rho) (max_i |p2(m_i)|) / (1 - kappa), the Case I Lipschitz bound."""
-    if r.case2:
+    if r.pair.regime is not Regime.CASE_I:
         raise ValidationError("the Lipschitz bound formula is Case I only")
     rho = rho_values(r, src.nodes)
+    p2m = norm_gradient(r.pair.n2, r.target.directions)
     return float(np.max(rho)) * float(
-        np.max(np.linalg.norm(r.p2m, axis=-1))) / (1.0 - r.pair.kappa)
+        np.max(np.linalg.norm(p2m, axis=-1))) / (1.0 - r.pair.kappa)
 
 
 def max_difference_quotient(r: Refractor, src: SourceDensity,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .errors import OutOfDomain, ValidationError
 from .geometry import write_obj
 from .norms import MediumPair, Regime, norm_eval, norm_gradient
@@ -28,8 +27,7 @@ __all__ = ["UniformSurface", "surface_radius", "surface_normal",
 class UniformSurface:
     """S_I(m, b) or S_II(m, b) for the given medium pair.
 
-    p2(m) is cached at construction: the design solver evaluates the polar
-    radius for every quadrature node against every target.
+    p2(m) is cached at construction for the Snell normal.
     """
 
     __slots__ = ("pair", "m", "b", "p2m")
@@ -44,14 +42,10 @@ class UniformSurface:
         self.b = float(b)
         self.p2m = norm_gradient(pair.n2, self.m)
 
-    @property
-    def regime(self) -> Regime:
-        return self.pair.regime
-
 
 def _check_domain(s: UniformSurface, x: np.ndarray) -> None:
     if not np.all(domain_mask(s, x)):
-        if s.regime is Regime.CASE_I:
+        if s.pair.regime is Regime.CASE_I:
             raise OutOfDomain("Case I requires m.p1(x) >= 1 on the evaluated nodes")
         raise OutOfDomain("Case II requires x.p2(m) > 1 on the evaluated nodes")
 
@@ -64,7 +58,7 @@ def surface_radius(s: UniformSurface, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _check_domain(s, x)
-    return s.b / kernels.denominators(x @ s.p2m, s.regime is Regime.CASE_II)
+    return s.b / s.pair.denominators(x, s.m)
 
 
 def surface_normal(s: UniformSurface, x) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +70,7 @@ def surface_normal(s: UniformSurface, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     _check_domain(s, x)
     raw = norm_gradient(s.pair.n1, x) - s.p2m
-    if s.regime is Regime.CASE_II:
+    if s.pair.regime is Regime.CASE_II:
         raw = -raw
     unit = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw, unit
@@ -100,14 +94,14 @@ def support_test(s: UniformSurface, nodes, rho_values, i0: int) -> bool:
 def domain_mask(s: UniformSurface, nodes) -> np.ndarray:
     """Boolean mask of the nodes inside the surface's admissible domain."""
     nodes = np.asarray(nodes, dtype=float)
-    if s.regime is Regime.CASE_I:
+    if s.pair.regime is Regime.CASE_I:
         return norm_gradient(s.pair.n1, nodes) @ s.m >= 1.0 - 1e-12
-    return kernels.denominators(nodes @ s.p2m, case2=True) > 0.0
+    return s.pair.denominators(nodes, s.m) > 0.0
 
 
 def radius_bounds(s: UniformSurface) -> tuple[float, float]:
     """Envelope of the Case I polar radius, [b/(1+kappa), b/(1-kappa)]."""
-    if s.regime is not Regime.CASE_I:
+    if s.pair.regime is not Regime.CASE_I:
         raise ValidationError("radius bounds only hold in Case I")
     k = s.pair.kappa
     return s.b / (1.0 + k), s.b / (1.0 - k)

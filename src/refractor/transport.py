@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import Infeasible, ValidationError
-from .norms import MediumPair, Regime, norm_gradient
+from .norms import MediumPair
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
                      TargetMeasure, refractor_measure, rho_values)
 
@@ -50,9 +50,7 @@ def build_cost(pair: MediumPair, src: SourceDensity,
     """c_ji = -log denom(x_j, m_i).  Case I entries are finite and bounded
     above by log(1/(1-kappa)); arcs with denom <= 0 (Case II's x.p2(m) <= 1)
     are masked with +inf."""
-    p2m = norm_gradient(pair.n2, tgt.directions)
-    denom = kernels.denominators(src.nodes @ p2m.T,
-                                 pair.regime is Regime.CASE_II)
+    denom = pair.denominators(src.nodes, tgt.directions)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = -np.log(denom)
     c[denom <= 0.0] = np.inf

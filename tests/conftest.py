@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refractor.norms import MediumPair, Norm, dual_gradient, norm_gradient
+from refractor.norms import (MediumPair, Norm, Regime, dual_gradient,
+                             norm_gradient)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,7 +49,8 @@ def aniso_case1():
 
 
 def random_ellipsoidal_pair(rng, dim=3, scale1=1.6, scale2=0.9, jitter=0.12):
-    """Random Case I ellipsoidal pair (retry until the regime holds)."""
+    """Random ellipsoidal pair, Case I by default and Case II for
+    scale2 > scale1 (retry until a regime holds)."""
     from refractor.errors import RegimeViolation, ValidationError
 
     while True:
@@ -62,10 +64,15 @@ def random_ellipsoidal_pair(rng, dim=3, scale1=1.6, scale2=0.9, jitter=0.12):
 
 def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
     """Target directions on Sigma2 around the best-aligned direction of the
-    cap center, shrunk until the Case I admissibility margin holds."""
+    cap center, shrunk until every node is admissible for every target by
+    the margin: m.p1(x) >= 1 in Case I, x.p2(m) > 1 in Case II."""
     p1 = norm_gradient(pair.n1, src.nodes)
-    center = p1.mean(axis=0)
-    m0 = dual_gradient(pair.n2, center)  # maximizes m.center over Sigma2
+    if pair.regime is Regime.CASE_I:
+        m0 = dual_gradient(pair.n2, p1.mean(axis=0))  # max m.center on Sigma2
+        value, floor = (lambda dirs: p1 @ dirs.T), 1.0
+    else:
+        m0 = src.nodes.mean(axis=0)  # x.p2(m) peaks at m parallel to x
+        value, floor = (lambda dirs: pair.denominators(src.nodes, dirs)), 0.0
     dim = src.nodes.shape[1]
     for _ in range(40):
         dirs = [m0]
@@ -76,7 +83,7 @@ def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
         from refractor.norms import norm_eval
 
         dirs = dirs / norm_eval(pair.n2, dirs)[:, None]
-        if float((p1 @ dirs.T).min()) >= 1.0 + margin:
+        if float(value(dirs).min()) >= floor + margin:
             return dirs
         spread *= 0.7
     raise AssertionError("could not build admissible targets")

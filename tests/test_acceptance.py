@@ -21,8 +21,7 @@ from refractor.norms import (MediumPair, Norm, Regime, dual_gradient,
 from refractor.snell import fermat_path, refract
 from refractor.solver import (SourceDensity, TargetMeasure, dilate,
                               lipschitz_bound, max_difference_quotient,
-                              refractor_measure, solve_discrete,
-                              solve_discrete_caseII)
+                              refractor_measure, solve_discrete)
 from refractor.surfaces import UniformSurface, surface_normal
 from refractor.transport import (assignment_agreement, build_cost,
                                  plan_objective, solve_ot_exact)

@@ -131,6 +131,10 @@ MALFORMED_EDITS = {
                       "'source' must be an object"),
     "zero_axis": (lambda p: p["source"].update(axis=[0.0, 0.0, 0.0]),
                   "source axis must be nonzero"),
+    "zero_anchor_m": (lambda p: p["targets"][0].update(m=[0.0, 0.0, 0.0]),
+                      "target 0 direction must be nonzero"),
+    "zero_target_m": (lambda p: p["targets"][2].update(m=[0.0, 0.0, 0.0]),
+                      "target 2 direction must be nonzero"),
     "b1_null": (lambda p: p.update(b1=None), "b1 must be a number"),
     "angle_null": (lambda p: p["source"].update(angle=None),
                    "source angle must be a number"),
@@ -253,12 +257,24 @@ def test_design_nonconvergence_exit_code(tmp_path):
     assert "error" in json.loads(sol.read_text())
 
 
-def test_design_infeasible_exit_code(tmp_path):
+def test_design_infeasible_exit_code(tmp_path, capsys):
     prob_dict = json.loads(small_problem(tmp_path).read_text())
     prob_dict["targets"].append({"m": [1.0, 0.0, 0.0], "g": 0.5})
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(prob_dict))
     assert main(["design", str(path)]) == 4
+    # Case II: a 0.9 rad cap reaches past every target's x.p2(m) > 1 domain
+    prob_dict = json.loads(small_problem(tmp_path, node_count=2000, n1=1.0,
+                                         n2=1.5).read_text())
+    prob_dict["source"]["angle"] = 0.9
+    prob_dict["targets"] = [{"m": [0.0, 0.0, 1.0], "g": 1.0},
+                            {"m": [0.05, 0.0, 1.0], "g": 1.0}]
+    path.write_text(json.dumps(prob_dict))
+    capsys.readouterr()
+    assert main(["design", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "273 nodes (first: 1727) are outside the anchor" in err
+    assert "228 of them outside every target's" in err
 
 
 def test_golden_problem(tmp_path, regen_golden):

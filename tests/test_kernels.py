@@ -9,7 +9,7 @@ from refractor import kernels
 @pytest.fixture
 def instance():
     rng = np.random.default_rng(0)
-    denom = kernels.denominators(rng.uniform(-0.6, 0.6, (5000, 7)))
+    denom = 1.0 - rng.uniform(-0.6, 0.6, (5000, 7))
     b = rng.uniform(0.5, 2.0, 7)
     w = rng.uniform(0.1, 1.0, 5000)
     return denom, b, w
@@ -19,7 +19,7 @@ def test_case2_infeasible_nodes_dropped():
     # Case II: a node with no feasible target is flagged -1, is not counted
     # as a tie, and its weight is dropped from every bin
     rng = np.random.default_rng(1)
-    denom = kernels.denominators(rng.uniform(0.8, 1.8, (3000, 4)), case2=True)
+    denom = rng.uniform(0.8, 1.8, (3000, 4)) - 1.0
     b = rng.uniform(0.5, 2.0, 4)
     w = rng.uniform(0.1, 1.0, 3000)
     plan, winner, ntie, hmin = kernels.tally(denom, b, w)
@@ -32,8 +32,7 @@ def test_case2_infeasible_nodes_dropped():
 
 def test_tie_split():
     # two identical targets: every node ties, weight splits in half
-    denom = kernels.denominators(np.array([[0.2, 0.2], [0.5, 0.5],
-                                           [-0.1, -0.1]]))
+    denom = 1.0 - np.array([[0.2, 0.2], [0.5, 0.5], [-0.1, -0.1]])
     b = np.array([1.0, 1.0])
     w = np.array([2.0, 4.0, 6.0])
     plan, winner, ntie, hmin = kernels.tally(denom, b, w)
@@ -106,7 +105,7 @@ def shrinking_runs(draw):
 @given(shrinking_runs())
 def test_maintained_thresholds_are_exact(run):
     dots, b, twin, case2, steps = run
-    denom = kernels.denominators(dots, case2)
+    denom = (dots - 1.0) if case2 else (1.0 - dots)
     top = kernels.Top2.of(kernels.heights(denom, b))
     for i, step in steps:
         if step == "tie":  # take the twin's radius when it is smaller

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import admissible_targets
+from conftest import admissible_targets, random_ellipsoidal_pair
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
 from refractor.norms import (MediumPair, Norm, norm_eval, norm_gradient)
@@ -10,7 +12,8 @@ from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               TargetMeasure, approximate_measure, dilate,
                               lipschitz_bound, max_difference_quotient,
                               refractor_map, refractor_measure, rho_values,
-                              solve_discrete, solve_discrete_caseII)
+                              solve_discrete)
+from refractor.transport import build_cost, certificate
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -188,7 +191,7 @@ def test_solve_caseII_single_target():
     pair = MediumPair.isotropic(1.0, 1.5)
     src = SourceDensity.from_cap(pair.n1, Z, 0.20, 800)
     tgt = TargetMeasure.of(pair.n2, np.array([Z]), np.array([src.total]))
-    r = solve_discrete_caseII(pair, src, tgt, b1=0.6, tol=1e-3)
+    r = solve_discrete(pair, src, tgt, b1=0.6, tol=1e-3)
     assert r.radii[0] == 0.6
     assert refractor_measure(r, src).masses[0] == pytest.approx(src.total)
 
@@ -199,7 +202,7 @@ def test_solve_caseII_two_targets_matches_oracle():
     t = 0.06
     dirs = np.array([[np.sin(t), 0, np.cos(t)], [-np.sin(t), 0, np.cos(t)]])
     tgt = TargetMeasure.of(pair.n2, dirs, np.full(2, src.total / 2))
-    r = solve_discrete_caseII(pair, src, tgt, b1=1.0, tol=2e-3)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
     oracle_b2 = bisection_oracle_two_targets(pair, src, tgt, 1.0)
     assert r.radii[1] == pytest.approx(oracle_b2, rel=5e-3)
 
@@ -226,7 +229,7 @@ def test_solve_other_initialization_agrees():
 def test_solve_caseII_ray_trace_round_trip():
     pair, src, tgt = small_instance(n1=1.0, n2=1.5, nodes=1200, count=3,
                                     seed=6, angle=0.2)
-    r = solve_discrete_caseII(pair, src, tgt, b1=1.0, tol=2e-3)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
     rep = refractor_measure(r, src)
     p1 = norm_gradient(pair.n1, src.nodes)
     p2m = norm_gradient(pair.n2, tgt.directions)
@@ -303,11 +306,13 @@ def test_balance_required():
     ({"init_factor": 0.5}, "init_factor must be finite and >= 1"),
     ({"tol": float("nan")}, "tol must be finite and positive"),
     ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
+    ({"b1": float("nan")}, "b1 must be finite and positive, got nan"),
+    ({"b1": float("inf")}, "b1 must be finite and positive, got inf"),
 ])
 def test_invalid_solve_arguments(kwargs, message):
     pair, src, tgt = small_instance(nodes=300)
     with pytest.raises(ValidationError, match=message):
-        solve_discrete(pair, src, tgt, b1=1.0, **kwargs)
+        solve_discrete(pair, src, tgt, **{"b1": 1.0, **kwargs})
 
 
 def test_convergence_log_monotone_after_warmup():
@@ -342,6 +347,35 @@ def test_case1_domain_covers_all_admissible_targets():
         s = UniformSurface(pair, tgt.directions[i], 1.0)
         rho = surface_radius(s, src.nodes)  # raises OutOfDomain on failure
         assert np.all(rho > 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case2=st.booleans(),
+       dim=st.sampled_from([2, 3]), ellipsoidal=st.booleans(),
+       nodes=st.integers(200, 1500), count=st.integers(1, 5),
+       C=st.floats(0.1, 10.0))
+def test_design_invariants(seed, case2, dim, ellipsoidal, nodes, count, C):
+    # one solve_discrete for both regimes, 2D and 3D, isotropic and
+    # ellipsoidal: energy balance, the residual, the duality certificate
+    # and dilation invariance of the masses
+    rng = np.random.default_rng(seed)
+    n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
+    pair = random_ellipsoidal_pair(rng, dim, n1, n2) if ellipsoidal \
+        else MediumPair.isotropic(n1, n2, dim)
+    axis = np.eye(dim)[-1]
+    src = SourceDensity.from_cap(pair.n1, axis, 0.2, nodes)
+    dirs = admissible_targets(pair, src, count, 0.1, rng)
+    g = rng.uniform(0.5, 1.5, count)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    # keep the tolerance above the quadrature resolution
+    tol = max(3e-3, 1.3 * (count - 1) * np.max(src.weights) / src.total)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    rep = refractor_measure(r, src)
+    assert np.sum(rep.masses) == pytest.approx(src.total, rel=1e-12)
+    assert rep.residual <= tol
+    assert certificate(r, src, rep, build_cost(pair, src, tgt))["agrees"]
+    dilated = refractor_measure(dilate(r, C), src).masses
+    assert np.allclose(dilated, rep.masses, rtol=1e-12, atol=0)
 
 
 # -------------------------------------------------- continuous approximation

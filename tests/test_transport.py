@@ -8,8 +8,7 @@ from refractor.errors import Infeasible, ValidationError
 from refractor.norms import MediumPair, norm_gradient
 from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
                               dilate, refractor_map, refractor_measure,
-                              rho_values, solve_discrete,
-                              solve_discrete_caseII)
+                              rho_values, solve_discrete)
 from refractor.transport import (CostMatrix, assignment_agreement, build_cost,
                                  c_concavity_defect, certificate,
                                  check_c_concavity, plan_objective,
@@ -30,17 +29,15 @@ def solved_instance(n1=1.5, n2=1.0, nodes=400, count=5, seed=3, tol=1e-2):
     rng = np.random.default_rng(seed)
     if n1 > n2:
         dirs = admissible_targets(pair, src, count, 0.15, rng)
-        solve = solve_discrete
     else:
         ths = 0.10 * np.sqrt(rng.uniform(size=count))
         phs = rng.uniform(0, 2 * np.pi, count)
         dirs = np.stack([np.sin(ths) * np.cos(phs),
                          np.sin(ths) * np.sin(phs), np.cos(ths)], axis=-1)
-        solve = solve_discrete_caseII
     g = rng.uniform(0.5, 1.5, count)
     g *= src.total / g.sum()
     tgt = TargetMeasure.of(pair.n2, dirs, g)
-    refr = solve(pair, src, tgt, b1=1.0, tol=tol)
+    refr = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     return pair, src, tgt, refr
 
 
