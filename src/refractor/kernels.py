@@ -7,8 +7,9 @@ in Case I and x.p2(m_i) - 1 in Case II.  The regime is read only in
 never asks which regime they came from.  ``heights`` is the one place
 b / denom is evaluated.  ``tally`` scores every node against every target
 and splits its weight over the tied ones: that (J, N) split is the
-refractor's transport plan, whose column sums the sweep balances and which
-``verify`` prices.  Everything is vectorized numpy and deterministic.
+refractor's transport plan, whose column sums are the cell masses and which
+``verify`` prices.  It runs once per design, in ``refractor_measure``.
+Everything is vectorized numpy and deterministic.
 
 The design sweep also keeps, per node, the envelope's winner and its best
 and second-best heights (``Top2``).  Target i's cell threshold needs only
@@ -17,7 +18,10 @@ i wins and the best height elsewhere, so ``win_thresholds`` is O(J) rather
 than a fresh (J, N) pass.  The state stays exact because radii only shrink
 during a solve: after b_i shrinks, ``lower`` folds target i's new column of
 heights into it with the floating-point minima a rebuild would take, so
-thresholds are bit-identical to a rebuild's.
+thresholds are bit-identical to a rebuild's.  The sweep reads its cell
+masses from the same state (``masses``): an untied node sends its whole
+weight to its winner, and only the few tied rows go through ``tally``, so
+no sweep makes a (J, N) pass.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["heights", "tally", "Top2", "win_thresholds", "lower",
+__all__ = ["heights", "tally", "Top2", "masses", "win_thresholds", "lower",
            "active_backend", "TIE_RTOL"]
 
 TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
@@ -83,6 +87,28 @@ class Top2(NamedTuple):
         first = H[rows, win]
         H[rows, win] = np.inf
         return cls(win, first, H.min(axis=1))
+
+
+def masses(top: Top2, denom, b, w):
+    """The column sums of ``tally(denom, b, w)``'s plan, bit for bit, at the
+    radii b that top describes.
+
+    A node whose second-best height lies above the tie band sends its whole
+    weight to its winner; only the other rows are tallied.  numpy adds a
+    (J, N >= 2) plan's columns in node order, and so does the bincount here;
+    a single column it adds pairwise, and so does the N = 1 branch.
+    """
+    untied = top.second > top.first * (1.0 + TIE_RTOL)
+    if denom.shape[1] == 1:
+        return np.where(untied, w, 0.0)[:, None].sum(axis=0)
+    tied = np.flatnonzero(~untied)
+    plan = tally(denom[tied], b, w[tied])[0]
+    r, c = np.nonzero(plan)
+    # the tied shares go in among the untied weights, in node order
+    at = np.searchsorted(np.flatnonzero(untied), tied[r])
+    return np.bincount(np.insert(top.win[untied], at, c),
+                       np.insert(w[untied], at, plan[r, c]),
+                       minlength=denom.shape[1])
 
 
 def win_thresholds(denom, top: Top2, i: int):

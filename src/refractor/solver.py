@@ -303,7 +303,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     top = kernels.Top2.of(kernels.heights(denom, b))
 
     for sweep in range(max_sweeps):
-        masses = kernels.tally(denom, b, w)[0].sum(axis=0)
+        masses = kernels.masses(top, denom, b, w)
         resid = float(np.max(np.abs(masses - g)))
         info.sweeps = sweep
         info.residual = resid / src.total
@@ -340,10 +340,14 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             # when the window sits on a quadrature jump, keep the
             # under-filled side: overfilling cannot be undone later
             kernels.lower(top, kernels.heights(denom[:, i], b[i]), i)
-        # re-tally happens at the top of the next sweep
+    deficit = (g - masses) / src.total
+    under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
     raise NonConvergence(
         f"residual {info.residual:.3e} > tol {tol:.3e} after {max_sweeps} "
-        "sweeps (tolerance is below the quadrature resolution?)")
+        f"sweeps; most under-filled: target {under} (deficit "
+        f"{deficit[under]:+.3e} of the total), most over-filled: target "
+        f"{over} ({deficit[over]:+.3e}) (tolerance is below the quadrature "
+        "resolution?)")
 
 
 # perfbench/spans.py looks this name up on the module

@@ -37,8 +37,11 @@ class UniformSurface:
             raise ValidationError("radius parameter b must be finite and "
                                   "positive")
         m = np.asarray(m, dtype=float)
+        size = norm_eval(pair.n2, m)
+        if size == 0.0:
+            raise ValidationError("target direction must be nonzero")
         self.pair = pair
-        self.m = m / norm_eval(pair.n2, m)
+        self.m = m / size
         self.b = float(b)
         self.p2m = norm_gradient(pair.n2, self.m)
 

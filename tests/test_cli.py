@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,11 +251,22 @@ def test_design_thread_count_invariance(tmp_path):
 
 
 def test_design_nonconvergence_exit_code(tmp_path):
-    prob = small_problem(tmp_path, node_count=150, tol=1e-9)
+    prob = small_problem(tmp_path, node_count=150)
     sol = tmp_path / "sol.json"
-    rc = main(["design", str(prob), "-o", str(sol), "--max-sweeps", "40"])
+    rc = main(["design", str(prob), "-o", str(sol), "--tol", "1e-9",
+               "--max-sweeps", "40"])
     assert rc == 3
-    assert "error" in json.loads(sol.read_text())
+    error = json.loads(sol.read_text())["error"]
+    # the stop reason names the worst-filled targets and their deficits
+    # over the total; the larger of the two is the residual
+    num = r"([-+.e\d]+)"
+    found = re.search(rf"residual {num} > .* most under-filled: target \d "
+                      rf"\(deficit {num} of the total\), most over-filled: "
+                      rf"target \d \({num}\)", error)
+    assert found, error
+    resid, under, over = found.groups()
+    assert float(under) > 0.0 > float(over)
+    assert resid in (under.lstrip("+"), over.lstrip("-"))
 
 
 def test_design_infeasible_exit_code(tmp_path, capsys):

@@ -79,8 +79,9 @@ def test_thresholds_semantics(instance):
 @st.composite
 def shrinking_runs(draw):
     """A random (J, N) instance, Case I or II, with zero and negative
-    denominators and duplicated target columns (exact ties), plus a
-    sequence of radius updates that never grow a radius."""
+    denominators and target columns duplicated in whole or on some rows
+    (exact ties), plus a sequence of radius updates that never grow a
+    radius."""
     J = draw(st.integers(1, 40))
     N = draw(st.integers(1, 6))
     case2 = draw(st.booleans())
@@ -92,7 +93,8 @@ def shrinking_runs(draw):
     for k in range(1, N):
         if rng.random() < 0.4:
             twin[k] = rng.integers(0, k)
-            dots[:, k] = dots[:, twin[k]]
+            rows = rng.random(J) < 0.5 if rng.random() < 0.5 else slice(None)
+            dots[rows, k] = dots[rows, twin[k]]
             b[k] = b[twin[k]]
     steps = draw(st.lists(
         st.tuples(st.integers(0, N - 1),
@@ -119,3 +121,39 @@ def test_maintained_thresholds_are_exact(run):
         for k in range(len(b)):
             assert np.array_equal(kernels.win_thresholds(denom, top, k),
                                   thresholds_oracle(denom, b, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shrinking_runs())
+def test_masses_match_tally_bit_for_bit(run):
+    # the sweep's masses from the maintained state equal the full tally's
+    # column sums exactly, ties and unreached nodes included
+    dots, b, twin, case2, steps = run
+    denom = (dots - 1.0) if case2 else (1.0 - dots)
+    w = np.random.default_rng(len(steps)).uniform(0.1, 1.0, len(denom))
+    top = kernels.Top2.of(kernels.heights(denom, b))
+    for i, step in [(0, "keep")] + steps:
+        if step == "tie":
+            b[i] = min(b[i], b[twin[i]])
+        elif step != "keep":
+            b[i] *= step
+        kernels.lower(top, kernels.heights(denom[:, i], b[i]), i)
+        assert np.array_equal(kernels.masses(top, denom, b, w),
+                              kernels.tally(denom, b, w)[0].sum(axis=0))
+
+
+def test_masses_match_tally_at_scale():
+    # numpy adds a long single column pairwise and the columns of a wider
+    # plan in node order; both must come out the same bits
+    rng = np.random.default_rng(3)
+    for N in (1, 2, 7):
+        denom = 1.0 - rng.uniform(-0.6, 0.6, (20_000, N))
+        # the last target ties the first on every other row, so tied rows
+        # sit in among untied ones
+        denom[::2, -1] = denom[::2, 0]
+        b = rng.uniform(0.5, 2.0, N)
+        b[-1] = b[0]
+        w = rng.uniform(0.1, 1.0, 20_000)
+        top = kernels.Top2.of(kernels.heights(denom, b))
+        assert np.array_equal(kernels.masses(top, denom, b, w),
+                              kernels.tally(denom, b, w)[0].sum(axis=0))

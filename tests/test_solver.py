@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_targets, random_ellipsoidal_pair
+from refractor import kernels
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
-from refractor.norms import (MediumPair, Norm, norm_eval, norm_gradient)
+from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
+                             norm_gradient)
 from refractor.snell import refract
 from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               TargetMeasure, approximate_measure, dilate,
@@ -315,6 +317,25 @@ def test_invalid_solve_arguments(kwargs, message):
         solve_discrete(pair, src, tgt, **{"b1": 1.0, **kwargs})
 
 
+@pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5)],
+                         ids=["case1", "case2"])
+def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
+    # the sweep reads its masses from the maintained winners: a tally call
+    # inside the solve sees the tied rows, never all J
+    pair, src, tgt = small_instance(n1, n2, nodes=3000, count=8)
+    rows = []
+    tally = kernels.tally
+
+    def recording(denom, b, w):
+        rows.append(denom.shape[0])
+        return tally(denom, b, w)
+
+    monkeypatch.setattr(kernels, "tally", recording)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
+    assert len(rows) == r.info.sweeps + 1
+    assert max(rows) < src.count
+
+
 def test_convergence_log_monotone_after_warmup():
     pair, src, tgt = small_instance(nodes=2000, count=5, seed=12)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
@@ -349,19 +370,39 @@ def test_case1_domain_covers_all_admissible_targets():
         assert np.all(rho > 0)
 
 
+@pytest.fixture(scope="module")
+def lq_pairs():
+    """lq(3) -> isotropic(0.5) (Case I) and back (Case II), 2D and 3D, keyed
+    by (case2, dim); built once, as each pair's kappa search is slow."""
+    pairs = {}
+    for dim in (2, 3):
+        lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
+        pairs[False, dim] = MediumPair(lq, iso)
+        pairs[True, dim] = MediumPair(iso, lq)
+    return pairs
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), case2=st.booleans(),
-       dim=st.sampled_from([2, 3]), ellipsoidal=st.booleans(),
+       dim=st.sampled_from([2, 3]),
+       media=st.sampled_from(["isotropic", "ellipsoidal", "lq"]),
        nodes=st.integers(200, 1500), count=st.integers(1, 5),
        C=st.floats(0.1, 10.0))
-def test_design_invariants(seed, case2, dim, ellipsoidal, nodes, count, C):
-    # one solve_discrete for both regimes, 2D and 3D, isotropic and
-    # ellipsoidal: energy balance, the residual, the duality certificate
-    # and dilation invariance of the masses
+def test_design_invariants(lq_pairs, seed, case2, dim, media, nodes, count,
+                           C):
+    # one solve_discrete for both regimes, 2D and 3D, isotropic, ellipsoidal
+    # and lq media: energy balance, the residual, the duality certificate,
+    # dilation invariance of the masses and their exact permutation with the
+    # non-anchor targets
     rng = np.random.default_rng(seed)
     n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
-    pair = random_ellipsoidal_pair(rng, dim, n1, n2) if ellipsoidal \
-        else MediumPair.isotropic(n1, n2, dim)
+    if media == "lq":
+        pair = lq_pairs[case2, dim]
+    elif media == "ellipsoidal":
+        pair = random_ellipsoidal_pair(rng, dim, n1, n2)
+    else:
+        pair = MediumPair.isotropic(n1, n2, dim)
+    assert (pair.regime is Regime.CASE_II) == case2
     axis = np.eye(dim)[-1]
     src = SourceDensity.from_cap(pair.n1, axis, 0.2, nodes)
     dirs = admissible_targets(pair, src, count, 0.1, rng)
@@ -376,6 +417,10 @@ def test_design_invariants(seed, case2, dim, ellipsoidal, nodes, count, C):
     assert certificate(r, src, rep, build_cost(pair, src, tgt))["agrees"]
     dilated = refractor_measure(dilate(r, C), src).masses
     assert np.allclose(dilated, rep.masses, rtol=1e-12, atol=0)
+    order = np.concatenate([[0], 1 + rng.permutation(count - 1)])
+    permuted = TargetMeasure(tgt.directions[order], tgt.masses[order])
+    moved = refractor_measure(Refractor(pair, permuted, r.radii[order]), src)
+    assert np.array_equal(moved.masses, rep.masses[order])
 
 
 # -------------------------------------------------- continuous approximation

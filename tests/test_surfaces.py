@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refractor.errors import OutOfDomain
+from refractor.errors import OutOfDomain, ValidationError
 from refractor.geometry import cap_triangulation, fibonacci_cap
 from refractor.norms import (MediumPair, norm_eval, norm_gradient,
                              dual_gradient)
@@ -91,6 +91,15 @@ def test_radius_out_of_domain():
     s2 = UniformSurface(pair2, Z / 1.5, b=1.0)
     with pytest.raises(OutOfDomain):
         surface_radius(s2, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("pair", [MediumPair.isotropic(1.5, 1.0),
+                                  MediumPair.isotropic(1.0, 1.5)],
+                         ids=["case1", "case2"])
+def test_zero_direction_rejected(pair):
+    # a zero m is malformed input, not a point outside the domain
+    with pytest.raises(ValidationError, match="direction must be nonzero"):
+        UniformSurface(pair, np.zeros(3), b=1.0)
 
 
 def test_normal_collinear_at_normal_incidence():
