@@ -237,18 +237,30 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
             f"source total = {src.total!r}")
 
 
-def _mass_profile(s: np.ndarray, w: np.ndarray):
-    """Sorted threshold profile: returns a callable M(b) = sum of w over
-    nodes with threshold s >= b (piecewise-constant, nonincreasing in b)."""
-    order = np.argsort(s)
-    s_sorted = s[order]
-    suffix = np.concatenate([np.cumsum(w[order][::-1])[::-1], [0.0]])
-
-    def M(b: float) -> float:
-        k = int(np.searchsorted(s_sorted, b, side="left"))
-        return float(suffix[k])
-
-    return M
+def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
+                 half_band: float, i: int) -> float:
+    """Target i's new radius, read off its node thresholds s and weights w:
+    node j is in the cell iff b_i <= s_j, so with s sorted downward the cell
+    holds fill[k] for b_i in (s[k+1], s[k]].  At the first k with fill[k] >=
+    g_i - half_band, b_i goes mid-gap, where no node ties, or, if node k
+    jumps past g_i + half_band, just above s[k], leaving the cell
+    under-filled: overfilling cannot be undone.  b_i never grows; the
+    solve's state is exact only while radii shrink."""
+    order = np.argsort(s)[::-1]
+    fill = np.cumsum(w[order])
+    k = int(np.searchsorted(fill, g_i - half_band))
+    # the nodes i cannot reach (-inf) sort last, so they never count for k
+    if k == s.size or s[order[k]] == -np.inf:
+        raise InfeasibleTarget(
+            f"target {i} cannot absorb its mass: the nodes it reaches carry "
+            f"{np.sum(w[s > -np.inf]):.6g} < {g_i - half_band:.6g}")
+    # equal thresholds join together: the cell at s_k holds all s >= s_k
+    top = s[order[k]]
+    k = int(np.count_nonzero(s >= top)) - 1
+    if fill[k] > g_i + half_band:
+        return min(b_i, float(top) * (1.0 + 1e-15))
+    below = s[order[k + 1]] if k + 1 < s.size else -np.inf
+    return min(b_i, 0.5 * (float(top) + max(float(below), 0.0)))
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -310,44 +322,31 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         info.residual_history.append(resid / src.total)
         if resid <= delta:
             return Refractor(pair, tgt, b, info=info)
+        moved = False
         for i in range(1, N):
             if masses[i] >= g[i] - delta_c:
                 continue
             s = kernels.win_thresholds(denom, top, i)
-            finite = s[np.isfinite(s)]
-            if finite.size == 0:
+            if not np.isfinite(s).any():
                 continue  # cell fixed by feasibility alone
-            M = _mass_profile(s, w)
-            hi = float(b[i])
-            lo = min(0.5 * float(np.min(finite)), 0.5 * hi)
-            if M(lo) < g[i] - 0.5 * delta_c:
-                raise InfeasibleTarget(
-                    f"target {i} cannot absorb its mass even at radius {lo:g}")
-            new_b = None
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                Mm = M(mid)
-                if abs(Mm - g[i]) <= 0.5 * delta_c:
-                    new_b = mid
-                    break
-                if Mm > g[i]:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-15 * hi:
-                    break
-            b[i] = new_b if new_b is not None else hi
-            # when the window sits on a quadrature jump, keep the
-            # under-filled side: overfilling cannot be undone later
-            kernels.lower(top, kernels.heights(denom[:, i], b[i]), i)
+            new_b = _fill_radius(s, w, b[i], g[i], 0.5 * delta_c, i)
+            if new_b < b[i]:
+                b[i] = new_b
+                kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
+                moved = True
+        if not moved:
+            # no radius moved, so every later sweep would repeat this one
+            stop = f"the sweep stagnated after {sweep + 1} sweeps"
+            break
+    else:
+        stop = f"after {max_sweeps} sweeps"
     deficit = (g - masses) / src.total
     under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
     raise NonConvergence(
-        f"residual {info.residual:.3e} > tol {tol:.3e} after {max_sweeps} "
-        f"sweeps; most under-filled: target {under} (deficit "
-        f"{deficit[under]:+.3e} of the total), most over-filled: target "
-        f"{over} ({deficit[over]:+.3e}) (tolerance is below the quadrature "
-        "resolution?)")
+        f"residual {info.residual:.3e} > tol {tol:.3e}: {stop}; most "
+        f"under-filled: target {under} (deficit {deficit[under]:+.3e} of the "
+        f"total), most over-filled: target {over} ({deficit[over]:+.3e}) "
+        "(tolerance is below the quadrature resolution?)")
 
 
 # perfbench/spans.py looks this name up on the module

@@ -269,6 +269,20 @@ def test_design_nonconvergence_exit_code(tmp_path):
     assert resid in (under.lstrip("+"), over.lstrip("-"))
 
 
+def test_design_stagnation_stops_early(tmp_path):
+    # the golden problem reaches its fixed point long before 10,000 sweeps;
+    # a sweep that moves no radius ends the solve at once
+    sol = tmp_path / "sol.json"
+    rc = main(["design", str(GOLDEN_PROBLEM), "-o", str(sol), "--tol",
+               "1e-9"])
+    assert rc == 3
+    error = json.loads(sol.read_text())["error"]
+    found = re.search(r"the sweep stagnated after (\d+) sweeps", error)
+    assert found, error
+    assert int(found.group(1)) <= 30
+    assert "most under-filled: target" in error
+
+
 def test_design_infeasible_exit_code(tmp_path, capsys):
     prob_dict = json.loads(small_problem(tmp_path).read_text())
     prob_dict["targets"].append({"m": [1.0, 0.0, 0.0], "g": 0.5})
@@ -287,6 +301,15 @@ def test_design_infeasible_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "273 nodes (first: 1727) are outside the anchor" in err
     assert "228 of them outside every target's" in err
+    # Case II: the second target reaches 333 of 2000 nodes, 16 % of the
+    # mass, so no radius lets its cell absorb half of it
+    prob_dict["source"]["angle"] = 0.2
+    prob_dict["targets"] = [
+        {"m": [0.0, 0.0, 1.0], "g": 1.0},
+        {"m": [float(np.sin(0.95)), 0.0, float(np.cos(0.95))], "g": 1.0}]
+    path.write_text(json.dumps(prob_dict))
+    assert main(["design", str(path)]) == 4
+    assert "target 1 cannot absorb its mass" in capsys.readouterr().err
 
 
 def test_golden_problem(tmp_path, regen_golden):

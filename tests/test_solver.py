@@ -15,6 +15,7 @@ from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               lipschitz_bound, max_difference_quotient,
                               refractor_map, refractor_measure, rho_values,
                               solve_discrete)
+from refractor.solver import _fill_radius
 from refractor.transport import build_cost, certificate
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -293,6 +294,99 @@ def test_infeasible_targets_rejected():
     tgt = TargetMeasure.of(pair.n2, dirs, np.full(2, src.total / 2))
     with pytest.raises(InfeasibleTarget):
         solve_discrete(pair, src, tgt, b1=1.0)
+
+
+def cell_mass(s, w, b):
+    """Weight of the nodes whose threshold puts them in the cell at b."""
+    return float(np.sum(w[s >= b]))
+
+
+def ties(s, b):
+    """Nodes whose threshold lies within the tie band of the radius b, where
+    the tally splits their weight."""
+    rtol = 1.0 + kernels.TIE_RTOL
+    return np.flatnonzero((b <= s * rtol) & (s <= b * rtol))
+
+
+def test_fill_radius_jump_ties_one_node():
+    # node 2 (threshold 3.0) weighs 2.0 > the band 0.4: the cell holds 1.0
+    # without it and 3.0 with it, so the radius stops just above it
+    s = np.array([1.0, 4.0, 3.0, 5.0, 2.0])
+    w = np.array([1.0, 0.5, 2.0, 0.5, 1.0])
+    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1)
+    assert 3.0 < b <= 3.0 * (1.0 + kernels.TIE_RTOL)
+    assert list(ties(s, b)) == [2]
+    assert cell_mass(s, w, b) == 1.0 < 2.0 - 0.2
+
+
+def test_fill_radius_equal_thresholds_join_together():
+    # two nodes share threshold 2.0; with one of them the cell would be in
+    # the band, but they can only join together, which jumps past it
+    s = np.array([3.0, 2.0, 1.0, 2.0])
+    w = np.ones(4)
+    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1)
+    assert 2.0 < b <= 2.0 * (1.0 + kernels.TIE_RTOL)
+    assert list(ties(s, b)) == [1, 3]
+
+
+@pytest.mark.parametrize("g, expect", [(3.0, 2.5), (5.0, 0.5)],
+                         ids=["gap", "floor"])
+def test_fill_radius_in_band_lands_mid_gap(g, expect):
+    # unreachable nodes (-inf) weigh nothing, however heavy; below the last
+    # reachable node the gap reaches down to 0
+    s = np.array([2.0, -np.inf, 5.0, 1.0, 3.0, 4.0])
+    w = np.array([1.0, 10.0, 1.0, 1.0, 1.0, 1.0])
+    b = _fill_radius(s, w, 9.0, g, 0.2, 1)
+    assert b == expect
+    assert cell_mass(s, w, b) == g
+    assert ties(s, b).size == 0
+
+
+def test_fill_radius_never_grows():
+    s = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    w = np.ones(5)
+    # the band reads 2.5 and the jump 3.0 * (1 + 1e-15), both above b_i
+    assert _fill_radius(s, w, 2.2, 3.0, 0.2, 1) == 2.2
+    assert _fill_radius(s, np.array([1, 1, 2, 1, 1.0]), 2.2, 3.0, 0.2,
+                        1) == 2.2
+
+
+def test_fill_radius_infeasible_names_target():
+    s = np.array([3.0, -np.inf, 1.0])
+    w = np.array([1.0, 5.0, 1.0])
+    with pytest.raises(InfeasibleTarget, match="target 4 cannot absorb"):
+        _fill_radius(s, w, 9.0, 2.5, 0.2, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+       distinct=st.integers(1, 40), g=st.floats(0.05, 1.0),
+       band=st.floats(1e-3, 0.45), b_i=st.floats(0.1, 10.0))
+def test_fill_radius_band_or_tie(seed, size, distinct, g, band, b_i):
+    # the cell either lands in the band with no node tied, or stays under
+    # it with the tied nodes jumping past it; the radius never grows.  The
+    # sweep updates only targets under-filled by twice the half band
+    half_band = band * g
+    rng = np.random.default_rng(seed)
+    levels = np.append(rng.uniform(0.1, 5.0, distinct), [np.inf, -np.inf])
+    s = rng.choice(levels, size)
+    w = rng.uniform(0.0, 1.0, size) / size
+    reach = float(np.sum(w[s > -np.inf]))
+    if reach < g - half_band:
+        with pytest.raises(InfeasibleTarget):
+            _fill_radius(s, w, b_i, g, half_band, 1)
+        return
+    b = _fill_radius(s, w, b_i, g, half_band, 1)
+    assert 0.0 < b <= b_i
+    if b == b_i:
+        return
+    mass, tied = cell_mass(s, w, b), ties(s, b)
+    if tied.size == 0:
+        assert abs(mass - g) <= half_band * (1.0 + 1e-12)
+    else:
+        assert np.all(s[tied] < b)
+        assert mass < g - half_band
+        assert mass + float(np.sum(w[tied])) > g + half_band
 
 
 def test_balance_required():
