@@ -245,22 +245,38 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
     g_i - half_band, b_i goes mid-gap, where no node ties, or, if node k
     jumps past g_i + half_band, just above s[k], leaving the cell
     under-filled: overfilling cannot be undone.  b_i never grows; the
-    solve's state is exact only while radii shrink."""
-    order = np.argsort(s)[::-1]
-    fill = np.cumsum(w[order])
-    k = int(np.searchsorted(fill, g_i - half_band))
+    solve's state is exact only while radii shrink.
+
+    Only the top of the profile is sorted: one partition cuts it at the
+    m-th largest threshold, m being the nodes already in the cell plus
+    twice the deficit in mean node weights, and m grows 4-fold until k's
+    group of equal thresholds ends above the cut."""
+    inside = s >= b_i
+    deficit = g_i - half_band - float(w[inside].sum())
+    m = np.count_nonzero(inside) + 2 + int(2.0 * max(deficit, 0.0) / w.mean())
+    while True:
+        # the cut takes every threshold equal to it: no group is split
+        cand = (np.flatnonzero(s >= np.partition(s, -m)[-m]) if m < s.size
+                else np.arange(s.size))
+        order = cand[np.argsort(s[cand])[::-1]]
+        top = s[order]
+        fill = np.cumsum(w[order])
+        k = int(np.searchsorted(fill, g_i - half_band))
+        # done once k's group ends above the cut, so the gap below is known
+        if cand.size == s.size or (k < cand.size and top[k] > top[-1]):
+            break
+        m *= 4
     # the nodes i cannot reach (-inf) sort last, so they never count for k
-    if k == s.size or s[order[k]] == -np.inf:
+    if k == s.size or top[k] == -np.inf:
         raise InfeasibleTarget(
             f"target {i} cannot absorb its mass: the nodes it reaches carry "
             f"{np.sum(w[s > -np.inf]):.6g} < {g_i - half_band:.6g}")
     # equal thresholds join together: the cell at s_k holds all s >= s_k
-    top = s[order[k]]
-    k = int(np.count_nonzero(s >= top)) - 1
+    k = int(np.count_nonzero(top >= top[k])) - 1
     if fill[k] > g_i + half_band:
-        return min(b_i, float(top) * (1.0 + 1e-15))
-    below = s[order[k + 1]] if k + 1 < s.size else -np.inf
-    return min(b_i, 0.5 * (float(top) + max(float(below), 0.0)))
+        return min(b_i, float(top[k]) * (1.0 + 1e-15))
+    below = top[k + 1] if k + 1 < top.size else -np.inf
+    return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -327,8 +343,6 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             if masses[i] >= g[i] - delta_c:
                 continue
             s = kernels.win_thresholds(denom, top, i)
-            if not np.isfinite(s).any():
-                continue  # cell fixed by feasibility alone
             new_b = _fill_radius(s, w, b[i], g[i], 0.5 * delta_c, i)
             if new_b < b[i]:
                 b[i] = new_b

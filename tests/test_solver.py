@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_targets, random_ellipsoidal_pair
-from refractor import kernels
+from refractor import kernels, solver
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
@@ -387,6 +387,123 @@ def test_fill_radius_band_or_tie(seed, size, distinct, g, band, b_i):
         assert np.all(s[tied] < b)
         assert mass < g - half_band
         assert mass + float(np.sum(w[tied])) > g + half_band
+
+
+def fill_radius_oracle(s, w, b_i, g_i, half_band, i):
+    """`_fill_radius` as it read the profile with one full argsort."""
+    order = np.argsort(s)[::-1]
+    fill = np.cumsum(w[order])
+    k = int(np.searchsorted(fill, g_i - half_band))
+    if k == s.size or s[order[k]] == -np.inf:
+        raise InfeasibleTarget(
+            f"target {i} cannot absorb its mass: the nodes it reaches carry "
+            f"{np.sum(w[s > -np.inf]):.6g} < {g_i - half_band:.6g}")
+    top = s[order[k]]
+    k = int(np.count_nonzero(s >= top)) - 1
+    if fill[k] > g_i + half_band:
+        return min(b_i, float(top) * (1.0 + 1e-15))
+    below = s[order[k + 1]] if k + 1 < s.size else -np.inf
+    return min(b_i, 0.5 * (float(top) + max(float(below), 0.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(50, 3000),
+       distinct=st.integers(2, 3000), inside=st.integers(0, 30),
+       light=st.integers(0, 400), log_g=st.floats(-3.0, 0.02),
+       band=st.floats(1e-4, 0.45))
+def test_fill_radius_matches_full_sort(seed, size, distinct, inside, light,
+                                       log_g, band):
+    # few nodes inside b_i, then a run of zero-weight and heavy nodes just
+    # below it, among repeated levels and unreachable or unbeatable nodes:
+    # the first cut can fall short, grow, and land inside a level
+    rng = np.random.default_rng(seed)
+    s = rng.choice(rng.uniform(0.1, 5.0, distinct), size)
+    s[rng.integers(0, size, rng.integers(0, 4))] = np.inf
+    s[rng.integers(0, size, rng.integers(0, size // 5))] = -np.inf
+    w = rng.uniform(0.0, 1.0, size)
+    levels = np.unique(s[np.isfinite(s)])[::-1]
+    b_i = levels[min(inside, levels.size - 1)] if levels.size else 1.0
+    order = np.argsort(s)[::-1]
+    below = order[s[order] < b_i][:light]
+    w[below] = rng.choice([0.0, 0.0, 0.0, 50.0], below.size)
+    g = 10.0 ** log_g * w.sum()  # a thousandth of the total to 5 % over it
+    try:
+        expect = fill_radius_oracle(s, w, b_i, g, band * g, 3)
+    except InfeasibleTarget as exc:
+        with pytest.raises(InfeasibleTarget) as got:
+            _fill_radius(s, w, b_i, g, band * g, 3)
+        assert str(got.value) == str(exc)
+        return
+    assert _fill_radius(s, w, b_i, g, band * g, 3) == expect
+
+
+@pytest.fixture
+def partition_cuts(monkeypatch):
+    """The kth of every np.partition call made while the test runs."""
+    cuts = []
+    partition = np.partition
+
+    def counting(a, kth, *args, **kwargs):
+        cuts.append(kth)
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", counting)
+    return cuts
+
+
+def test_fill_radius_grows_a_short_cut(partition_cuts):
+    # the nodes below b_i weigh nothing until a heavy one far down: the
+    # guess from the mean weight falls short twice before a partial cut
+    # reaches it
+    s = np.arange(2000, 0, -1, dtype=float)
+    w = np.zeros(2000)
+    w[:5] = 1.0
+    w[600] = 1.0
+    w[601:] = 0.01
+    b = _fill_radius(s, w, 1996.0, 6.0, 0.5, 1)
+    assert len(partition_cuts) >= 2
+    assert b == fill_radius_oracle(s, w, 1996.0, 6.0, 0.5, 1)
+    assert b == 0.5 * (s[600] + s[601])
+
+
+def test_fill_radius_reads_the_gap_below_the_cut():
+    # the first cut (12 nodes: twice the deficit of 5.2 over the mean
+    # weight 1, plus 2) ends at the node that fills the band, so the gap
+    # below it lies past the cut, and the cut grows to read it
+    s = np.arange(100, 0, -1, dtype=float)
+    w = np.full(100, 94.75 / 88)
+    w[:11] = 0.45
+    w[11] = 0.3
+    b = _fill_radius(s, w, 100.5, 5.3, 0.1, 1)
+    assert b == fill_radius_oracle(s, w, 100.5, 5.3, 0.1, 1)
+    assert b == 0.5 * (s[11] + s[12])
+
+
+def instance_2d(nodes=2000, count=6, seed=3):
+    pair = MediumPair.isotropic(1.5, 1.0, dim=2)
+    src = SourceDensity.from_cap(pair.n1, np.array([0.0, 1.0]), 0.3, nodes)
+    rng = np.random.default_rng(seed)
+    dirs = admissible_targets(pair, src, count, 0.1, rng)
+    g = rng.uniform(0.5, 1.5, count)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * src.total / g.sum())
+    return pair, src, tgt
+
+
+@pytest.mark.parametrize("make, tol", [
+    (lambda: small_instance(nodes=3000, count=12, seed=5), 1e-3),
+    (lambda: small_instance(1.0, 1.5, nodes=3000, count=8), 2e-3),
+    (instance_2d, 1e-3),
+], ids=["case1_3d", "case2_3d", "case1_2d"])
+def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
+    # the partial sort changes no radius, sweep or residual of a solve
+    pair, src, tgt = make()
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert partition_cuts
+    monkeypatch.setattr(solver, "_fill_radius", fill_radius_oracle)
+    o = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.radii.tobytes() == o.radii.tobytes()
+    assert r.info.sweeps == o.info.sweeps
+    assert r.info.residual_history == o.info.residual_history
 
 
 def test_balance_required():
