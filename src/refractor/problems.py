@@ -9,7 +9,7 @@ A problem JSON pins down a design instance:
       "source":  {"axis": [..], "angle": rad, "node_count": int,
                   "density": "uniform" | "cosine"},
       "targets": [{"m": [..], "g": positive}, ...],
-      "b1": positive, "tol": positive, "seed": int
+      "b1": positive, "tol": positive, "seed": int  (checked, never read)
     }
 
 Target masses are relative: they are rescaled to the quadrature total on
@@ -85,18 +85,17 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def parse_pair(media: dict, seed: int = 0) -> MediumPair:
+def parse_pair(media: dict) -> MediumPair:
     """Build the medium pair from any of the three accepted media forms."""
     if not isinstance(media, dict):
         raise ValidationError("'media' must be an object")
     if "A1" in media and "A2" in media:
         A1, A2 = (_finite(np.asarray(media[k], float), f"media {k}")
                   for k in ("A1", "A2"))
-        return MediumPair(Norm.ellipsoidal(A1), Norm.ellipsoidal(A2),
-                          seed=seed)
+        return MediumPair(Norm.ellipsoidal(A1), Norm.ellipsoidal(A2))
     if "n1" in media and "n2" in media:
         return MediumPair(Norm.from_json_dict(media["n1"]),
-                          Norm.from_json_dict(media["n2"]), seed=seed)
+                          Norm.from_json_dict(media["n2"]))
     if "material1" in media and "material2" in media:
         from .fresnel import FresnelMaterial, pair_kappa_from_materials
 
@@ -118,7 +117,6 @@ class ProblemSpec:
     target_weights: np.ndarray  # relative masses, rescaled on build
     b1: float
     tol: float
-    seed: int
 
     def build(self) -> tuple[MediumPair, SourceDensity, TargetMeasure]:
         src = SourceDensity.from_cap(self.pair.n1, self.axis, self.angle,
@@ -165,11 +163,11 @@ def load_problem(source) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ValidationError("problem file must hold a JSON object")
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    _integer(raw.get("seed", 0), "seed")
     media = raw.get("media", raw.get("pair"))
     if media is None:
         raise ValidationError("missing 'media' (or 'pair') in problem")
-    pair = parse_pair(media, seed=seed)
+    pair = parse_pair(media)
     s = _require(raw, "source", "problem")
     if not isinstance(s, dict):
         raise ValidationError("'source' must be an object")
@@ -209,4 +207,4 @@ def load_problem(source) -> ProblemSpec:
     return ProblemSpec(pair=pair, axis=axis, angle=angle,
                        node_count=node_count, density=density,
                        target_dirs=np.asarray(dirs), target_weights=np.asarray(gs),
-                       b1=b1, tol=tol, seed=seed)
+                       b1=b1, tol=tol)

@@ -153,6 +153,10 @@ MALFORMED_EDITS = {
     "lq_q_null": (lambda p: p.update(media={
         "n1": {"kind": "lq", "q": None, "dim": 3}, "n2": LQ2}),
         "malformed lq norm"),
+    "touching_pair": (lambda p: p.update(media={
+        "n1": {"kind": "lq", "q": 1.5, "dim": 3},
+        "n2": {"kind": "lq", "q": 4.0, "dim": 3}}),
+        "neither Case I nor Case II"),
     "material_without_mu": (lambda p: p.update(media={
         "material1": {"eps": (2.25 * np.eye(3)).tolist()},
         "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from refractor.errors import RegimeViolation, ValidationError, ZeroVector
-from refractor.norms import (MediumPair, Norm, Regime, contrast_kappa,
-                             dual_gradient, dual_norm_eval, norm_eval,
-                             norm_gradient)
+from refractor.geometry import fibonacci_sphere
+from refractor.norms import (MediumPair, Norm, Regime, _ratio_extrema,
+                             contrast_kappa, dual_gradient, dual_norm_eval,
+                             norm_eval, norm_gradient)
 
 
 def test_eval_scaled_identity():
@@ -180,23 +181,41 @@ def test_kappa_diagonal():
     assert regime is Regime.CASE_I
 
 
+def assert_search_finds_svd(n1, n2):
+    # the lattice-plus-ascent search that non-ellipsoidal pairs use
+    s = np.linalg.svd(n2.A @ np.linalg.inv(n1.A), compute_uv=False)
+    (sup, _), (inf, _) = _ratio_extrema(n1, n2)
+    assert sup == pytest.approx(s[0], rel=1e-12, abs=0)
+    assert inf == pytest.approx(s[-1], rel=1e-12, abs=0)
+
+
 def test_kappa_sampling_never_exceeds_svd():
     rng = np.random.default_rng(8)
-    for _ in range(3):
-        A1 = np.eye(3) * 1.5 + 0.2 * rng.standard_normal((3, 3))
-        A2 = np.eye(3) * 0.8 + 0.1 * rng.standard_normal((3, 3))
+    for dim in [3] * 3 + [2, 3] * 4:
+        A1 = np.eye(dim) * 1.5 + 0.2 * rng.standard_normal((dim, dim))
+        A2 = np.eye(dim) * 0.8 + 0.1 * rng.standard_normal((dim, dim))
         n1, n2 = Norm.ellipsoidal(A1), Norm.ellipsoidal(A2)
+        assert_search_finds_svd(n1, n2)
         try:
             k, regime = contrast_kappa(n1, n2)
         except RegimeViolation:
             continue
-        x = rng.standard_normal((1_000_000, 3))
+        x = rng.standard_normal((1_000_000, dim))
         x /= norm_eval(n1, x)[:, None]
         sampled = norm_eval(n2, x)
         if regime is Regime.CASE_I:
             assert np.max(sampled) <= k + 1e-9
         else:
             assert np.min(sampled) >= k - 1e-9
+    # strongly anisotropic pairs, on which plain steepest ascent stalls, and
+    # an isotropic pair, whose constant ratio makes every gradient vanish
+    for dim in (2, 3):
+        assert_search_finds_svd(Norm.isotropic(1.5, dim),
+                                Norm.isotropic(1.0, dim))
+    for dim in (2, 3) * 10:
+        assert_search_finds_svd(*(Norm.ellipsoidal(
+            np.eye(dim) + 0.4 * rng.standard_normal((dim, dim)))
+            for _ in range(2)))
 
 
 def test_kappa_scaling_monotone():
@@ -220,12 +239,35 @@ def test_kappa_lq_matches_sampling():
     sampled = float(np.max(norm_eval(n2, x)))
     assert k >= sampled - 1e-9
     assert k == pytest.approx(sampled, rel=1e-4)
+    # lq -> iso, iso -> lq, lq -> lq and ellipsoidal <-> lq: the search is
+    # never less extreme than a dense lattice of 400k directions
+    t = np.pi * (np.arange(400_000) + 0.5) / 400_000
+    dense = {2: np.stack([np.cos(t), np.sin(t)], axis=-1),
+             3: fibonacci_sphere(400_000)}
+    for dim in (2, 3):
+        lq3, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
+        ell = Norm.ellipsoidal(np.eye(dim)
+                               + 0.3 * rng.standard_normal((dim, dim)))
+        for n1, n2 in [(lq3, iso), (iso, lq3), (Norm.lq(1.5, dim), lq3),
+                       (Norm.lq(6.0, dim), Norm.lq(1.2, dim)),
+                       (ell, Norm.lq(1.7, dim)), (Norm.lq(2.5, dim), ell)]:
+            ratio = norm_eval(n2, dense[dim]) / norm_eval(n1, dense[dim])
+            (sup, _), (inf, _) = _ratio_extrema(n1, n2)
+            assert sup >= np.max(ratio) - 1e-12
+            assert inf <= np.min(ratio) + 1e-12
 
 
 def test_regime_violation():
     with pytest.raises(RegimeViolation):
         contrast_kappa(Norm.ellipsoidal(np.eye(3)),
                        Norm.ellipsoidal(np.diag([0.5, 1.0, 2.0])))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_touching_pair_has_no_regime(dim):
+    # N2/N1 = |x|_4 / |x|_1.5 <= 1 with equality on the axes: not Case I
+    with pytest.raises(RegimeViolation, match="neither Case I nor Case II"):
+        MediumPair(Norm.lq(1.5, dim), Norm.lq(4.0, dim))
 
 
 def test_medium_pair_case2():
