@@ -21,7 +21,8 @@ from .errors import (Infeasible, InfeasibleTarget, NoRefraction,
                      NonConvergence, NotProportional, RefractorError,
                      ValidationError)
 from .geometry import fibonacci_sphere
-from .problems import dumps17, load_problem, parse_pair, write_csv, write_json
+from .problems import (_require, dumps17, load_problem, parse_pair,
+                       write_csv, write_json)
 
 EXIT_VALIDATION = 1
 EXIT_NO_REFRACTION = 2
@@ -45,16 +46,20 @@ def _emit(payload: dict, out_path) -> None:
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return raw
 
 
 def cmd_snell(args) -> int:
     from .snell import refract
 
     raw = _load_json(args.input)
-    pair = parse_pair(raw["pair"] if "pair" in raw else raw["media"])
-    event = refract(pair, np.asarray(raw["x"], float),
-                    np.asarray(raw["nu"], float))
+    pair = parse_pair(raw["pair"] if "pair" in raw
+                      else _require(raw, "media", "event"))
+    event = refract(pair, np.asarray(_require(raw, "x", "event"), float),
+                    np.asarray(_require(raw, "nu", "event"), float))
     _emit(event.to_json_dict(), args.output)
     return 0
 
@@ -150,7 +155,8 @@ def cmd_export(args) -> int:
     spec = load_problem(args.problem)
     pair, src, tgt = spec.build()
     if args.solution:
-        radii = np.asarray(_load_json(args.solution)["radii"], dtype=float)
+        radii = np.asarray(_require(_load_json(args.solution), "radii",
+                                    "solution"), dtype=float)
         refr = Refractor(pair, tgt, radii)
         refractor_to_obj(refr, src, args.mesh)
     elif args.target_index is not None:

@@ -139,9 +139,6 @@ def sheet_radii(mat: FresnelMaterial, u) -> SheetRadii:
         raise NonrealRoots(f"Phi^2 - Psi = {disc:.3e} < 0")
     disc = max(disc, 0.0)
     root = np.sqrt(disc)
-    if psi <= 0.0:  # unreachable for SPD tau; keep the linear fallback
-        s = 1.0 / (2.0 * phi)
-        return SheetRadii(direction=u, r_inner=np.sqrt(s), r_outer=np.sqrt(s))
     s_outer = (phi + root) / psi
     s_inner = 1.0 / (phi + root)  # product of the roots is 1/psi
     return SheetRadii(direction=u, r_inner=float(np.sqrt(s_inner)),

@@ -1,4 +1,4 @@
-"""Norm calculus: evaluation, gradients, dual norms and the contrast constant.
+"""Norm calculus: evaluation, gradients, the dual norm and the contrast constant.
 
 A medium is modeled by a norm N whose unit sphere is the set reached by light
 in unit time.  Two concrete strictly convex C1 families are provided:
@@ -9,7 +9,8 @@ in unit time.  Two concrete strictly convex C1 families are provided:
 
 The momentum map is p(x) = grad N(x); it sends the unit sphere of N onto the
 unit sphere of the dual norm N*(y) = sup_{N(x)=1} |x.y|, and the dual gradient
-p* = grad N* inverts it there (p* o p = Id on the sphere).
+p* = grad N* inverts it there (p* o p = Id on the sphere).  N* = `Norm.dual()`
+is a norm of the same family, so norm_eval and norm_gradient give N* and p*.
 
 kappa, the sup (Case I) or inf (Case II) of the 0-homogeneous ratio N2/N1,
 must keep KAPPA_MARGIN = 1e-9 away from 1.  Ellipsoidal pairs read it off
@@ -34,8 +35,6 @@ __all__ = [
     "MediumPair",
     "norm_eval",
     "norm_gradient",
-    "dual_norm_eval",
-    "dual_gradient",
     "norm_hessian",
     "contrast_kappa",
 ]
@@ -53,17 +52,18 @@ class Regime(enum.Enum):
 class Norm:
     """A strictly convex C1 norm on R^n, n in {2, 3}.
 
-    Instances are immutable: derived matrices are precomputed once and the
-    object is safe for concurrent read access.
+    Instances are immutable and safe for concurrent reads: A^t A is
+    precomputed and the dual is cached on first use (racing calls build equals).
     """
 
-    __slots__ = ("kind", "dim", "A", "q", "_AtA", "_Ainv", "_AinvT", "_dualA")
+    __slots__ = ("kind", "dim", "A", "q", "_AtA", "_dual")
 
     def __init__(self, kind: str, dim: int, A=None, q=None):
         if dim not in (2, 3):
             raise ValidationError(f"dimension must be 2 or 3, got {dim}")
         self.kind = kind
         self.dim = dim
+        self._dual = None
         if kind == "ellipsoidal":
             A = np.asarray(A, dtype=float)
             if A.shape != (dim, dim):
@@ -73,15 +73,12 @@ class Norm:
             self.A = A
             self.q = None
             self._AtA = A.T @ A
-            self._Ainv = np.linalg.inv(A)
-            self._AinvT = self._Ainv.T
-            self._dualA = self._Ainv @ self._AinvT  # A^{-1} A^{-t}
         elif kind == "lq":
             if not (q is not None and 1.0 < float(q) < np.inf):
                 raise ValidationError(f"lq exponent must lie in (1, inf), got {q}")
             self.A = None
             self.q = float(q)
-            self._AtA = self._Ainv = self._AinvT = self._dualA = None
+            self._AtA = None
         else:
             raise ValidationError(f"unknown norm kind {kind!r}")
 
@@ -100,10 +97,13 @@ class Norm:
         return cls.ellipsoidal(n * np.eye(dim))
 
     def dual(self) -> "Norm":
-        """The dual norm as a Norm object (ellipsoidal -> A^{-t}, lq -> q')."""
-        if self.kind == "ellipsoidal":
-            return Norm.ellipsoidal(self._AinvT)
-        return Norm.lq(self.q / (self.q - 1.0), self.dim)
+        """The dual norm N* as a Norm (ellipsoidal -> A^{-t}, lq -> q/(q-1)),
+        built on first use and cached; its gradient is p*."""
+        if self._dual is None:
+            self._dual = (Norm.ellipsoidal(np.linalg.inv(self.A).T)
+                          if self.kind == "ellipsoidal"
+                          else Norm.lq(self.q / (self.q - 1.0), self.dim))
+        return self._dual
 
     def to_json_dict(self) -> dict:
         if self.kind == "ellipsoidal":
@@ -150,27 +150,6 @@ def norm_gradient(norm: Norm, x) -> np.ndarray:
         return (x @ norm._AtA) / n[..., None]
     q = norm.q
     return np.sign(x) * np.abs(x) ** (q - 1.0) / n[..., None] ** (q - 1.0)
-
-
-def dual_norm_eval(norm: Norm, y) -> np.ndarray:
-    """N*(y) = sup_{N(x)=1} |x.y|."""
-    y = np.asarray(y, dtype=float)
-    if norm.kind == "ellipsoidal":
-        return np.linalg.norm(y @ norm._Ainv, axis=-1)  # |A^{-t} y|
-    qd = norm.q / (norm.q - 1.0)
-    return np.sum(np.abs(y) ** qd, axis=-1) ** (1.0 / qd)
-
-
-def dual_gradient(norm: Norm, y) -> np.ndarray:
-    """p*(y) = grad N*(y); satisfies p*(p(x)) = x / N(x)."""
-    y = np.asarray(y, dtype=float)
-    nd = dual_norm_eval(norm, y)
-    if np.any(nd == 0.0):
-        raise ZeroVector("dual gradient undefined at the origin")
-    if norm.kind == "ellipsoidal":
-        return (y @ norm._dualA) / nd[..., None]
-    qd = norm.q / (norm.q - 1.0)
-    return np.sign(y) * np.abs(y) ** (qd - 1.0) / nd[..., None] ** (qd - 1.0)
 
 
 def norm_hessian(norm: Norm, x) -> np.ndarray:
@@ -229,7 +208,7 @@ def contrast_kappa(n1: Norm, n2: Norm) -> tuple[float, Regime]:
     if n1.dim != n2.dim:
         raise ValidationError("norms must share the same dimension")
     if n1.kind == "ellipsoidal" and n2.kind == "ellipsoidal":
-        s = np.linalg.svd(n2.A @ n1._Ainv, compute_uv=False)
+        s = np.linalg.svd(n2.A @ n1.dual().A.T, compute_uv=False)
         sup_val, inf_val = float(s[0]), float(s[-1])
     else:
         (sup_val, _), (inf_val, _) = _ratio_extrema(n1, n2)

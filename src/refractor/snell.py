@@ -18,10 +18,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConstraintViolation, ConvergenceFailure, NoRefraction
+from .errors import (ConstraintViolation, ConvergenceFailure, NoRefraction,
+                     ValidationError, ZeroVector)
 from .geometry import tangent_basis
-from .norms import (MediumPair, Regime, dual_gradient, dual_norm_eval,
-                    norm_eval, norm_gradient, norm_hessian)
+from .norms import (MediumPair, Norm, Regime, norm_eval, norm_gradient,
+                    norm_hessian)
 
 __all__ = ["RefractionEvent", "refract", "fermat_path", "check_constraint"]
 
@@ -50,11 +51,11 @@ class RefractionEvent:
         }
 
 
-def _candidates_ellipsoidal(pair: MediumPair, p1: np.ndarray, nu: np.ndarray):
-    """Roots of N2*(p1 + lam nu) = 1 for ellipsoidal N2 (a quadratic)."""
-    AinvT = pair.n2._AinvT
-    u = AinvT @ p1
-    v = AinvT @ nu
+def _candidates_ellipsoidal(d: Norm, p1: np.ndarray, nu: np.ndarray):
+    """Roots of N2*(p1 + lam nu) = 1 for ellipsoidal N2 (a quadratic); d is
+    N2*, whose matrix is A2^{-t}."""
+    u = d.A @ p1
+    v = d.A @ nu
     a = v @ v
     b = 2.0 * (u @ v)
     c = u @ u - 1.0
@@ -65,22 +66,21 @@ def _candidates_ellipsoidal(pair: MediumPair, p1: np.ndarray, nu: np.ndarray):
     return [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
 
 
-def _candidates_bisection(pair: MediumPair, p1: np.ndarray, nu: np.ndarray):
-    """Roots of g(lam) = N2*(p1 + lam nu) - 1 for a general strictly convex N2.
+def _candidates_bisection(d: Norm, p1: np.ndarray, nu: np.ndarray):
+    """Roots of g(lam) = N2*(p1 + lam nu) - 1 for a general strictly convex N2;
+    d is N2*.
 
     g is strictly convex and coercive; its derivative p2*(p1 + lam nu).nu is
     increasing, so the minimizer is bracketed by a sign change of g' and each
     root by a sign change of g.
     """
-    n2 = pair.n2
-
     def g(lam):
-        return float(dual_norm_eval(n2, p1 + lam * nu)) - 1.0
+        return float(norm_eval(d, p1 + lam * nu)) - 1.0
 
     def gp(lam):
-        return float(dual_gradient(n2, p1 + lam * nu) @ nu)
+        return float(norm_gradient(d, p1 + lam * nu) @ nu)
 
-    L = 1.0 + float(dual_norm_eval(n2, p1))
+    L = 1.0 + float(norm_eval(d, p1))
     while gp(L) <= 0.0:
         L *= 2.0
     lo = -L
@@ -118,33 +118,36 @@ def refract(pair: MediumPair, x, nu) -> RefractionEvent:
     """Refract direction x through a plane with unit normal nu.
 
     x is rescaled onto the unit sphere of N1 and nu Euclidean-normalized.
-    Raises NoRefraction when no admissible refracted direction exists (total
-    reflection in Case I geometries) and ConstraintViolation when x points
-    away from the interface (x.nu < 0).
+    Raises ValidationError or ZeroVector unless x and nu are finite, nonzero
+    and of the pair's dimension, NoRefraction when no admissible refracted
+    direction exists (total reflection in Case I geometries) and
+    ConstraintViolation when x points away from the interface (x.nu < 0).
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
+    for name, v in (("x", x), ("nu", nu)):
+        if v.shape != (pair.dim,) or not np.all(np.isfinite(v)):
+            raise ValidationError(f"{name} must be {pair.dim} finite numbers, "
+                                  f"got {v.tolist()}")
+        if not np.any(v):
+            raise ZeroVector(f"{name} must be nonzero")
     x = x / norm_eval(pair.n1, x)
     nu = nu / np.linalg.norm(nu)
     if float(x @ nu) < -1e-9:
         raise ConstraintViolation(f"incident ray must satisfy x.nu >= 0, got {x @ nu:.3e}")
 
     p1 = norm_gradient(pair.n1, x)
-    if pair.n2.kind == "ellipsoidal":
-        lams = _candidates_ellipsoidal(pair, p1, nu)
+    d = pair.n2.dual()
+    if d.kind == "ellipsoidal":
+        lams = _candidates_ellipsoidal(d, p1, nu)
     else:
-        lams = _candidates_bisection(pair, p1, nu)
+        lams = _candidates_bisection(d, p1, nu)
     if not lams:
         raise NoRefraction("the Snell line misses the dual sphere of N2")
 
-    best = None
-    for lam in lams:
-        y = p1 + lam * nu
-        m = dual_gradient(pair.n2, y)
-        dot = float(m @ nu)
-        if best is None or dot > best[0]:
-            best = (dot, m, lam)
-    dot, m, lam = best
+    ms = [norm_gradient(d, p1 + lam * nu) for lam in lams]
+    k = int(np.argmax([m @ nu for m in ms]))  # the first of equal dots
+    m, lam, dot = ms[k], lams[k], float(ms[k] @ nu)
     if dot < -1e-9:
         raise ConstraintViolation(f"computed refracted ray has m.nu = {dot:.3e} < 0")
     return RefractionEvent(x=x, nu=nu, m=m, lam=float(lam))

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import InfeasibleTarget, NonConvergence, ValidationError
 from .geometry import (cap_triangulation, fibonacci_cap, node_area_weights,
-                       write_obj)
+                       rotate_z_to, write_obj)
 from .norms import MediumPair, Norm, Regime, norm_eval, norm_gradient
 
 __all__ = [
@@ -380,8 +380,6 @@ def approximate_measure(density_spec: TargetDensity, count: int,
     axis = np.asarray(spec.axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     dim = axis.shape[0]
-    from .geometry import rotate_z_to
-
     R = rotate_z_to(axis)
 
     if dim == 2:

@@ -9,9 +9,9 @@ refractor plan satisfies complementary slackness for the transport problem
 minimizing sum(plan * c) between its source quadrature and its own measure.
 
 The refractor's plan is kernels.tally's weight split, which the measure
-report carries; `certificate` checks both conditions on it.  The exact LP
-plan of `solve_ot_exact` (HiGHS vertex solve, no entropic blur in the tie
-band) is an independent oracle for tests.
+report carries; `certificate` checks both (min_slack checks c-concavity).
+The exact LP plan of `solve_ot_exact` (HiGHS vertex solve, no entropic blur
+in the tie band) is an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from . import kernels
 from .errors import Infeasible, ValidationError
 from .norms import MediumPair
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
-                     TargetMeasure, refractor_measure, rho_values)
+                     TargetMeasure, refractor_measure)
 
 __all__ = ["CostMatrix", "build_cost", "solve_ot_exact", "plan_objective",
-           "certificate", "check_c_concavity", "c_concavity_defect",
-           "assignment_agreement"]
+           "certificate", "assignment_agreement"]
 
 MAX_NODES = 2000
 MAX_TARGETS = 50
@@ -127,31 +126,6 @@ def certificate(r: Refractor, src: SourceDensity,
                      and out["duality_gap_rel"] <= 1e-9
                      and out["marginal_error"] <= 1e-12)
     return out
-
-
-def c_concavity_defect(cost: CostMatrix, log_rho: np.ndarray) -> float:
-    """Double c-transform defect of a radial log-profile over the nodes.
-
-    phi is representable as min_i (psi_i + c_ji) iff its double transform
-    reproduces it; the defect is the max absolute gap, zero (to roundoff)
-    exactly for min-envelope refractors.
-    """
-    c = cost.entries
-    psi = np.max(log_rho[:, None] - c, axis=0)
-    back = np.min(c + psi[None, :], axis=1)
-    return float(np.max(np.abs(back - log_rho)))
-
-
-def check_c_concavity(r: Refractor, src: SourceDensity,
-                      tol: float = 1e-9) -> bool:
-    """Support characterization of the refractor's own radial profile:
-    log rho must equal min_i(log b_i + c(., m_i)) at every node."""
-    cost = build_cost(r.pair, src, r.target)
-    log_rho = np.log(rho_values(r, src.nodes))
-    direct = np.min(np.log(r.radii)[None, :] + cost.entries, axis=1)
-    if float(np.max(np.abs(direct - log_rho))) > tol:
-        return False
-    return c_concavity_defect(cost, log_rho) <= tol
 
 
 def assignment_agreement(r: Refractor, src: SourceDensity,

@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refractor.norms import (MediumPair, Norm, Regime, dual_gradient,
-                             norm_gradient)
+from refractor.norms import MediumPair, Norm, Regime, norm_gradient
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,7 +67,7 @@ def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
     the margin: m.p1(x) >= 1 in Case I, x.p2(m) > 1 in Case II."""
     p1 = norm_gradient(pair.n1, src.nodes)
     if pair.regime is Regime.CASE_I:
-        m0 = dual_gradient(pair.n2, p1.mean(axis=0))  # max m.center on Sigma2
+        m0 = norm_gradient(pair.n2.dual(), p1.mean(axis=0))  # max m.center on Sigma2
         value, floor = (lambda dirs: p1 @ dirs.T), 1.0
     else:
         m0 = src.nodes.mean(axis=0)  # x.p2(m) peaks at m parallel to x

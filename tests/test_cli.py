@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 from conftest import src_env
 from refractor.cli import main
 from refractor.problems import dumps17, load_problem
-from refractor.solver import Refractor
-from refractor.transport import check_c_concavity
+from refractor.solver import Refractor, refractor_measure
+from refractor.transport import build_cost, certificate
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_PROBLEM = REPO / "problems" / "iso_5targets.json"
@@ -95,6 +96,48 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert main(["design"]) == 1
     assert capsys.readouterr().err == \
         "error: the following arguments are required: problem\n"
+
+
+EVENT = {"pair": {"A1": (1.5 * np.eye(3)).tolist(), "A2": np.eye(3).tolist()},
+         "x": [0.0, 0.0, 1.0], "nu": [0.0, 0.0, 1.0]}
+INVALID_FILES = {
+    "x_zero": ("snell", {**EVENT, "x": [0.0, 0.0, 0.0]}, "x must be nonzero"),
+    "nu_nan": ("snell", {**EVENT, "nu": [float("nan"), 0.0, 1.0]},
+               "nu must be 3 finite numbers"),
+    "x_2d": ("snell", {**EVENT, "x": [0.0, 1.0]}, "x must be 3 finite numbers"),
+    "x_missing": ("snell", {"pair": EVENT["pair"], "nu": EVENT["nu"]},
+                  "missing 'x' in event"),
+    "event_array": ("snell", [EVENT], "must hold a JSON object"),
+    "solution_array": ("export", [1.0, 2.0], "must hold a JSON object"),
+    "solution_without_radii": ("export", {"b": [1.0]},
+                               "missing 'radii' in solution"),
+}
+
+
+@pytest.mark.parametrize("command, content, message", INVALID_FILES.values(),
+                         ids=INVALID_FILES.keys())
+def test_invalid_file_exit_code(tmp_path, capsys, command, content, message):
+    # a snell event or an export solution that is not an object holding
+    # finite, nonzero fields exits 1 with a message naming the field
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    argv = ["snell", str(bad)] if command == "snell" else [
+        "export", str(small_problem(tmp_path)), "--solution", str(bad),
+        "--mesh", str(tmp_path / "out.obj")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_import_surface():
+    # the CLI loads what design and verify need; snell, surfaces, fresnel and
+    # transport load inside the subcommands that use them
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import refractor.cli, sys; print(sorted(sys.modules))"],
+        env=src_env(), capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert not loaded & {"refractor.snell", "refractor.surfaces",
+                         "refractor.fresnel", "refractor.transport", "scipy"}
 
 
 NON_FINITE_EDITS = {
@@ -467,7 +510,9 @@ def test_design_regime_norm_grid(tmp_path, capsys, n1, n2, dim, regime):
     assert main(["verify", str(prob)]) == 0
     assert json.loads(capsys.readouterr().out)["agrees"] is True
     pair, src, tgt = load_problem(prob).build()
-    assert check_c_concavity(Refractor(pair, tgt, out["radii"]), src)
+    refr = Refractor(pair, tgt, out["radii"])
+    assert certificate(refr, src, refractor_measure(refr, src),
+                       build_cost(pair, src, tgt))["agrees"]
 
 
 def test_export_solution_and_surface(tmp_path, capsys):

@@ -11,7 +11,7 @@ from refractor.snell import check_constraint, refract
 from refractor.solver import (SourceDensity, TargetMeasure, refractor_measure,
                               solve_discrete)
 from refractor.transport import (assignment_agreement, build_cost,
-                                 check_c_concavity, solve_ot_exact)
+                                 certificate, solve_ot_exact)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -64,7 +64,8 @@ def test_pipeline_ray_trace(material_pipeline):
 
 def test_pipeline_transport_agreement(material_pipeline):
     pair, src, tgt, refr = material_pipeline
-    assert check_c_concavity(refr, src)
+    assert certificate(refr, src, refractor_measure(refr, src),
+                       build_cost(pair, src, tgt))["agrees"]
     # downsampled verification against the exact plan
     small = SourceDensity.from_cap(pair.n1, Z, 0.22, 400)
     g = tgt.masses * (small.total / np.sum(tgt.masses))

@@ -9,13 +9,14 @@ from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
                              norm_gradient)
-from refractor.snell import refract
+from refractor.snell import fermat_path, refract
 from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               TargetMeasure, approximate_measure, dilate,
                               lipschitz_bound, max_difference_quotient,
                               refractor_map, refractor_measure, rho_values,
                               solve_discrete)
 from refractor.solver import _fill_radius
+from refractor.surfaces import UniformSurface, surface_normal
 from refractor.transport import build_cost, certificate
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -591,7 +592,8 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     # one solve_discrete for both regimes, 2D and 3D, isotropic, ellipsoidal
     # and lq media: energy balance, the residual, the duality certificate,
     # dilation invariance of the masses and their exact permutation with the
-    # non-anchor targets; in Case I also the Lipschitz bound
+    # non-anchor targets, Snell-Fermat equivalence at 3 random nodes; in
+    # Case I also the Lipschitz bound
     rng = np.random.default_rng(seed)
     n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
     if media == "lq":  # lq(3) -> isotropic(0.5) in Case I, and back
@@ -623,6 +625,19 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     if not case2:
         assert (max_difference_quotient(r, src, pairs=20_000)
                 <= lipschitz_bound(r, src))
+    # the winning surface's normal at rho(x) x refracts x into its target, and
+    # the least optical path from the source to rho(x) x + m crosses there;
+    # directions are compared by their momenta p2, since an lq(3) N2's dual
+    # gradient is only Holder-1/2 on its axes (m off by 3e-7 there)
+    for j in rng.choice(src.count, 3, replace=False):
+        x, i, P = src.nodes[j], rep.assignment[j], rep.min_radii[j] * src.nodes[j]
+        m = tgt.directions[i]
+        _, nu = surface_normal(UniformSurface(pair, m, r.radii[i]), x)
+        out = refract(pair, x, nu).m
+        assert np.linalg.norm(norm_gradient(pair.n2, out)
+                              - norm_gradient(pair.n2, m)) <= 1e-10
+        Q = fermat_path(pair, np.zeros(dim), P + m, (P, nu))
+        assert np.linalg.norm(Q - P) <= 1e-9 * np.linalg.norm(P)
 
 
 # -------------------------------------------------- continuous approximation

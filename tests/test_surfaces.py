@@ -3,8 +3,7 @@ import pytest
 
 from refractor.errors import OutOfDomain, ValidationError
 from refractor.geometry import cap_triangulation, fibonacci_cap
-from refractor.norms import (MediumPair, norm_eval, norm_gradient,
-                             dual_gradient)
+from refractor.norms import MediumPair, norm_eval, norm_gradient
 from refractor.snell import refract
 from refractor.surfaces import (UniformSurface, radius_bounds, support_test,
                                 surface_normal, surface_radius,

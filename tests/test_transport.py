@@ -10,9 +10,7 @@ from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
                               dilate, refractor_map, refractor_measure,
                               rho_values, solve_discrete)
 from refractor.transport import (CostMatrix, assignment_agreement, build_cost,
-                                 c_concavity_defect, certificate,
-                                 check_c_concavity, plan_objective,
-                                 solve_ot_exact)
+                                 certificate, plan_objective, solve_ot_exact)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -172,10 +170,16 @@ def test_dilation_leaves_assignment():
 
 
 def test_c_concavity_solved_refractor():
-    pair, src, tgt, refr = solved_instance(seed=7)
-    assert check_c_concavity(refr, src)
-    pair2, src2, tgt2, refr2 = solved_instance(n1=1.0, n2=1.5, seed=8)
-    assert check_c_concavity(refr2, src2)
+    # the certificate is the c-concavity check: with no negative slack and
+    # zero slack on the plan's arcs, log rho = min_i(log b_i + c) at each node
+    for n1, n2, seed in ((1.5, 1.0, 7), (1.0, 1.5, 8)):
+        pair, src, tgt, refr = solved_instance(n1=n1, n2=n2, seed=seed)
+        cost = build_cost(pair, src, tgt)
+        assert certificate(refr, src, refractor_measure(refr, src),
+                           cost)["agrees"]
+        direct = np.min(np.log(refr.radii) + cost.entries, axis=1)
+        log_rho = np.log(rho_values(refr, src.nodes))
+        assert np.max(np.abs(direct - log_rho)) <= 1e-9
 
 
 def test_c_concavity_corrupted_radius_still_min_structure():
@@ -183,24 +187,19 @@ def test_c_concavity_corrupted_radius_still_min_structure():
     radii = refr.radii.copy()
     radii[2] *= 1.05  # large enough to move cell boundaries past nodes
     corrupted = Refractor(pair, tgt, radii)
-    assert check_c_concavity(corrupted, src)  # still a min of surfaces
+    cost = build_cost(pair, src, tgt)
     rep = refractor_measure(corrupted, src)
-    assert rep.residual > refractor_measure(refr, src).residual
-    # the certificate of refr must not pass with u taken from other radii
-    cost = build_cost(pair, src, tgt)
-    cert = certificate(refr, src, replace(refractor_measure(refr, src),
-                                          min_radii=rep.min_radii), cost)
-    assert cert["agrees"] is False
-    assert cert["min_slack"] < -1e-6
-
-
-def test_c_concavity_random_profile_fails():
-    pair, src, tgt, refr = solved_instance(seed=10)
-    cost = build_cost(pair, src, tgt)
+    assert certificate(corrupted, src, rep, cost)["agrees"]  # a min of surfaces
+    own = refractor_measure(refr, src)
+    assert rep.residual > own.residual
+    # the certificate of refr must not pass with u taken from other radii,
+    # nor from its own profile raised at random
     rng = np.random.default_rng(0)
-    log_rho = np.log(rho_values(refr, src.nodes))
-    log_rho += rng.uniform(0.0, 0.05, size=log_rho.shape)
-    assert c_concavity_defect(cost, log_rho) > 1e-6
+    raised = own.min_radii * np.exp(rng.uniform(0.0, 0.05, src.count))
+    for min_radii in (rep.min_radii, raised):
+        cert = certificate(refr, src, replace(own, min_radii=min_radii), cost)
+        assert cert["agrees"] is False
+        assert cert["min_slack"] < -1e-6
 
 
 def test_case2_masked_arcs():
