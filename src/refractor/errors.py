@@ -18,7 +18,7 @@ class NoRefraction(RefractorError):
 
 
 class ConstraintViolation(RefractorError):
-    """A physical constraint (x.nu >= 0 or m.nu >= 0) failed."""
+    """An incident ray points away from the interface (x.nu < 0)."""
 
 
 class ConvergenceFailure(RefractorError):

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonrealRoots, NotProportional, ValidationError
-from .norms import MediumPair, Norm
+from .norms import Norm
 
 __all__ = ["FresnelMaterial", "SheetRadii", "phi_psi", "sheet_radii",
-           "induced_norm", "single_sheet_check", "pair_kappa_from_materials"]
+           "induced_norm", "single_sheet_check"]
 
 
 def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
@@ -44,21 +44,12 @@ def _spd_power(M: np.ndarray, exponent: float) -> np.ndarray:
     return (vecs * vals ** exponent) @ vecs.T
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, k] = -col
-    return out
-
-
 class FresnelMaterial:
     """Permittivity/permeability pair with its reduced spectral data.
 
-    Immutable; tau_i are sorted ascending and the principal frame O has a
-    deterministic sign convention so logged momentum vectors reproduce.
+    Immutable; tau_i are sorted ascending with the principal frame O as
+    numpy's eigh returns it (its column signs are arbitrary; nothing reads
+    them, since the sheet functions square the frame coordinates).
     """
 
     __slots__ = ("eps", "mu_perm", "tau", "O", "taus")
@@ -69,9 +60,7 @@ class FresnelMaterial:
         mih = _spd_power(self.mu_perm, -0.5)
         tau = mih @ self.eps @ mih
         self.tau = 0.5 * (tau + tau.T)
-        vals, vecs = np.linalg.eigh(self.tau)
-        self.taus = vals  # eigh returns ascending order
-        self.O = _fix_signs(vecs)
+        self.taus, self.O = np.linalg.eigh(self.tau)  # ascending order
 
     @classmethod
     def isotropic(cls, eps: float, mu: float) -> "FresnelMaterial":
@@ -175,12 +164,3 @@ def single_sheet_check(mat: FresnelMaterial, samples: int = 1000,
     gap = np.abs(phi * phi - psi) / np.maximum(phi * phi, 1.0)
     return float(np.max(gap)) <= 1e-10
 
-
-def pair_kappa_from_materials(mat1: FresnelMaterial,
-                              mat2: FresnelMaterial) -> MediumPair:
-    """Medium pair induced by two mu = a*eps materials.
-
-    kappa is the extreme singular value of A2 A1^{-1} exactly as for any
-    ellipsoidal pair; isotropic materials reproduce kappa = n2/n1.
-    """
-    return MediumPair(induced_norm(mat1), induced_norm(mat2))

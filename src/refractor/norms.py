@@ -68,8 +68,12 @@ class Norm:
             A = np.asarray(A, dtype=float)
             if A.shape != (dim, dim):
                 raise ValidationError(f"A must be {dim}x{dim}, got {A.shape}")
-            if abs(np.linalg.det(A)) < 1e-14:
-                raise ValidationError("A must be invertible")
+            if not np.all(np.isfinite(A)):
+                raise ValidationError("A must be finite")
+            s = np.linalg.svd(A, compute_uv=False)
+            if s[-1] <= 1e-12 * s[0]:
+                raise ValidationError("A must be invertible "
+                                      "(condition number at most 1e12)")
             self.A = A
             self.q = None
             self._AtA = A.T @ A

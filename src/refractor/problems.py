@@ -97,11 +97,11 @@ def parse_pair(media: dict) -> MediumPair:
         return MediumPair(Norm.from_json_dict(media["n1"]),
                           Norm.from_json_dict(media["n2"]))
     if "material1" in media and "material2" in media:
-        from .fresnel import FresnelMaterial, pair_kappa_from_materials
+        from .fresnel import FresnelMaterial, induced_norm
 
-        return pair_kappa_from_materials(
-            FresnelMaterial.from_json_dict(media["material1"]),
-            FresnelMaterial.from_json_dict(media["material2"]))
+        m1, m2 = (FresnelMaterial.from_json_dict(media[k])
+                  for k in ("material1", "material2"))
+        return MediumPair(induced_norm(m1), induced_norm(m2))
     raise ValidationError(
         "'media' must provide A1/A2, n1/n2, or material1/material2")
 

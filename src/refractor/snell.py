@@ -6,9 +6,11 @@ m on the unit sphere of N2 with
 
     p2(m) - p1(x) = lambda * nu,        m . nu >= 0,
 
-where p_i = grad N_i.  Equivalently m is read off the Fermat least-optical-
-path point; `fermat_path` computes that minimizer directly and serves as an
-independent oracle for `refract`.
+where p_i = grad N_i.  `refract` finds lambda as the larger root of
+N2*(p1(x) + lambda nu) = 1 by one Newton iteration, the same for every norm
+family, and reads m = p2*(p1(x) + lambda nu).  Equivalently m is read off
+the Fermat least-optical-path point; `fermat_path` computes that minimizer
+directly and serves as an independent oracle for `refract`.
 """
 
 from __future__ import annotations
@@ -51,77 +53,43 @@ class RefractionEvent:
         }
 
 
-def _candidates_ellipsoidal(d: Norm, p1: np.ndarray, nu: np.ndarray):
-    """Roots of N2*(p1 + lam nu) = 1 for ellipsoidal N2 (a quadratic); d is
-    N2*, whose matrix is A2^{-t}."""
-    u = d.A @ p1
-    v = d.A @ nu
-    a = v @ v
-    b = 2.0 * (u @ v)
-    c = u @ u - 1.0
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = np.sqrt(disc)
-    return [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+def _transmitted_root(d: Norm, p1: np.ndarray, nu: np.ndarray):
+    """(lambda, m) at the larger root of g(lam) = N2*(p1 + lam nu) - 1, where
+    d is N2* and m = p2*(p1 + lam nu); raises NoRefraction without a root.
 
-
-def _candidates_bisection(d: Norm, p1: np.ndarray, nu: np.ndarray):
-    """Roots of g(lam) = N2*(p1 + lam nu) - 1 for a general strictly convex N2;
-    d is N2*.
-
-    g is strictly convex and coercive; its derivative p2*(p1 + lam nu).nu is
-    increasing, so the minimizer is bracketed by a sign change of g' and each
-    root by a sign change of g.
+    g is convex with g' = m.nu.  At lam0 = (1 + 2 N2*(p1)) / N2*(nu) the
+    triangle inequality gives g >= N2*(p1), and Euler's identity m.y = N2*(y)
+    with |m.p1| <= N2*(p1) gives lam0 g' >= 1, so Newton steps from lam0
+    fall monotonically onto the larger root, where m.nu = g' > 0: that root
+    is the transmitted ray.  A step that meets g' <= 0 has passed the
+    minimum of g, which is then positive.  g is evaluated as N2*(y) - 1, not
+    as m.y - 1, which would carry the rounding of m.  The iteration stops
+    once a step no longer lowers lam.
     """
-    def g(lam):
-        return float(norm_eval(d, p1 + lam * nu)) - 1.0
-
-    def gp(lam):
-        return float(norm_gradient(d, p1 + lam * nu) @ nu)
-
-    L = 1.0 + float(norm_eval(d, p1))
-    while gp(L) <= 0.0:
-        L *= 2.0
-    lo = -L
-    while gp(lo) >= 0.0:
-        lo *= 2.0
-    hi = L
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gp(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam_min = 0.5 * (lo + hi)
-    if g(lam_min) > 0.0:
-        return []
-
-    roots = []
-    for side in (-1.0, 1.0):
-        a, b = lam_min, lam_min + side
-        while g(b) < 0.0:
-            b += side * max(1.0, abs(b))
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if g(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-            if abs(b - a) < 1e-12 * (1.0 + abs(a)):
-                break
-        roots.append(0.5 * (a + b))
-    return roots
+    lam = (1.0 + 2.0 * float(norm_eval(d, p1))) / float(norm_eval(d, nu))
+    for _ in range(100):
+        y = p1 + lam * nu
+        m = norm_gradient(d, y)
+        gp = float(m @ nu)
+        if gp <= 0.0:
+            raise NoRefraction("the Snell line misses the dual sphere of N2")
+        step = (float(norm_eval(d, y)) - 1.0) / gp
+        if not lam - step < lam:
+            return lam, m
+        lam -= step
+    raise ConvergenceFailure("Newton on the Snell line did not settle in 100 steps")
 
 
 def refract(pair: MediumPair, x, nu) -> RefractionEvent:
     """Refract direction x through a plane with unit normal nu.
 
     x is rescaled onto the unit sphere of N1 and nu Euclidean-normalized.
-    Raises ValidationError or ZeroVector unless x and nu are finite, nonzero
-    and of the pair's dimension, NoRefraction when no admissible refracted
-    direction exists (total reflection in Case I geometries) and
-    ConstraintViolation when x points away from the interface (x.nu < 0).
+    lambda is the larger root of N2*(p1(x) + lambda nu) = 1
+    (`_transmitted_root`), where m . nu > 0.  Raises ValidationError or
+    ZeroVector unless x and nu are finite, nonzero and of the pair's
+    dimension, NoRefraction when no refracted direction exists (total
+    reflection in Case I geometries) and ConstraintViolation when x points
+    away from the interface (x.nu < 0).
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -135,22 +103,8 @@ def refract(pair: MediumPair, x, nu) -> RefractionEvent:
     nu = nu / np.linalg.norm(nu)
     if float(x @ nu) < -1e-9:
         raise ConstraintViolation(f"incident ray must satisfy x.nu >= 0, got {x @ nu:.3e}")
-
-    p1 = norm_gradient(pair.n1, x)
-    d = pair.n2.dual()
-    if d.kind == "ellipsoidal":
-        lams = _candidates_ellipsoidal(d, p1, nu)
-    else:
-        lams = _candidates_bisection(d, p1, nu)
-    if not lams:
-        raise NoRefraction("the Snell line misses the dual sphere of N2")
-
-    ms = [norm_gradient(d, p1 + lam * nu) for lam in lams]
-    k = int(np.argmax([m @ nu for m in ms]))  # the first of equal dots
-    m, lam, dot = ms[k], lams[k], float(ms[k] @ nu)
-    if dot < -1e-9:
-        raise ConstraintViolation(f"computed refracted ray has m.nu = {dot:.3e} < 0")
-    return RefractionEvent(x=x, nu=nu, m=m, lam=float(lam))
+    lam, m = _transmitted_root(pair.n2.dual(), norm_gradient(pair.n1, x), nu)
+    return RefractionEvent(x=x, nu=nu, m=m, lam=lam)
 
 
 def fermat_path(pair, X, Y, plane) -> np.ndarray:

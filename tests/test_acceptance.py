@@ -14,8 +14,8 @@ import pytest
 
 from conftest import admissible_targets, random_ellipsoidal_pair, src_env
 from refractor.errors import NoRefraction
-from refractor.fresnel import (FresnelMaterial, pair_kappa_from_materials,
-                               phi_psi, sheet_radii, single_sheet_check)
+from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
+                               sheet_radii, single_sheet_check)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
                              norm_gradient)
 from refractor.snell import fermat_path, refract
@@ -298,7 +298,7 @@ def test_criterion_7_fresnel_algebra():
     m1 = FresnelMaterial(np.eye(3) / 0.49, np.eye(3))   # a1 = 0.49, n1 = 1/0.7
     m2 = FresnelMaterial(np.eye(3), np.eye(3))          # a2 = 1, n2 = 1
     assert single_sheet_check(m1) and single_sheet_check(m2)
-    pair = pair_kappa_from_materials(m1, m2)
+    pair = MediumPair(induced_norm(m1), induced_norm(m2))
     assert abs(pair.kappa - 0.7) <= 1e-12  # n2/n1 = sqrt(a1/a2)
     _pass(7, "Fresnel algebra",
           f"1e5 samples: det identity {worst_det:.2e}, min(Phi^2-Psi) "

@@ -91,6 +91,15 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["snell", str(bad)]) == 1
     assert main(["design", str(bad)]) == 1
+    # a NaN in an n1/n2 norm's matrix is named, not left to the SVD
+    prob = json.loads(small_problem(tmp_path).read_text())
+    prob["media"] = {"n1": {"kind": "ellipsoidal", "A": [[float("nan"), 0, 0],
+                                                         [0, 1.5, 0], [0, 0, 1.5]]},
+                     "n2": {"kind": "ellipsoidal", "A": np.eye(3).tolist()}}
+    bad.write_text(json.dumps(prob))
+    capsys.readouterr()
+    assert main(["design", str(bad)]) == 1
+    assert "A must be finite" in capsys.readouterr().err
     # a usage error exits 1 too, not argparse's 2 (no refraction)
     capsys.readouterr()
     assert main(["design"]) == 1

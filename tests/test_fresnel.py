@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from refractor.errors import NotProportional, ValidationError
-from refractor.fresnel import (FresnelMaterial, induced_norm,
-                               pair_kappa_from_materials, phi_psi,
+from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
                                sheet_radii, single_sheet_check)
-from refractor.norms import Regime, norm_eval
+from refractor.norms import MediumPair, Regime, norm_eval
 
 
 def ortho(rng):
@@ -218,10 +217,10 @@ def test_not_proportional():
 def test_pair_kappa_isotropic():
     m1 = FresnelMaterial(np.eye(3), np.eye(3))          # a1 = 1, n1 = 1
     m2 = FresnelMaterial(0.25 * np.eye(3), np.eye(3))   # a2 = 4, n2 = 1/2
-    pair = pair_kappa_from_materials(m1, m2)
+    pair = MediumPair(induced_norm(m1), induced_norm(m2))
     assert pair.kappa == pytest.approx(0.5, abs=1e-15)
     assert pair.regime is Regime.CASE_I
-    swapped = pair_kappa_from_materials(m2, m1)
+    swapped = MediumPair(induced_norm(m2), induced_norm(m1))
     assert swapped.regime is Regime.CASE_II
     assert swapped.kappa == pytest.approx(2.0, abs=1e-15)
 

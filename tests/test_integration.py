@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import admissible_targets
-from refractor.fresnel import FresnelMaterial, pair_kappa_from_materials
-from refractor.norms import Regime, norm_gradient
+from refractor.fresnel import FresnelMaterial, induced_norm
+from refractor.norms import MediumPair, Regime, norm_gradient
 from refractor.snell import check_constraint, refract
 from refractor.solver import (SourceDensity, TargetMeasure, refractor_measure,
                               solve_discrete)
@@ -29,7 +29,7 @@ def material_pipeline():
     eps2 = q2 @ np.diag([1.05, 0.95, 1.0]) @ q2.T
     a2 = 1.0
     mat2 = FresnelMaterial(eps2, a2 * eps2)
-    pair = pair_kappa_from_materials(mat1, mat2)
+    pair = MediumPair(induced_norm(mat1), induced_norm(mat2))
     assert pair.regime is Regime.CASE_I
 
     src = SourceDensity.from_cap(pair.n1, Z, 0.22, 4000)

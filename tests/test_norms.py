@@ -171,6 +171,12 @@ def test_kappa_isotropic():
     k, regime = contrast_kappa(Norm.isotropic(1.5), Norm.isotropic(1.0))
     assert k == pytest.approx(1.0 / 1.5, abs=1e-14)
     assert regime is Regime.CASE_I
+    # tiny and huge indices are valid media: only the ratio matters
+    for n1, n2, regime in ((1e-5, 0.5e-5, Regime.CASE_I),
+                           (1e5, 2e5, Regime.CASE_II)):
+        pair = MediumPair.isotropic(n1, n2)
+        assert pair.kappa == pytest.approx(n2 / n1, rel=1e-14)
+        assert pair.regime is regime
 
 
 def test_kappa_diagonal():
@@ -283,8 +289,14 @@ def test_json_round_trip():
 
 
 def test_construction_validation():
-    with pytest.raises(ValidationError):
-        Norm.ellipsoidal(np.zeros((3, 3)))
+    # invertibility is scale-free: a condition number above 1e12 is refused
+    # whatever det A is, and a non-finite A is named as such
+    for A, message in ((np.zeros((3, 3)), "invertible"),
+                       (np.diag([1e-7, 1.0, 1e7]), "invertible"),
+                       (np.diag([np.nan, 1.0, 1.0]), "A must be finite"),
+                       (np.diag([1.0, np.inf]), "A must be finite")):
+        with pytest.raises(ValidationError, match=message):
+            Norm.ellipsoidal(A)
     with pytest.raises(ValidationError):
         Norm.lq(1.0, dim=3)
     with pytest.raises(ValidationError):

@@ -62,35 +62,71 @@ def test_event_invariants_anisotropic():
     assert hits >= 40
 
 
-def test_unique_admissible_root():
-    # the rejected quadratic root always lands on the wrong side
-    pair = MediumPair.isotropic(1.0, 1.5)
-    rng = np.random.default_rng(1)
-    from refractor.snell import _candidates_ellipsoidal
+def quadratic_roots(pair, p1, nu):
+    """Discriminant and roots of |A2^{-T}(p1 + lam nu)|^2 = 1, the closed
+    form of N2*(p1 + lam nu) = 1 for an ellipsoidal N2."""
+    B = np.linalg.inv(pair.n2.A).T
+    u, v = B @ p1, B @ nu
+    a, b, c = v @ v, 2.0 * (u @ v), u @ u - 1.0
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(max(disc, 0.0))
+    return disc, ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a))
 
-    for _ in range(100):
-        nu = rng.standard_normal(3)
-        nu /= np.linalg.norm(nu)
-        x = rng.standard_normal(3)
-        if x @ nu < 0:
-            x = -x
-        x /= norm_eval(pair.n1, x)
-        p1 = norm_gradient(pair.n1, x)
-        lams = _candidates_ellipsoidal(pair.n2.dual(), p1, nu)
-        assert len(lams) == 2
-        dots = sorted(float(norm_gradient(pair.n2.dual(), p1 + lam * nu) @ nu)
-                      for lam in lams)
-        assert dots[0] < 0 < dots[1]
-        ev = refract(pair, x, nu)
-        assert ev.m @ nu == pytest.approx(dots[1], abs=1e-12)
+
+def test_unique_admissible_root():
+    # the quadratic as an oracle: refract returns its larger root, the
+    # rejected root always lands on the wrong side (m.nu < 0), and there is
+    # no refraction exactly when the discriminant is negative
+    rng = np.random.default_rng(1)
+    counts = {"refracted": 0, "none": 0}
+    for dim in (2, 3):
+        for scales in ((1.6, 0.9), (0.9, 1.6)):  # Case I, Case II
+            pair = random_ellipsoidal_pair(rng, dim, *scales)
+            for _ in range(100):
+                nu = rng.standard_normal(dim)
+                nu /= np.linalg.norm(nu)
+                x = rng.standard_normal(dim)
+                if x @ nu < 0:
+                    x = -x
+                x /= norm_eval(pair.n1, x)
+                p1 = norm_gradient(pair.n1, x)
+                disc, lams = quadratic_roots(pair, p1, nu)
+                if abs(disc) < 1e-9:
+                    continue
+                if disc < 0.0:
+                    with pytest.raises(NoRefraction):
+                        refract(pair, x, nu)
+                    counts["none"] += 1
+                    continue
+                lo, hi = (float(norm_gradient(pair.n2.dual(), p1 + lam * nu) @ nu)
+                          for lam in lams)
+                assert lo < 0.0 < hi
+                assert refract(pair, x, nu).lam == pytest.approx(lams[1], rel=1e-12)
+                counts["refracted"] += 1
+    assert min(counts.values()) >= 40
+
+
+# the critical angle of iso(1.5) -> iso(1.0), exactly and within 1e-16, 1e-12
+CRITICAL_ANGLES = np.arcsin(2.0 / 3.0) + np.array([0.0, -1e-16, 1e-16,
+                                                   -1e-12, 1e-12])
 
 
 def test_total_reflection_raises():
     pair = MediumPair.isotropic(1.5, 1.0)  # critical angle asin(2/3)
+    nu = np.array([0.0, 0.0, 1.0])
     theta = np.arcsin(2.0 / 3.0) + 0.05
     x = np.array([np.sin(theta), 0.0, np.cos(theta)])
     with pytest.raises(NoRefraction):
-        refract(pair, x, np.array([0.0, 0.0, 1.0]))
+        refract(pair, x, nu)
+    # at tangency Newton ends on either side of the double root, never at
+    # the step cap (ConvergenceFailure)
+    for theta in CRITICAL_ANGLES:
+        x = np.array([np.sin(theta), 0.0, np.cos(theta)])
+        try:
+            ev = refract(pair, x, nu)
+        except NoRefraction:
+            continue
+        assert ev.m @ nu >= 0.0
 
 
 def test_wrong_side_raises():
@@ -115,6 +151,18 @@ def test_isotropic_reduction_dense_angles():
             oracle = scalar_snell_direction(n1, n2, x_hat, nu)
             ev = refract(pair, x_hat / n1, nu)
             assert np.linalg.norm(ev.m_unit() - oracle) <= 1e-9
+    # at tangency m.nu carries the square root of rounding: a returned ray
+    # is grazing to 1e-7, and rounding may decide for NoRefraction instead
+    pair = MediumPair.isotropic(1.5, 1.0)
+    for theta in CRITICAL_ANGLES:
+        x_hat = np.array([np.sin(theta), 0.0, np.cos(theta)])
+        oracle = scalar_snell_direction(1.5, 1.0, x_hat, nu)
+        try:
+            ev = refract(pair, x_hat / 1.5, nu)
+        except NoRefraction:
+            continue
+        assert ev.m @ nu >= 0.0
+        assert np.linalg.norm(ev.m_unit() - oracle) <= 1e-7
 
 
 def test_lq_refraction_invariants():
@@ -139,8 +187,8 @@ def test_lq_refraction_invariants():
     assert hits >= 5
 
 
-def test_lq_target_bisection_path():
-    # non-ellipsoidal N2 exercises the bracketed-bisection root finder
+def test_lq_target_refraction():
+    # an lq N2 takes the same Newton root finder as an ellipsoidal one
     pair = MediumPair(Norm.ellipsoidal(1.8 * np.eye(3)), Norm.lq(4.0, dim=3))
     rng = np.random.default_rng(3)
     hits = 0
@@ -160,6 +208,22 @@ def test_lq_target_bisection_path():
         d = norm_gradient(pair.n2, ev.m) - norm_gradient(pair.n1, ev.x)
         assert np.linalg.norm(d - (d @ nu) * nu) <= 1e-8
     assert hits >= 5
+
+
+def test_lq_target_near_axis_precision():
+    # p2* of an lq(3) N2 is only Holder-1/2 on its axes, so m there carries
+    # the square root of lambda's error: lambda must be exact to rounding
+    pair = MediumPair(Norm.isotropic(0.5), Norm.lq(3.0, dim=3))  # Case II
+    rng = np.random.default_rng(6)
+    e3 = np.array([0.0, 0.0, 1.0])
+    for _ in range(400):
+        m = e3 + 1e-3 * rng.uniform(-1.0, 1.0, 3)
+        m /= norm_eval(pair.n2, m)
+        x = e3 + 0.2 * rng.standard_normal(3)
+        x /= norm_eval(pair.n1, x)
+        nu = norm_gradient(pair.n2, m) - norm_gradient(pair.n1, x)
+        ev = refract(pair, x, nu / np.linalg.norm(nu))
+        assert np.linalg.norm(ev.m - m) <= 1e-8
 
 
 # --------------------------------------------------------------- fermat path
