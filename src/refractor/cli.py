@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from .errors import (Infeasible, InfeasibleTarget, NoRefraction,
-                     NonConvergence, NotProportional, RefractorError,
-                     ValidationError)
+from .errors import (InfeasibleTarget, NoRefraction, NonConvergence,
+                     NotProportional, RefractorError, ValidationError)
 from .geometry import fibonacci_sphere
 from .problems import (_require, dumps17, load_problem, parse_pair,
                        write_csv, write_json)
@@ -32,7 +31,7 @@ EXIT_INFEASIBLE = 4
 _EXIT_CODES = [
     (NoRefraction, EXIT_NO_REFRACTION),
     (NonConvergence, EXIT_NON_CONVERGENCE),
-    ((InfeasibleTarget, Infeasible, NotProportional), EXIT_INFEASIBLE),
+    ((InfeasibleTarget, NotProportional), EXIT_INFEASIBLE),
     ((RefractorError, OSError, ValueError, KeyError), EXIT_VALIDATION),
 ]
 

@@ -21,20 +21,18 @@ class ConstraintViolation(RefractorError):
     """An incident ray points away from the interface (x.nu < 0)."""
 
 
-class ConvergenceFailure(RefractorError):
-    """An iterative method did not reach its tolerance within the cap."""
-
-
 class OutOfDomain(RefractorError):
     """Point outside the admissible domain of a uniformly refracting surface."""
 
 
 class NonConvergence(RefractorError):
-    """The radius sweep did not reach the residual tolerance."""
+    """An iterative method (the radius sweep, a Newton iteration) did not
+    reach its tolerance within its cap."""
 
 
 class InfeasibleTarget(RefractorError):
-    """Source/target configuration violates the admissibility conditions."""
+    """Source/target configuration violates the admissibility conditions,
+    or a transport instance has no feasible plan."""
 
 
 class NonrealRoots(RefractorError):
@@ -43,10 +41,6 @@ class NonrealRoots(RefractorError):
 
 class NotProportional(RefractorError):
     """Permeability is not a scalar multiple of permittivity (two-sheet material)."""
-
-
-class Infeasible(RefractorError):
-    """The transport instance has no feasible plan."""
 
 
 class ValidationError(RefractorError):

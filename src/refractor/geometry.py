@@ -57,22 +57,27 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def _ring_total(count: int) -> int:
-    """Number of rings around the centre node of a count-node cap lattice
-    (ring k holds about 6k nodes)."""
-    return int(round(np.sqrt((count - 1) / 3.0)))
+def _rings(angle: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles angle * k / K and node counts n_k ~ sin(angle * k / K)
+    (about 6k; largest remainder, summing to count - 1) of the rings around
+    the centre of a 3D cap lattice, K = round(sqrt((count - 1) / 3)) rings."""
+    if count < 12:
+        raise ValidationError("a 3D cap lattice needs at least 12 nodes")
+    K = int(round(np.sqrt((count - 1) / 3.0)))
+    theta = angle * (np.arange(1, K + 1) / K)  # theta[-1] == angle exactly
+    share = (count - 1) * np.sin(theta) / np.sum(np.sin(theta))
+    n = np.floor(share).astype(np.intp)
+    n[np.argsort(n - share, kind="stable")[:count - 1 - int(n.sum())]] += 1
+    return theta, n
 
 
 def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     """Quasi-uniform lattice of `count` Euclidean unit vectors on the cap
     {y : y.axis >= cos(angle)} (3D), or uniformly spaced arc directions (2D).
 
-    3D: the axis itself, then K = round(sqrt((count - 1) / 3)) rings at polar
-    angles angle * k / K, the last one exactly on the rim.  Ring k holds
-    n_k ~ sin(angle * k / K) nodes (equal area per node, rounded by largest
-    remainder so the counts sum to count - 1) at azimuths 2 pi (i + 1/2) / n_k.
-    Nodes are stored ring by ring in azimuth order, which is the structure
-    `cap_triangulation` reads.  (The name predates the ring lattice.)
+    3D: the axis itself, then the rings of `_rings`, the last one exactly on
+    the rim, ring k's n_k nodes at azimuths 2 pi (i + 1/2) / n_k, stored ring
+    by ring in azimuth order.  (The name predates the ring lattice.)
     """
     axis = np.asarray(axis, dtype=float)
     if count < 1:
@@ -85,13 +90,7 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
             else np.zeros(1)
         pts = np.stack([np.sin(theta), np.cos(theta)], axis=-1)
         return pts @ R.T
-    if count < 12:
-        raise ValidationError("a 3D cap lattice needs at least 12 nodes")
-    K = _ring_total(count)
-    theta = angle * (np.arange(1, K + 1) / K)  # theta[-1] == angle exactly
-    share = (count - 1) * np.sin(theta) / np.sum(np.sin(theta))
-    n = np.floor(share).astype(np.intp)
-    n[np.argsort(n - share, kind="stable")[:count - 1 - int(n.sum())]] += 1
+    theta, n = _rings(angle, count)
     start = np.cumsum(n) - n
     i = np.arange(count - 1) - np.repeat(start, n)
     phi = 2.0 * np.pi * (i + 0.5) / np.repeat(n, n)
@@ -104,36 +103,19 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     return pts @ R.T
 
 
-def cap_triangulation(dirs: np.ndarray, axis) -> np.ndarray:
-    """Triangulation of the cap lattice that `fibonacci_cap` returns for this
-    axis (not of arbitrary points).
+def cap_triangulation(angle: float, count: int, dim: int) -> np.ndarray:
+    """Mesh of the lattice `fibonacci_cap(axis, angle, count)`, any axis.
 
     3D: returns (n_tri, 3) vertex indices, counter-clockwise in the gnomonic
     chart: a fan from the centre node to ring 1, then a zipper between each
     pair of consecutive rings, n_k + n_(k+1) triangles each, written down in
-    O(J) integer arithmetic.  The rings are read off the nodes' polar
-    angles.  2D: returns (n_seg, 2) segment indices of the arc ordered by
-    angle.
+    O(J) integer arithmetic from the ring sizes of `_rings`.  2D: returns
+    the segments (i, i + 1) of the arc, whose nodes are in order.
     """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    proj = dirs @ axis
-    if np.any(proj <= 1e-9):
-        raise ValidationError("cap must be strictly inside a hemisphere")
-    if dirs.shape[1] == 2:
-        E = tangent_basis(axis)[:, 0]
-        t = (dirs @ E) / proj
-        order = np.argsort(t)
-        return np.stack([order[:-1], order[1:]], axis=-1)
-    theta = np.arctan2(np.linalg.norm(dirs - proj[:, None] * axis, axis=-1),
-                       proj)
-    J = dirs.shape[0]
-    K = _ring_total(J)
-    ring = np.rint(theta * (K / theta.max())).astype(np.intp)
-    n = np.bincount(ring, minlength=K + 1)
-    if n[0] != 1 or np.any(np.diff(ring) < 0):
-        raise ValidationError("cap_triangulation needs the ring lattice of "
-                              "fibonacci_cap")
+    if dim == 2:
+        node = np.arange(count - 1)
+        return np.stack([node, node + 1], axis=-1)
+    n = np.r_[1, _rings(angle, count)[1]]  # ring 0 is the centre node
     # Edge e of ring k joins its nodes e-1 and e; its midpoint sits at
     # azimuth 2 pi e / n_k.  Zipping two rings walks both rings' edges in
     # midpoint order, the inner ring's first on a tie, and each edge makes a
@@ -142,13 +124,13 @@ def cap_triangulation(dirs: np.ndarray, axis) -> np.ndarray:
     # ring 1 gets the fan) and node ceil(e n_out / n_k) - 1 of the ring
     # outside.
     start = np.cumsum(n) - n
-    node = np.arange(1, J)
-    k = ring[1:]
+    node = np.arange(1, count)
+    k = np.repeat(np.arange(1, n.size), n[1:])
     e = node - start[k]
     prev = start[k] + (e - 1) % n[k]
     inward = np.stack([prev, node, start[k - 1] + e * n[k - 1] // n[k]],
                       axis=-1)
-    o = k < K
+    o = k < n.size - 1
     k, e = k[o], e[o]
     outward = np.stack([prev[o],
                         start[k + 1] + (e * n[k + 1] - 1) // n[k] % n[k + 1],

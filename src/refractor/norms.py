@@ -230,15 +230,18 @@ def contrast_kappa(n1: Norm, n2: Norm) -> tuple[float, Regime]:
 class MediumPair:
     """Ordered pair of media with cached contrast constant and regime.
 
-    Immutable after construction; safe for concurrent reads.
+    The regime's sign (+1 in Case I, -1 in Case II) orients the Snell normal
+    nu = sign (p1(x) - p2(m)) of the surface through m; on Sigma1 x Sigma2,
+    nu.x = `denominators` and nu.m = `margins`.  Immutable; thread-safe reads.
     """
 
-    __slots__ = ("n1", "n2", "kappa", "regime")
+    __slots__ = ("n1", "n2", "kappa", "regime", "sign")
 
     def __init__(self, n1: Norm, n2: Norm):
         self.n1 = n1
         self.n2 = n2
         self.kappa, self.regime = contrast_kappa(n1, n2)
+        self.sign = 1.0 if self.regime is Regime.CASE_I else -1.0
 
     @classmethod
     def isotropic(cls, n1: float, n2: float, dim: int = 3) -> "MediumPair":
@@ -249,16 +252,26 @@ class MediumPair:
         return self.n1.dim
 
     def denominators(self, nodes, directions) -> np.ndarray:
-        """denom(x, m) = 1 - x.p2(m) in Case I and x.p2(m) - 1 in Case II.
+        """nu.x = sign (1 - x.p2(m)), at least 1 - kappa > 0 in Case I.
 
         The surface through m reaches x iff denom > 0; its radius there is
         b / denom.  nodes (J, n) against directions (N, n) gives (J, N); a
-        single direction (n,) gives (J,).  The only place the regime's sign
-        is applied.
+        single direction (n,) gives (J,).
         """
         dots = np.asarray(nodes, dtype=float) @ norm_gradient(
             self.n2, directions).T
-        return 1.0 - dots if self.regime is Regime.CASE_I else dots - 1.0
+        dots *= -self.sign  # then + sign: exactly 1 - d or d - 1, +0 at d = 1
+        dots += self.sign
+        return dots
+
+    def margins(self, nodes, directions) -> np.ndarray:
+        """nu.m = sign (p1(x).m - 1) for m on Sigma2, shaped as denominators,
+        at least 1 - 1/kappa > 0 in Case II; (x, m) is admissible iff both
+        are >= 0."""
+        dots = norm_gradient(self.n1, nodes) @ np.asarray(directions, float).T
+        dots -= 1.0
+        dots *= self.sign
+        return dots
 
     def __repr__(self):
         return (f"MediumPair(kappa={self.kappa:.6g}, "

@@ -33,6 +33,8 @@ from .solver import SourceDensity, TargetMeasure
 __all__ = ["ProblemSpec", "load_problem", "parse_pair", "dumps17",
            "write_json", "write_csv"]
 
+MAX_ENTRIES = 20_000_000  # node_count x targets: 160 MB per (J, N) array
+
 
 def _to_jsonable(obj):
     if isinstance(obj, dict):
@@ -152,7 +154,8 @@ def _integer(value, what: str) -> int:
 
 
 def load_problem(source) -> ProblemSpec:
-    """Parse and validate a problem from a path, file object, or dict."""
+    """Parse and validate a problem from a path, file object, or dict,
+    refusing node_count x targets above MAX_ENTRIES."""
     if isinstance(source, dict):
         raw = source
     elif hasattr(source, "read"):
@@ -199,6 +202,11 @@ def load_problem(source) -> ProblemSpec:
             raise ValidationError(f"target {k} mass must be positive")
         dirs.append(m)
         gs.append(g)
+
+    if node_count * len(targets) > MAX_ENTRIES:
+        raise ValidationError(f"source node_count {node_count} times "
+                              f"{len(targets)} targets exceeds {MAX_ENTRIES:,}"
+                              " (J, N) entries of 8 bytes")
 
     b1 = _number(_require(raw, "b1", "problem"), "b1")
     tol = _number(raw.get("tol", 1e-3), "tol")

@@ -16,15 +16,13 @@ directly and serves as an independent oracle for `refract`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (ConstraintViolation, ConvergenceFailure, NoRefraction,
+from .errors import (ConstraintViolation, NoRefraction, NonConvergence,
                      ValidationError, ZeroVector)
 from .geometry import tangent_basis
-from .norms import (MediumPair, Norm, Regime, norm_eval, norm_gradient,
-                    norm_hessian)
+from .norms import MediumPair, Norm, norm_eval, norm_gradient, norm_hessian
 
 __all__ = ["RefractionEvent", "refract", "fermat_path", "check_constraint"]
 
@@ -77,7 +75,8 @@ def _transmitted_root(d: Norm, p1: np.ndarray, nu: np.ndarray):
         if not lam - step < lam:
             return lam, m
         lam -= step
-    raise ConvergenceFailure("Newton on the Snell line did not settle in 100 steps")
+    raise NonConvergence("Newton on the Snell line did not settle in 100 "
+                         "steps")
 
 
 def refract(pair: MediumPair, x, nu) -> RefractionEvent:
@@ -107,18 +106,16 @@ def refract(pair: MediumPair, x, nu) -> RefractionEvent:
     return RefractionEvent(x=x, nu=nu, m=m, lam=lam)
 
 
-def fermat_path(pair, X, Y, plane) -> np.ndarray:
+def fermat_path(n1: Norm, n2: Norm, X, Y, plane) -> np.ndarray:
     """Least-optical-path point on the plane between X (medium I) and Y.
 
-    pair is a MediumPair or a bare (N1, N2) tuple (the path functional needs
-    no refraction regime, so equal media are fine here).  plane = (point,
-    normal).  Minimizes F(P) = N1(P - X) + N2(Y - P) over the plane by damped
-    Newton in the Householder chart of the normal; F is strictly convex there
-    so the minimizer is unique.  Tolerance 1e-12 on the chart gradient, at
-    most 200 iterations (ConvergenceFailure beyond that).
+    The path functional needs no refraction regime, so equal media are fine
+    here.  plane = (point, normal).  Minimizes F(P) = N1(P - X) + N2(Y - P)
+    over the plane by damped Newton in the Householder chart of the normal;
+    F is strictly convex there so the minimizer is unique.  Tolerance 1e-12
+    on the chart gradient, at most 200 iterations (NonConvergence beyond
+    that).
     """
-    if isinstance(pair, tuple):
-        pair = SimpleNamespace(n1=pair[0], n2=pair[1])
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     P0, nu = (np.asarray(v, dtype=float) for v in plane)
@@ -135,15 +132,15 @@ def fermat_path(pair, X, Y, plane) -> np.ndarray:
         P = P0 + E @ t
         a = P - X
         b = Y - P
-        F = float(norm_eval(pair.n1, a) + norm_eval(pair.n2, b))
-        g = E.T @ (norm_gradient(pair.n1, a) - norm_gradient(pair.n2, b))
+        F = float(norm_eval(n1, a) + norm_eval(n2, b))
+        g = E.T @ (norm_gradient(n1, a) - norm_gradient(n2, b))
         return F, g, a, b
 
     F, g, a, b = value_grad(t)
     for _ in range(200):
         if np.linalg.norm(g) <= 1e-12:
             return P0 + E @ t
-        H = E.T @ (norm_hessian(pair.n1, a) + norm_hessian(pair.n2, b)) @ E
+        H = E.T @ (norm_hessian(n1, a) + norm_hessian(n2, b)) @ E
         lam = 0.0
         for _ in range(60):
             try:
@@ -164,23 +161,18 @@ def fermat_path(pair, X, Y, plane) -> np.ndarray:
             F, g, a, b = F_new, g_new, a_new, b_new
             break
         else:
-            raise ConvergenceFailure("damped Newton could not find a descent step")
+            raise NonConvergence("damped Newton could not find a descent step")
     if np.linalg.norm(g) <= 1e-12:
         return P0 + E @ t
-    raise ConvergenceFailure(
+    raise NonConvergence(
         f"Fermat minimizer not converged: |grad| = {np.linalg.norm(g):.3e}"
     )
 
 
 def check_constraint(pair: MediumPair, x, m) -> bool:
-    """Physical admissibility of the pair (incident x, refracted m).
-
-    Case I (kappa < 1): m . p1(x) >= 1; Case II (kappa > 1): x . p2(m) >= 1,
-    both with a 1e-12 slack.  For isotropic media these reduce to
-    x.m >= n2/n1 and x.m >= n1/n2 for Euclidean unit vectors.
-    """
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if pair.regime is Regime.CASE_I:
-        return float(m @ norm_gradient(pair.n1, x)) >= 1.0 - 1e-12
-    return float(x @ norm_gradient(pair.n2, m)) >= 1.0 - 1e-12
+    """Physical admissibility of incident x on Sigma1 and refracted m on
+    Sigma2: the pair's denominators and margins, nu.x and nu.m, >= -1e-12.
+    Case I can fail only m.p1(x) >= 1 (isotropic: x.m >= n2/n1 for unit
+    vectors), Case II only x.p2(m) >= 1 (x.m >= n1/n2)."""
+    return min(float(pair.denominators(x, m)),
+               float(pair.margins(x, m))) >= -1e-12

@@ -62,7 +62,7 @@ class SourceDensity:
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         dirs = fibonacci_cap(axis, angle, node_count)
-        tris = cap_triangulation(dirs, axis)
+        tris = cap_triangulation(angle, node_count, axis.shape[0])
         nodes = dirs / norm_eval(norm1, dirs)[:, None]
         if density not in _DENSITIES:
             raise ValidationError(f"unknown density {density!r}")
@@ -211,23 +211,21 @@ def refractor_measure(r: Refractor, src: SourceDensity) -> RefractorMeasureRepor
 
 def check_admissibility(pair: MediumPair, src: SourceDensity,
                         tgt: TargetMeasure) -> None:
-    """Validate Case I admissibility over every (node, target) pair:
-    min m.p1(x) >= 1, with a grazing warning below 1 + 1e-6.  Case II's
-    x.p2(m) > 1 is the sign of the denominators, which the solve checks.
-    """
-    if pair.regime is Regime.CASE_I:
-        p1 = norm_gradient(pair.n1, src.nodes)
-        vals = p1 @ tgt.directions.T
-        vmin = float(vals.min())
-        if vmin < 1.0 - 1e-12:
-            j, i = np.unravel_index(np.argmin(vals), vals.shape)
-            raise InfeasibleTarget(
-                f"admissibility m.p1(x) >= 1 fails: node {j}, target {i}, "
-                f"value {vmin:.12g}")
-        if vmin < 1.0 + 1e-6:
-            warnings.warn("admissibility is within 1e-6 of grazing; the "
-                          "discrete problem may be ill-conditioned",
-                          stacklevel=2)
+    """Validate nu.m >= 0 (`MediumPair.margins`) over every (node, target)
+    pair, warning below 1e-6.  Only Case I can fail it, as m.p1(x) >= 1:
+    Case II's margin is at least 1 - 1/kappa.  nu.x > 0, the sign of the
+    denominators, is checked by the solve."""
+    margins = pair.margins(src.nodes, tgt.directions)
+    low = float(margins.min())
+    if low < -1e-12:
+        j, i = np.unravel_index(np.argmin(margins), margins.shape)
+        raise InfeasibleTarget(
+            f"admissibility m.p1(x) >= 1 fails: node {j}, target {i}, "
+            f"value {1.0 + low:.12g}")
+    if low < 1e-6:
+        warnings.warn("admissibility is within 1e-6 of grazing; the "
+                      "discrete problem may be ill-conditioned",
+                      stacklevel=2)
 
 
 def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:

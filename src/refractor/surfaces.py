@@ -1,15 +1,16 @@
 """Uniformly refracting surfaces: all rays from the origin exit parallel to m.
 
-Case I (kappa < 1) uses S_I(m, b) with polar radius
+The outward normal at rho(x) x is nu = sign (p1(x) - p2(m)), with the
+pair's sign +1 in Case I (kappa < 1, S_I(m, b)) and -1 in Case II (kappa > 1,
+S_II(m, b)); that is exactly the vector Snell condition for refraction into
+m.  The polar radius is
 
-    rho(x) = b / (1 - x.p2(m))      on {x in Sigma1 : m.p1(x) >= 1},
+    rho(x) = b / nu.x = b / (sign (1 - x.p2(m)))
 
-Case II (kappa > 1) uses S_II(m, b) with
-
-    rho(x) = b / (x.p2(m) - 1)      on {x in Sigma1 : x.p2(m) > 1}.
-
-The outward normal at rho(x) x is p1(x) - p2(m) (Case I) or its negative
-(Case II), which is exactly the vector Snell condition for refraction into m.
+on the domain {x in Sigma1 : nu.x > 0, nu.m >= 0}, where the incident ray x
+and the refracted ray m both cross the surface along nu.  Case I has
+nu.x >= 1 - kappa > 0 everywhere, so only m.p1(x) >= 1 can fail; Case II
+has nu.m >= 1 - 1/kappa > 0, so only x.p2(m) > 1 can.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ class UniformSurface:
 
 def _check_domain(s: UniformSurface, x: np.ndarray) -> None:
     if not np.all(domain_mask(s, x)):
-        if s.pair.regime is Regime.CASE_I:
-            raise OutOfDomain("Case I requires m.p1(x) >= 1 on the evaluated nodes")
-        raise OutOfDomain("Case II requires x.p2(m) > 1 on the evaluated nodes")
+        raise OutOfDomain("the surface's domain needs nu.x > 0 and nu.m >= 0 "
+                          "at every evaluated node")
 
 
 def surface_radius(s: UniformSurface, x) -> np.ndarray:
     """Polar radius rho(x) for x on Sigma1 (batched over leading axes).
 
     Case I values always lie in [b/(1+kappa), b/(1-kappa)].  Raises
-    OutOfDomain when the regime's admissibility condition fails.
+    OutOfDomain outside the domain.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(s, x)
@@ -67,14 +67,12 @@ def surface_radius(s: UniformSurface, x) -> np.ndarray:
 def surface_normal(s: UniformSurface, x) -> tuple[np.ndarray, np.ndarray]:
     """Outward normal at the surface point rho(x) x.
 
-    Returns (raw, unit): the unnormalized Snell normal p1(x) - p2(m) (Case I,
-    negated for Case II) and its Euclidean normalization.
+    Returns (raw, unit): the unnormalized Snell normal
+    sign (p1(x) - p2(m)) and its Euclidean normalization.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(s, x)
-    raw = norm_gradient(s.pair.n1, x) - s.p2m
-    if s.pair.regime is Regime.CASE_II:
-        raw = -raw
+    raw = s.pair.sign * (norm_gradient(s.pair.n1, x) - s.p2m)
     unit = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw, unit
 
@@ -95,11 +93,11 @@ def support_test(s: UniformSurface, nodes, rho_values, i0: int) -> bool:
 
 
 def domain_mask(s: UniformSurface, nodes) -> np.ndarray:
-    """Boolean mask of the nodes inside the surface's admissible domain."""
+    """Boolean mask of the nodes inside the surface's admissible domain,
+    nu.x > 0 and nu.m >= 0 (with a 1e-12 slack)."""
     nodes = np.asarray(nodes, dtype=float)
-    if s.pair.regime is Regime.CASE_I:
-        return norm_gradient(s.pair.n1, nodes) @ s.m >= 1.0 - 1e-12
-    return s.pair.denominators(nodes, s.m) > 0.0
+    return ((s.pair.denominators(nodes, s.m) > 0.0)
+            & (s.pair.margins(nodes, s.m) >= -1e-12))
 
 
 def radius_bounds(s: UniformSurface) -> tuple[float, float]:

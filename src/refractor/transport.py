@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import Infeasible, ValidationError
+from .errors import InfeasibleTarget, ValidationError
 from .norms import MediumPair
 from .solver import (Refractor, RefractorMeasureReport, SourceDensity,
                      TargetMeasure, refractor_measure)
@@ -61,8 +61,8 @@ def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
     """Exact optimal plan (J, N) between the node weights and the target
     masses (tgt.masses unless overridden).
 
-    Minimizes sum(plan * c) over the unmasked arcs.  Raises Infeasible when
-    the masked arcs disconnect the instance.
+    Minimizes sum(plan * c) over the unmasked arcs.  Raises InfeasibleTarget
+    when the masked arcs disconnect the instance.
     """
     J, N = cost.entries.shape
     if J > MAX_NODES or N > MAX_TARGETS:
@@ -92,7 +92,7 @@ def solve_ot_exact(cost: CostMatrix, src: SourceDensity, tgt: TargetMeasure,
     res = linprog(cvec, A_eq=A.tocsr(), b_eq=beq, bounds=(0, None),
                   method="highs")
     if res.status != 0:
-        raise Infeasible(f"exact transport solve failed: {res.message}")
+        raise InfeasibleTarget(f"exact transport solve failed: {res.message}")
     plan = np.zeros(J * N)
     plan[var_idx] = res.x
     return plan.reshape(J, N)
@@ -102,7 +102,7 @@ def plan_objective(cost: CostMatrix, plan: np.ndarray) -> float:
     """sum(plan * c) over the supported arcs (masked arcs carry no mass)."""
     mask = plan > 0.0
     if np.any(mask & ~cost.feasible):
-        raise Infeasible("plan puts mass on an excluded arc")
+        raise InfeasibleTarget("plan puts mass on an excluded arc")
     return float(np.sum(plan[mask] * cost.entries[mask]))
 
 

@@ -64,14 +64,13 @@ def random_ellipsoidal_pair(rng, dim=3, scale1=1.6, scale2=0.9, jitter=0.12):
 def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
     """Target directions on Sigma2 around the best-aligned direction of the
     cap center, shrunk until every node is admissible for every target by
-    the margin: m.p1(x) >= 1 in Case I, x.p2(m) > 1 in Case II."""
-    p1 = norm_gradient(pair.n1, src.nodes)
+    the margin: nu.x and nu.m, the pair's denominators and margins, are at
+    least `margin` (m.p1(x) >= 1 in Case I, x.p2(m) > 1 in Case II)."""
     if pair.regime is Regime.CASE_I:
+        p1 = norm_gradient(pair.n1, src.nodes)
         m0 = norm_gradient(pair.n2.dual(), p1.mean(axis=0))  # max m.center on Sigma2
-        value, floor = (lambda dirs: p1 @ dirs.T), 1.0
     else:
         m0 = src.nodes.mean(axis=0)  # x.p2(m) peaks at m parallel to x
-        value, floor = (lambda dirs: pair.denominators(src.nodes, dirs)), 0.0
     dim = src.nodes.shape[1]
     for _ in range(40):
         dirs = [m0]
@@ -82,7 +81,9 @@ def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
         from refractor.norms import norm_eval
 
         dirs = dirs / norm_eval(pair.n2, dirs)[:, None]
-        if float(value(dirs).min()) >= floor + margin:
+        value = np.minimum(pair.denominators(src.nodes, dirs),
+                           pair.margins(src.nodes, dirs))
+        if float(value.min()) >= margin:
             return dirs
         spread *= 0.7
     raise AssertionError("could not build admissible targets")

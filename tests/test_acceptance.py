@@ -78,7 +78,7 @@ def test_criterion_2_snell_fermat_equivalence():
         Y = P0 + nu * rng.uniform(0.5, 2.0) + 0.4 * rng.standard_normal(3)
         if (X - P0) @ nu >= -1e-3 or (Y - P0) @ nu <= 1e-3:
             continue
-        P = fermat_path(pair, X, Y, (P0, nu))
+        P = fermat_path(pair.n1, pair.n2, X, Y, (P0, nu))
         x = (P - X) / norm_eval(pair.n1, P - X)
         m_leg = (Y - P) / norm_eval(pair.n2, Y - P)
         try:

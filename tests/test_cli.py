@@ -227,6 +227,19 @@ def test_malformed_input_exit_code(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["design", "verify", "export"])
+def test_memory_guard_exit_code(tmp_path, capsys, command):
+    # node_count x targets is refused on load, before any (J, N) array exists
+    prob = json.loads(small_problem(tmp_path).read_text())
+    prob["source"]["node_count"] = 10**9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(prob))
+    extra = (["--target-index", "0", "--mesh", str(tmp_path / "s.obj")]
+             if command == "export" else [])
+    assert main([command, str(path), *extra]) == 1
+    assert "node_count 1000000000 times 3 targets" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "nan"], "tol must be finite and positive, got nan"),
     (["--tol", "inf"], "tol must be finite and positive, got inf"),

@@ -49,7 +49,7 @@ def test_fibonacci_cap_validation():
 def test_cap_triangulation_covers_nodes():
     axis = np.array([0.0, 0.0, 1.0])
     pts = fibonacci_cap(axis, 0.3, 200)
-    tris = cap_triangulation(pts, axis)
+    tris = cap_triangulation(0.3, 200, 3)
     assert set(tris.ravel()) == set(range(200))
     w = node_area_weights(pts, tris)
     assert np.all(w > 0)
@@ -70,7 +70,7 @@ def test_cap_mesh_properties(count, angle):
     axis = np.array([0.3, -0.2, 0.9])
     axis /= np.linalg.norm(axis)
     dirs = fibonacci_cap(axis, angle, count)
-    tris = cap_triangulation(dirs, axis)
+    tris = cap_triangulation(angle, count, 3)
     assert dirs.shape == (count, 3)
     assert np.allclose(dirs[0], axis, rtol=0.0, atol=1e-15)  # axis node
     proj = dirs @ axis
@@ -98,7 +98,7 @@ def test_node_area_weights_match_per_triangle_sum():
     for axis, count in ((np.array([0.0, 0.0, 1.0]), 200),
                         (np.array([0.0, 1.0]), 40)):
         pts = fibonacci_cap(axis, 0.3, count)
-        tris = cap_triangulation(pts, axis)
+        tris = cap_triangulation(0.3, count, axis.shape[0])
         ref = np.zeros(count)
         for t in tris:
             p = pts[t]
@@ -109,17 +109,10 @@ def test_node_area_weights_match_per_triangle_sum():
                            atol=0.0)
 
 
-def test_cap_triangulation_rejects_other_points():
-    axis = np.array([0.0, 0.0, 1.0])
-    pts = fibonacci_cap(axis, 0.3, 200)
-    with pytest.raises(ValidationError):
-        cap_triangulation(pts[::-1], axis)
-
-
 def test_cap_2d_ordering():
     axis = np.array([0.0, 1.0])
     pts = fibonacci_cap(axis, 0.5, 40)
-    segs = cap_triangulation(pts, axis)
+    segs = cap_triangulation(0.5, 40, 2)
     assert segs.shape == (39, 2)
     w = node_area_weights(pts, segs)
     assert np.sum(w) == pytest.approx(2 * 0.5, rel=1e-3)

@@ -592,8 +592,9 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     # one solve_discrete for both regimes, 2D and 3D, isotropic, ellipsoidal
     # and lq media: energy balance, the residual, the duality certificate,
     # dilation invariance of the masses and their exact permutation with the
-    # non-anchor targets, Snell-Fermat equivalence at 3 random nodes; in
-    # Case I also the Lipschitz bound
+    # non-anchor targets, Snell-Fermat equivalence at 3 random nodes, the
+    # certificate's tie band (the update ties a node only on a weight jump);
+    # in Case I also the Lipschitz bound
     rng = np.random.default_rng(seed)
     n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
     if media == "lq":  # lq(3) -> isotropic(0.5) in Case I, and back
@@ -615,7 +616,9 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     rep = refractor_measure(r, src)
     assert np.sum(rep.masses) == pytest.approx(src.total, rel=1e-12)
     assert rep.residual <= tol
-    assert certificate(r, src, rep, build_cost(pair, src, tgt))["agrees"]
+    cert = certificate(r, src, rep, build_cost(pair, src, tgt))
+    assert cert["agrees"]
+    assert cert["tie_band_mass"] <= 1e-3 * src.total
     dilated = refractor_measure(dilate(r, C), src).masses
     assert np.allclose(dilated, rep.masses, rtol=1e-12, atol=0)
     order = np.concatenate([[0], 1 + rng.permutation(count - 1)])
@@ -637,7 +640,7 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
         assert np.linalg.norm(norm_gradient(pair.n2, out)
                               - norm_gradient(pair.n2, m)) <= 1e-10
         assert np.linalg.norm(out - m) <= 1e-8
-        Q = fermat_path(pair, np.zeros(dim), P + m, (P, nu))
+        Q = fermat_path(pair.n1, pair.n2, np.zeros(dim), P + m, (P, nu))
         assert np.linalg.norm(Q - P) <= 1e-9 * np.linalg.norm(P)
 
 

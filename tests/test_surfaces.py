@@ -3,7 +3,7 @@ import pytest
 
 from refractor.errors import OutOfDomain, ValidationError
 from refractor.geometry import cap_triangulation, fibonacci_cap
-from refractor.norms import MediumPair, norm_eval, norm_gradient
+from refractor.norms import MediumPair, Norm, Regime, norm_eval, norm_gradient
 from refractor.snell import refract
 from refractor.surfaces import (UniformSurface, radius_bounds, support_test,
                                 surface_normal, surface_radius,
@@ -123,15 +123,38 @@ def test_normal_round_trip_through_refract():
             assert np.linalg.norm(ev.m - s.m) <= 1e-9
 
 
-def test_normal_x_dot_nu_identity_case1():
-    pair = MediumPair.isotropic(1.5, 1.0)
-    s = UniformSurface(pair, Z, b=1.0)
+A1 = np.array([[1.7, 0.1, 0.0], [0.05, 1.55, 0.1], [0.0, 0.1, 1.6]])
+A2 = np.array([[1.0, 0.0, 0.05], [0.0, 0.95, 0.0], [0.1, 0.0, 1.05]])
+NORMAL_PAIRS = {
+    "case1-isotropic": lambda: MediumPair.isotropic(1.5, 1.0),
+    "case2-isotropic": lambda: MediumPair.isotropic(1.0, 1.5),
+    "case1-ellipsoidal": lambda: MediumPair(Norm.ellipsoidal(A1),
+                                            Norm.ellipsoidal(A2)),
+    "case2-ellipsoidal": lambda: MediumPair(Norm.ellipsoidal(A2),
+                                            Norm.ellipsoidal(A1)),
+    "case1-lq": lambda: MediumPair(Norm.lq(3.0), Norm.isotropic(0.5)),
+    "case2-lq": lambda: MediumPair(Norm.isotropic(0.5), Norm.lq(3.0)),
+}
+
+
+@pytest.mark.parametrize("make", NORMAL_PAIRS.values(),
+                         ids=NORMAL_PAIRS.keys())
+def test_normal_dot_identities(make):
+    # on Sigma1 x Sigma2 the Snell normal nu = sign (p1(x) - p2(m)) has
+    # nu.x = denominators and nu.m = margins (Euler's identity); the first
+    # is at least 1 - kappa in Case I, the second 1 - 1/kappa in Case II
+    pair = make()
+    s = UniformSurface(pair, np.array([0.05, -0.03, 1.0]), b=1.0)
     nodes = domain_nodes(pair, s.m)
+    assert len(nodes) >= 100
     raw, _ = surface_normal(s, nodes)
-    x_dot_nu = np.sum(nodes * raw, axis=-1)
-    expect = 1.0 - nodes @ s.p2m
-    assert np.max(np.abs(x_dot_nu - expect)) <= 1e-12
-    assert np.min(x_dot_nu) > 1.0 - pair.kappa - 1e-12
+    x_dot_nu, m_dot_nu = np.sum(nodes * raw, axis=-1), raw @ s.m
+    assert np.max(np.abs(x_dot_nu - pair.denominators(nodes, s.m))) <= 1e-12
+    assert np.max(np.abs(m_dot_nu - pair.margins(nodes, s.m))) <= 1e-12
+    if pair.regime is Regime.CASE_I:
+        assert np.min(x_dot_nu) >= 1.0 - pair.kappa - 1e-12
+    else:
+        assert np.min(m_dot_nu) >= 1.0 - 1.0 / pair.kappa - 1e-12
 
 
 def test_support_self():
@@ -187,7 +210,7 @@ def test_obj_export(tmp_path):
     s = UniformSurface(pair, Z, b=1.0)
     dirs = fibonacci_cap(Z, 0.25, 120)
     nodes = dirs / norm_eval(pair.n1, dirs)[:, None]
-    tris = cap_triangulation(dirs, Z)
+    tris = cap_triangulation(0.25, 120, 3)
     path = tmp_path / "patch.obj"
     surface_to_obj(s, nodes, tris, path)
     text = path.read_text().splitlines()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import admissible_targets
-from refractor.errors import Infeasible, ValidationError
+from refractor.errors import InfeasibleTarget, ValidationError
 from refractor.norms import MediumPair, norm_gradient
 from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
                               dilate, refractor_map, refractor_measure,
@@ -229,7 +229,7 @@ def test_infeasible_disconnected():
     cost = CostMatrix(entries=entries)
     tgt = TargetMeasure.of(pair.n2, np.array([Z, [0.05, 0.0, 0.9987]]),
                            np.full(2, src.total / 2))
-    with pytest.raises(Infeasible):
+    with pytest.raises(InfeasibleTarget):
         solve_ot_exact(cost, src, tgt)
 
 
