@@ -57,6 +57,16 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
+def _check_cap(angle: float, count: int, dim: int) -> None:
+    """The arguments every cap lattice and its mesh accept."""
+    if dim not in (2, 3):
+        raise ValidationError(f"cap lattices are 2D or 3D, got {dim}D")
+    if count < 1:
+        raise ValidationError("node count must be positive")
+    if not (0.0 < angle < np.pi / 2):
+        raise ValidationError("cap half-angle must lie in (0, pi/2)")
+
+
 def _rings(angle: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Polar angles angle * k / K and node counts n_k ~ sin(angle * k / K)
     (about 6k; largest remainder, summing to count - 1) of the rings around
@@ -80,10 +90,7 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     by ring in azimuth order.  (The name predates the ring lattice.)
     """
     axis = np.asarray(axis, dtype=float)
-    if count < 1:
-        raise ValidationError("node count must be positive")
-    if not (0.0 < angle < np.pi / 2):
-        raise ValidationError("cap half-angle must lie in (0, pi/2)")
+    _check_cap(angle, count, axis.shape[0])
     R = rotate_z_to(axis)
     if axis.shape[0] == 2:
         theta = np.linspace(-angle, angle, count) if count > 1 \
@@ -110,8 +117,10 @@ def cap_triangulation(angle: float, count: int, dim: int) -> np.ndarray:
     chart: a fan from the centre node to ring 1, then a zipper between each
     pair of consecutive rings, n_k + n_(k+1) triangles each, written down in
     O(J) integer arithmetic from the ring sizes of `_rings`.  2D: returns
-    the segments (i, i + 1) of the arc, whose nodes are in order.
+    the segments (i, i + 1) of the arc, whose nodes are in order.  It
+    accepts what `fibonacci_cap` accepts.
     """
+    _check_cap(angle, count, dim)
     if dim == 2:
         node = np.arange(count - 1)
         return np.stack([node, node + 1], axis=-1)

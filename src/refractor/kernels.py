@@ -22,6 +22,20 @@ thresholds are bit-identical to a rebuild's.  The sweep reads its cell
 masses from the same state (``masses``): an untied node sends its whole
 weight to its winner, and only the few tied rows go through ``tally``, so
 no sweep makes a (J, N) pass.
+
+Most updates need not even read all J rows.  ``Top2.take`` copies the
+state of some rows, ``win_thresholds`` reads thresholds off such a part,
+``lower`` updates whatever state it is given and ``Top2.put`` writes the
+part back.  Heights only fall, so a node's second-best height only falls,
+and so does second_j * denom_ij, which bounds node j's threshold for
+target i from above.  The rows where it is at or above a floor V_i (target
+i's band) therefore keep every node whose threshold can reach V_i, and
+every node whose state a radius at or above V_i can change, since
+``lower`` changes only the nodes whose new height is below their
+second-best.  So the band stays a superset of what an update reads and
+writes until the update needs a threshold below V_i.  The solver then
+counts a miss and redoes the update over all J rows, which rebuilds the
+band.
 """
 
 from __future__ import annotations
@@ -88,6 +102,15 @@ class Top2(NamedTuple):
         H[rows, win] = np.inf
         return cls(win, first, H.min(axis=1))
 
+    def take(self, rows) -> "Top2":
+        """A copy of the state of the nodes rows."""
+        return Top2(*(a.take(rows) for a in self))
+
+    def put(self, rows, part: "Top2") -> None:
+        """Write part, the state of the nodes rows, back in place."""
+        for a, p in zip(self, part):
+            a[rows] = p
+
 
 def masses(top: Top2, denom, b, w):
     """The column sums of ``tally(denom, b, w)``'s plan, bit for bit, at the
@@ -111,15 +134,16 @@ def masses(top: Top2, denom, b, w):
                        minlength=denom.shape[1])
 
 
-def win_thresholds(denom, top: Top2, i: int):
+def win_thresholds(denom, top: Top2, i: int, rows=None):
     """Per-node radius thresholds for target i at fixed other radii.
 
-    denom: (J, N) denominators; top: the state at the current radii.  Node j
-    belongs to target i's cell iff b_i <= s_j with s_j the returned
-    threshold (min over other targets of h, times i's denominator); -inf
-    marks nodes i can never win, +inf nodes only i can serve.
+    denom: (J, N) denominators; top: the state at the current radii of the
+    nodes rows (all J when None).  Node j belongs to target i's cell iff
+    b_i <= s_j with s_j the returned threshold (min over other targets of h,
+    times i's denominator); -inf marks nodes i can never win, +inf nodes
+    only i can serve.
     """
-    den_i = denom[:, i]
+    den_i = denom[:, i] if rows is None else denom[:, i].take(rows)
     reach = den_i > 0.0
     s = np.where(top.win == i, top.second, top.first)
     np.multiply(s, den_i, out=s, where=reach)
@@ -128,11 +152,13 @@ def win_thresholds(denom, top: Top2, i: int):
 
 
 def lower(top: Top2, h_i, i: int) -> None:
-    """Update the state in place after radius i shrinks; h_i: (J,) target
-    i's new heights.
+    """Update the state in place after radius i shrinks; h_i: target i's
+    new heights at the nodes top describes.
 
     Exact only when no height grew: a grown radius could hand a node's win
-    to a surface the state no longer knows.
+    to a surface the state no longer knows.  A node whose new height is not
+    below its second-best keeps its state, so top need only describe the
+    nodes with h_i < second.
     """
     win, first, second = top
     # where i wins, its old height leaves the pair; +inf stands in for it

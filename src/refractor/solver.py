@@ -133,6 +133,8 @@ class SolveInfo:
     sweeps: int = 0
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
+    updates: int = 0      # target-radius updates
+    band_misses: int = 0  # updates that took the full pass over all J nodes
 
 
 class Refractor:
@@ -235,8 +237,13 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
             f"source total = {src.total!r}")
 
 
+BAND_RANK = 3      # a band's floor: the threshold ranked 3x the cell's nodes
+BAND_SHARE = 0.25  # the largest share of the nodes a band is kept for
+
+
 def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
-                 half_band: float, i: int) -> float:
+                 half_band: float, i: int, w_mean: float,
+                 floor: float = -np.inf) -> float | None:
     """Target i's new radius, read off its node thresholds s and weights w:
     node j is in the cell iff b_i <= s_j, so with s sorted downward the cell
     holds fill[k] for b_i in (s[k+1], s[k]].  At the first k with fill[k] >=
@@ -247,15 +254,22 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
 
     Only the top of the profile is sorted: one partition cuts it at the
     m-th largest threshold, m being the nodes already in the cell plus
-    twice the deficit in mean node weights, and m grows 4-fold until k's
-    group of equal thresholds ends above the cut."""
+    twice the deficit in mean node weights w_mean, and m grows 4-fold until
+    k's group of equal thresholds ends above the cut.
+
+    s and w may hold only a band of the nodes, in node order: a superset
+    of those whose threshold reaches floor <= b_i.  The answer is then
+    exact while the cut stays at or above floor; below it, None (a miss)
+    is returned.  With floor = -inf they hold every node."""
     inside = s >= b_i
     deficit = g_i - half_band - float(w[inside].sum())
-    m = np.count_nonzero(inside) + 2 + int(2.0 * max(deficit, 0.0) / w.mean())
+    m = np.count_nonzero(inside) + 2 + int(2.0 * max(deficit, 0.0) / w_mean)
     while True:
         # the cut takes every threshold equal to it: no group is split
-        cand = (np.flatnonzero(s >= np.partition(s, -m)[-m]) if m < s.size
-                else np.arange(s.size))
+        cut = np.partition(s, -m)[-m] if m < s.size else -np.inf
+        if cut < floor:
+            return None
+        cand = np.flatnonzero(s >= cut)
         order = cand[np.argsort(s[cand])[::-1]]
         top = s[order]
         fill = np.cumsum(w[order])
@@ -275,6 +289,32 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
         return min(b_i, float(top[k]) * (1.0 + 1e-15))
     below = top[k + 1] if k + 1 < top.size else -np.inf
     return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
+
+
+def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
+          b_i: float):
+    """Target i's band after a full pass: (rows, floor), or None where it
+    would hold over BAND_SHARE of the nodes, which the full pass reads
+    about as fast.
+
+    The floor is the threshold ranked BAND_RANK times the cell's node count
+    at b_i, so b_i > floor; rows are the indices of the nodes with
+    second * den_i >= floor (a relative 1e-12 below it, for the rounding of
+    h_i = b_i / den_i).  Heights only fall, so second * den_i only falls:
+    every node whose threshold (at most second * den_i) reaches the floor,
+    and every node with h_i < second at a radius >= floor, stays in rows."""
+    rank = BAND_RANK * (np.count_nonzero(s >= b_i) + 1)
+    if rank > BAND_SHARE * s.size:
+        return None
+    floor = float(np.partition(s, -rank)[-rank])
+    if floor == -np.inf:  # fewer than rank nodes are reached
+        return None
+    c = np.multiply(second, den_i, where=den_i > 0.0,
+                    out=np.full(s.size, -np.inf))
+    rows = np.flatnonzero(c >= floor * (1.0 - 1e-12))
+    if rows.size > BAND_SHARE * s.size:
+        return None
+    return rows, floor
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -324,9 +364,18 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
 
     delta = tol * src.total
     delta_c = 0.9 * delta / max(1, N - 1)
+    half_band = 0.5 * delta_c
+    w_mean = w.mean()
     info = SolveInfo()
     # radii only shrink from here on, which keeps this state exact
     top = kernels.Top2.of(kernels.heights(denom, b))
+    # per target: (n, floor) from its last full pass, its band being the
+    # first n entries of its row of band_rows; one block holds every band,
+    # so rebuilding bands does not fragment the heap.  It is taken after
+    # Top2.of so as not to push those (J, N) heights out of memory the
+    # process already holds
+    bands = [None] * N
+    band_rows = np.empty((N, int(BAND_SHARE * src.count) + 1), np.int32)
 
     for sweep in range(max_sweeps):
         masses = kernels.masses(top, denom, b, w)
@@ -340,11 +389,36 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         for i in range(1, N):
             if masses[i] >= g[i] - delta_c:
                 continue
-            s = kernels.win_thresholds(denom, top, i)
-            new_b = _fill_radius(s, w, b[i], g[i], 0.5 * delta_c, i)
+            info.updates += 1
+            # the band's pass, or the full pass on a miss, which rebuilds it
+            new_b = rows = None
+            if bands[i] is not None:
+                n, floor = bands[i]
+                rows = band_rows[i, :n].astype(np.intp)
+                part = top.take(rows)
+                s = kernels.win_thresholds(denom, part, i, rows)
+                new_b = _fill_radius(s, w.take(rows), b[i], g[i], half_band,
+                                     i, w_mean, floor)
+            if new_b is None:
+                info.band_misses += 1
+                s = kernels.win_thresholds(denom, top, i)
+                new_b = _fill_radius(s, w, b[i], g[i], half_band, i, w_mean)
+                band = _band(s, top.second, denom[:, i], new_b)
+                bands[i] = rows = None
+                if band is not None:
+                    rows, floor = band
+                    band_rows[i, :rows.size] = rows
+                    bands[i] = rows.size, floor
+                    part = top.take(rows)
             if new_b < b[i]:
                 b[i] = new_b
-                kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
+                if rows is None:
+                    kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
+                else:
+                    # new_b > floor: the band holds every node lower changes
+                    h_i = kernels.heights(denom[:, i].take(rows), new_b)
+                    kernels.lower(part, h_i, i)
+                    top.put(rows, part)
                 moved = True
         if not moved:
             # no radius moved, so every later sweep would repeat this one

@@ -1,0 +1,35 @@
+"""The solve benchmark runs end to end on a tiny grid and writes the
+documented keys."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import SRC, src_env
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_solve.py"
+
+
+def test_bench_solve_smoke(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
+                    "--grid", "2000x3,2000x8", "--repeats", "1",
+                    "--baseline", str(SRC), "--baseline-label", "same"],
+                   env=src_env(), check=True, capture_output=True,
+                   timeout=120)
+    result = json.loads(out.read_text())
+    assert {"benchmark", "problem", "environment", "repeats", "versions",
+            "rows"} <= set(result)
+    assert result["versions"] == ["current", "same"]
+    assert [(r["J"], r["N"]) for r in result["rows"]] == [(2000, 3),
+                                                          (2000, 8)]
+    for row in result["rows"]:
+        assert row["same_result"] is True
+        for name in result["versions"]:
+            run = row[name]
+            assert set(run) == {"solve_s", "solve_s_runs", "quadrature_s",
+                                "sweeps", "updates", "band_misses",
+                                "digest"}
+            assert len(run["solve_s_runs"]) == 1
+            assert 0 < run["band_misses"] <= run["updates"]

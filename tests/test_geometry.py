@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,23 @@ def test_fibonacci_cap_validation():
         fibonacci_cap(np.array([0.0, 0.0, 1.0]), 2.0, 100)
     with pytest.raises(ValidationError):
         fibonacci_cap(np.array([0.0, 0.0, 1.0]), 0.3, 8)
+
+
+@pytest.mark.parametrize("angle, count, dim, message", [
+    (0.0, 100, 3, "half-angle"),
+    (2.0, 100, 3, "half-angle"),
+    (float("nan"), 100, 2, "half-angle"),
+    (0.3, 0, 2, "node count"),
+    (0.3, 8, 3, "at least 12 nodes"),
+    (0.3, 100, 4, "2D or 3D"),
+])
+def test_cap_triangulation_validation(angle, count, dim, message):
+    # the mesh rejects what the lattice rejects, before any arithmetic can
+    # warn (a zero angle used to divide 0 by 0 in the ring shares)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            cap_triangulation(angle, count, dim)
 
 
 def test_cap_triangulation_covers_nodes():

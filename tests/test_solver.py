@@ -14,7 +14,7 @@ from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               TargetMeasure, approximate_measure, dilate,
                               lipschitz_bound, max_difference_quotient,
                               refractor_map, refractor_measure, rho_values,
-                              solve_discrete)
+                              solve_discrete, check_admissibility)
 from refractor.solver import _fill_radius
 from refractor.surfaces import UniformSurface, surface_normal
 from refractor.transport import build_cost, certificate
@@ -314,7 +314,7 @@ def test_fill_radius_jump_ties_one_node():
     # without it and 3.0 with it, so the radius stops just above it
     s = np.array([1.0, 4.0, 3.0, 5.0, 2.0])
     w = np.array([1.0, 0.5, 2.0, 0.5, 1.0])
-    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1)
+    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1, w.mean())
     assert 3.0 < b <= 3.0 * (1.0 + kernels.TIE_RTOL)
     assert list(ties(s, b)) == [2]
     assert cell_mass(s, w, b) == 1.0 < 2.0 - 0.2
@@ -325,7 +325,7 @@ def test_fill_radius_equal_thresholds_join_together():
     # the band, but they can only join together, which jumps past it
     s = np.array([3.0, 2.0, 1.0, 2.0])
     w = np.ones(4)
-    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1)
+    b = _fill_radius(s, w, 9.0, 2.0, 0.2, 1, w.mean())
     assert 2.0 < b <= 2.0 * (1.0 + kernels.TIE_RTOL)
     assert list(ties(s, b)) == [1, 3]
 
@@ -337,7 +337,7 @@ def test_fill_radius_in_band_lands_mid_gap(g, expect):
     # reachable node the gap reaches down to 0
     s = np.array([2.0, -np.inf, 5.0, 1.0, 3.0, 4.0])
     w = np.array([1.0, 10.0, 1.0, 1.0, 1.0, 1.0])
-    b = _fill_radius(s, w, 9.0, g, 0.2, 1)
+    b = _fill_radius(s, w, 9.0, g, 0.2, 1, w.mean())
     assert b == expect
     assert cell_mass(s, w, b) == g
     assert ties(s, b).size == 0
@@ -347,16 +347,16 @@ def test_fill_radius_never_grows():
     s = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
     w = np.ones(5)
     # the band reads 2.5 and the jump 3.0 * (1 + 1e-15), both above b_i
-    assert _fill_radius(s, w, 2.2, 3.0, 0.2, 1) == 2.2
+    assert _fill_radius(s, w, 2.2, 3.0, 0.2, 1, 1.0) == 2.2
     assert _fill_radius(s, np.array([1, 1, 2, 1, 1.0]), 2.2, 3.0, 0.2,
-                        1) == 2.2
+                        1, 1.2) == 2.2
 
 
 def test_fill_radius_infeasible_names_target():
     s = np.array([3.0, -np.inf, 1.0])
     w = np.array([1.0, 5.0, 1.0])
     with pytest.raises(InfeasibleTarget, match="target 4 cannot absorb"):
-        _fill_radius(s, w, 9.0, 2.5, 0.2, 4)
+        _fill_radius(s, w, 9.0, 2.5, 0.2, 4, w.mean())
 
 
 @settings(max_examples=300, deadline=None)
@@ -375,9 +375,9 @@ def test_fill_radius_band_or_tie(seed, size, distinct, g, band, b_i):
     reach = float(np.sum(w[s > -np.inf]))
     if reach < g - half_band:
         with pytest.raises(InfeasibleTarget):
-            _fill_radius(s, w, b_i, g, half_band, 1)
+            _fill_radius(s, w, b_i, g, half_band, 1, w.mean())
         return
-    b = _fill_radius(s, w, b_i, g, half_band, 1)
+    b = _fill_radius(s, w, b_i, g, half_band, 1, w.mean())
     assert 0.0 < b <= b_i
     if b == b_i:
         return
@@ -390,8 +390,13 @@ def test_fill_radius_band_or_tie(seed, size, distinct, g, band, b_i):
         assert mass + float(np.sum(w[tied])) > g + half_band
 
 
-def fill_radius_oracle(s, w, b_i, g_i, half_band, i):
-    """`_fill_radius` as it read the profile with one full argsort."""
+def fill_radius_oracle(s, w, b_i, g_i, half_band, i, w_mean=None,
+                       floor=-np.inf):
+    """`_fill_radius` as it read the profile with one full argsort.  It
+    trusts no band: given a floor it misses, so a solve that uses it takes
+    the full pass on every update."""
+    if floor > -np.inf:
+        return None
     order = np.argsort(s)[::-1]
     fill = np.cumsum(w[order])
     k = int(np.searchsorted(fill, g_i - half_band))
@@ -432,10 +437,58 @@ def test_fill_radius_matches_full_sort(seed, size, distinct, inside, light,
         expect = fill_radius_oracle(s, w, b_i, g, band * g, 3)
     except InfeasibleTarget as exc:
         with pytest.raises(InfeasibleTarget) as got:
-            _fill_radius(s, w, b_i, g, band * g, 3)
+            _fill_radius(s, w, b_i, g, band * g, 3, w.mean())
         assert str(got.value) == str(exc)
         return
-    assert _fill_radius(s, w, b_i, g, band * g, 3) == expect
+    assert _fill_radius(s, w, b_i, g, band * g, 3, w.mean()) == expect
+
+
+def test_fill_radius_misses_below_its_floor():
+    # 10 of the unit-weight nodes fill g = 10: the radius lands mid-gap at
+    # 90.5, read off a first cut at the 21st largest threshold, 80
+    s = np.arange(100, 0, -1, dtype=float)
+    w = np.ones(100)
+    full = _fill_radius(s, w, 100.5, 10.0, 0.4, 1, 1.0)
+    assert full == 90.5
+    # a band of the nodes down to 70 reads the same radius above a floor of
+    # 75, the cut included; a floor above the cut, or above the answer,
+    # makes it a miss rather than a guess
+    band = s >= 70.0
+    assert _fill_radius(s[band], w[band], 100.5, 10.0, 0.4, 1, 1.0,
+                        75.0) == full
+    assert _fill_radius(s[band], w[band], 100.5, 10.0, 0.4, 1, 1.0,
+                        85.0) is None
+    assert _fill_radius(s, w, 100.5, 10.0, 0.4, 1, 1.0, 95.0) is None
+    # a cut past the band's end is a miss too: the band cannot see below it
+    assert _fill_radius(s[:15], w[:15], 100.5, 10.0, 0.4, 1, 1.0,
+                        86.0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(50, 2000),
+       distinct=st.integers(2, 2000), log_g=st.floats(-2.0, -0.1),
+       band=st.floats(1e-4, 0.45), depth=st.floats(0.0, 1.0),
+       extra=st.floats(0.0, 1.0))
+def test_fill_radius_band_is_exact_or_misses(seed, size, distinct, log_g,
+                                             band, depth, extra):
+    # a band holds every node whose threshold reaches its floor, plus any
+    # others, in node order; it gives the full profile's radius or a miss
+    rng = np.random.default_rng(seed)
+    s = rng.choice(rng.uniform(0.1, 5.0, distinct), size)
+    s[rng.integers(0, size, rng.integers(0, size // 5))] = -np.inf
+    w = rng.uniform(0.0, 1.0, size)
+    levels = np.unique(s[np.isfinite(s)])[::-1]
+    b_i = levels[0] * 1.01
+    floor = levels[int(depth * (levels.size - 1))]
+    rows = np.flatnonzero((s >= floor) | (rng.random(size) < extra))
+    g = 10.0 ** log_g * w.sum()
+    try:
+        expect = _fill_radius(s, w, b_i, g, band * g, 3, w.mean())
+    except InfeasibleTarget:
+        expect = None
+    got = _fill_radius(s[rows], w[rows], b_i, g, band * g, 3, w.mean(),
+                       floor)
+    assert got is None or got == expect
 
 
 @pytest.fixture
@@ -461,7 +514,7 @@ def test_fill_radius_grows_a_short_cut(partition_cuts):
     w[:5] = 1.0
     w[600] = 1.0
     w[601:] = 0.01
-    b = _fill_radius(s, w, 1996.0, 6.0, 0.5, 1)
+    b = _fill_radius(s, w, 1996.0, 6.0, 0.5, 1, w.mean())
     assert len(partition_cuts) >= 2
     assert b == fill_radius_oracle(s, w, 1996.0, 6.0, 0.5, 1)
     assert b == 0.5 * (s[600] + s[601])
@@ -475,7 +528,7 @@ def test_fill_radius_reads_the_gap_below_the_cut():
     w = np.full(100, 94.75 / 88)
     w[:11] = 0.45
     w[11] = 0.3
-    b = _fill_radius(s, w, 100.5, 5.3, 0.1, 1)
+    b = _fill_radius(s, w, 100.5, 5.3, 0.1, 1, w.mean())
     assert b == fill_radius_oracle(s, w, 100.5, 5.3, 0.1, 1)
     assert b == 0.5 * (s[11] + s[12])
 
@@ -496,7 +549,8 @@ def instance_2d(nodes=2000, count=6, seed=3):
     (instance_2d, 1e-3),
 ], ids=["case1_3d", "case2_3d", "case1_2d"])
 def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
-    # the partial sort changes no radius, sweep or residual of a solve
+    # the partial sort and the bands change no radius, sweep or residual of
+    # a solve
     pair, src, tgt = make()
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
@@ -505,6 +559,94 @@ def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
     assert r.info.residual_history == o.info.residual_history
+
+
+def full_pass_only(fill_radius):
+    """`_fill_radius` reading every band as a miss, so each update of a
+    solve takes the full pass over all J nodes."""
+    def full_pass(s, w, b_i, g_i, half_band, i, w_mean, floor=-np.inf):
+        if floor > -np.inf:
+            return None
+        return fill_radius(s, w, b_i, g_i, half_band, i, w_mean)
+    return full_pass
+
+
+def solve_outcome(pair, src, tgt, tol, max_sweeps):
+    """A solve's radii bytes, sweeps, residuals and counters, or the type
+    and message of the error it stops with."""
+    try:
+        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol,
+                           max_sweeps=max_sweeps)
+    except (NonConvergence, InfeasibleTarget) as exc:
+        return type(exc), str(exc)
+    return (r.radii.tobytes(), r.info.sweeps, r.info.residual_history,
+            r.info.updates, r.info.band_misses)
+
+
+def full_pass_outcome(pair, src, tgt, tol, max_sweeps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_fill_radius",
+                   full_pass_only(solver._fill_radius))
+        return solve_outcome(pair, src, tgt, tol, max_sweeps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case2=st.booleans(),
+       dim=st.sampled_from([2, 3]),
+       media=st.sampled_from(["isotropic", "ellipsoidal", "lq"]),
+       nodes=st.integers(200, 3000), count=st.integers(1, 25),
+       spread=st.sampled_from([0.05, 0.1, 0.3]),
+       resolution=st.sampled_from([0.5, 1.3, 3.0]))
+def test_band_matches_full_pass(seed, case2, dim, media, nodes, count,
+                                spread, resolution):
+    # the bands change no radius, sweep, residual or error message: a solve
+    # whose every update takes the full pass gives the same bits.  Tolerances
+    # below the quadrature resolution stop some solves with NonConvergence,
+    # wide spreads with InfeasibleTarget
+    rng = np.random.default_rng(seed)
+    n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
+    if media == "lq":
+        lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
+        pair = MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
+    elif media == "ellipsoidal":
+        pair = random_ellipsoidal_pair(rng, dim, n1, n2)
+    else:
+        pair = MediumPair.isotropic(n1, n2, dim)
+    src = SourceDensity.from_cap(pair.n1, np.eye(dim)[-1], 0.2, nodes)
+    # the best-aligned direction, admissible or not: its spread draws both
+    m0 = admissible_targets(pair, src, 1, 0.0, rng, margin=-np.inf)[0]
+    dirs = m0 + spread * rng.standard_normal((count, dim))
+    dirs[0] = m0
+    g = rng.uniform(0.5, 1.5, count)
+    try:
+        tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+        check_admissibility(pair, src, tgt)
+    except (InfeasibleTarget, ValidationError):
+        return  # the solve would stop before any update
+    tol = resolution * max(1, count - 1) * np.max(src.weights) / src.total
+    banded = solve_outcome(pair, src, tgt, tol, 300)
+    full = full_pass_outcome(pair, src, tgt, tol, 300)
+    if isinstance(full[0], type):
+        assert banded == full
+        return
+    assert banded[:4] == full[:4]
+    assert full[4] == full[3]  # every update was a full pass
+    assert banded[4] <= banded[3]
+
+
+def test_band_miss_rebuilds_the_band(monkeypatch):
+    # a floor closer to each cell makes more band updates miss; a miss
+    # redoes the full pass, which rebuilds the band, and the solve keeps its
+    # bits.  (At a rank of 1 the floor sits at the first node outside the
+    # cell, below every later cut, so every band update misses.)
+    pair, src, tgt = small_instance(nodes=2000, count=20, seed=1)
+    banded = solve_outcome(pair, src, tgt, 5e-3, 10_000)
+    monkeypatch.setattr(solver, "BAND_RANK", 2)
+    tight = solve_outcome(pair, src, tgt, 5e-3, 10_000)
+    full = full_pass_outcome(pair, src, tgt, 5e-3, 10_000)
+    assert banded[:4] == tight[:4] == full[:4]
+    # the first update of each target builds its band; the rest missed
+    assert tgt.count - 1 < banded[4] < tight[4] < full[4] == full[3]
 
 
 def test_balance_required():
