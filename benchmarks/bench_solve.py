@@ -1,4 +1,5 @@
-"""Time the design solve over a grid of node counts J and target counts N.
+"""Time the design solve over a grid of node counts J and target counts N,
+and ``refractor design`` end to end.
 
     python benchmarks/bench_solve.py --out results.json \
         --baseline OTHER_CHECKOUT/src --baseline-label parent
@@ -17,6 +18,15 @@ Each row reports the median solve time and every run, the sweeps, the
 target-radius updates, the updates that read all J nodes (``band_misses``;
 null for a version that does not count them) and a digest of the radii and
 residual history, which must agree between versions.
+
+The CLI rows run ``python -m refractor.cli design PROBLEM -o OUT`` in fresh
+interpreters, as the perfbench harness does (one BLAS thread per core), on
+``problems/iso_5targets.json`` and on the 20000 x 20 grid row written to a
+problem file.  They alternate with the baseline run by run, report the
+median wall time and every run, and the peak RSS that ``os.wait4`` gives
+each run (it never reads below this script's own, about 27 MB with numpy
+imported), and compare the output files byte for byte across all runs and
+versions.
 """
 
 from __future__ import annotations
@@ -29,36 +39,48 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 GRID = "20000x5,20000x20,20000x50,80000x5"
+CLI_GRID_ROW = (20000, 20)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLI_THREADS = str(len(os.sched_getaffinity(0)))
 PROBLEM = ("isotropic Case I, 1.5 -> 1.0, 0.25 rad cap, tol 1e-3, b1 = 1; "
            "targets: the axis plus N - 1 at axis + 0.1 N(0, I) and masses "
            "U(0.5, 1.5), from default_rng(1)")
 
 
+def draw_targets(N: int):
+    """The cap axis, and the directions and relative masses of N targets."""
+    import numpy as np
+
+    axis = np.array([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(1)
+    m = np.vstack([axis, axis + 0.1 * rng.standard_normal((N - 1, 3))])
+    return axis, m, rng.uniform(0.5, 1.5, N)
+
+
 def solve_once(J: int, N: int) -> dict:
     """Build row (J, N), solve it once and time both steps (child side)."""
-    import numpy as np
+    from numpy import array
 
     from refractor.norms import MediumPair
     from refractor.solver import SourceDensity, TargetMeasure, solve_discrete
 
-    axis = np.array([0.0, 0.0, 1.0])
+    axis, m, g = draw_targets(N)
     pair = MediumPair.isotropic(1.5, 1.0)
     t = time.perf_counter()
     src = SourceDensity.from_cap(pair.n1, axis, 0.25, J)
     quadrature = time.perf_counter() - t
-    rng = np.random.default_rng(1)
-    m = np.vstack([axis, axis + 0.1 * rng.standard_normal((N - 1, 3))])
-    g = rng.uniform(0.5, 1.5, N)
     tgt = TargetMeasure.of(pair.n2, m, g * (src.total / g.sum()))
     t = time.perf_counter()
     r = solve_discrete(pair, src, tgt, 1.0, tol=1e-3)
     solve = time.perf_counter() - t
-    digest = hashlib.sha256(r.radii.tobytes() + np.array(
+    digest = hashlib.sha256(r.radii.tobytes() + array(
         r.info.residual_history).tobytes()).hexdigest()[:16]
     return {"solve_s": solve, "quadrature_s": quadrature,
             "sweeps": r.info.sweeps,
@@ -67,9 +89,73 @@ def solve_once(J: int, N: int) -> dict:
             "digest": digest}
 
 
+def grid_problem(J: int, N: int) -> str:
+    """Row (J, N) as a problem file; loading it scales the masses to the
+    source total, as ``solve_once`` does."""
+    axis, m, g = draw_targets(N)
+    return json.dumps({
+        "media": {"A1": [[1.5, 0, 0], [0, 1.5, 0], [0, 0, 1.5]],
+                  "A2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "source": {"axis": axis.tolist(), "angle": 0.25, "node_count": J,
+                   "density": "uniform"},
+        "targets": [{"m": mi.tolist(), "g": float(gi)}
+                    for mi, gi in zip(m, g)],
+        "b1": 1.0, "tol": 1e-3})
+
+
+def run_design(src: Path, problem: Path, out: Path) -> dict:
+    """One ``refractor design`` in a fresh interpreter: its wall seconds,
+    its peak RSS in MB and the bytes it writes to ``-o``."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **dict.fromkeys(THREAD_VARS, CLI_THREADS))
+    log = out.with_suffix(".log")
+    with open(log, "w") as fh:
+        t = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "refractor.cli",
+                                 "design", str(problem), "-o", str(out)],
+                                env=env, stdout=fh, stderr=fh)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    if proc.returncode != 0:
+        raise SystemExit(f"design of {problem} with {src} failed:\n"
+                         f"{log.read_text()}")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "output": out.read_bytes()}
+
+
+def cli_rows(versions: dict, repeats: int) -> list[dict]:
+    """The CLI rows: each problem's design runs, versions alternating."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = Path(tmp) / "grid.json"
+        grid.write_text(grid_problem(*CLI_GRID_ROW))
+        problems = {"problems/iso_5targets.json":
+                    ROOT / "problems" / "iso_5targets.json",
+                    "grid %dx%d" % CLI_GRID_ROW: grid}
+        for name, problem in problems.items():
+            runs = {v: [] for v in versions}
+            for _ in range(repeats):
+                for k, (v, src) in enumerate(versions.items()):
+                    out = Path(tmp) / f"out{k}.json"
+                    runs[v].append(run_design(src, problem, out))
+            outputs = {r["output"] for rs in runs.values() for r in rs}
+            row = {"problem": name, "same_output": len(outputs) == 1}
+            for v, rs in runs.items():
+                walls = [r["wall_s"] for r in rs]
+                row[v] = {"wall_s": statistics.median(walls),
+                          "wall_s_runs": walls,
+                          "peak_rss_mb": statistics.median(
+                              r["peak_rss_mb"] for r in rs),
+                          "digest": hashlib.sha256(
+                              rs[0]["output"]).hexdigest()[:16]}
+            rows.append(row)
+    return rows
+
+
 def run_child(src: Path, J: int, N: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **dict.fromkeys(THREAD_VARS, "1"))
     out = subprocess.run([sys.executable, __file__, "--child", str(J),
                           str(N)], env=env, capture_output=True, text=True)
     if out.returncode != 0:
@@ -136,6 +222,12 @@ def main(argv=None) -> int:
             row["time_ratio"] = mine["solve_s"] / base["solve_s"]
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)
+    cli = cli_rows(versions, args.repeats)
+    for row in cli:
+        if args.baseline is not None:
+            row["time_ratio"] = (row[args.label]["wall_s"]
+                                 / row[args.baseline_label]["wall_s"])
+        print(json.dumps(row), file=sys.stderr)
     import numpy
 
     result = {
@@ -145,10 +237,12 @@ def main(argv=None) -> int:
                         "numpy": numpy.__version__,
                         "machine": platform.machine(),
                         "nproc": len(os.sched_getaffinity(0)),
-                        "OPENBLAS_NUM_THREADS": "1"},
+                        "OPENBLAS_NUM_THREADS": "1",
+                        "cli_OPENBLAS_NUM_THREADS": CLI_THREADS},
         "repeats": args.repeats,
         "versions": list(versions),
         "rows": rows,
+        "cli_rows": cli,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -73,7 +73,7 @@ def _solve_problem(spec, tol, max_sweeps):
 
 
 def cmd_design(args) -> int:
-    from .solver import refractor_measure, refractor_to_obj
+    from .solver import refractor_to_obj
 
     spec = load_problem(args.problem)
     if args.mesh and spec.pair.dim != 3:
@@ -84,7 +84,6 @@ def cmd_design(args) -> int:
     except NonConvergence as exc:
         _emit({"error": str(exc)}, args.output)
         raise
-    report = refractor_measure(refr, src)
     payload = {
         "radii": refr.radii.tolist(),
         "residual": refr.info.residual,
@@ -92,7 +91,7 @@ def cmd_design(args) -> int:
         "residual_history": refr.info.residual_history,
         "regime": pair.regime.value,
         "kappa": pair.kappa,
-        "masses": report.masses.tolist(),
+        "masses": refr.info.masses.tolist(),
         "total": src.total,
     }
     _emit(payload, args.output)
@@ -101,7 +100,7 @@ def cmd_design(args) -> int:
             for r in refr.info.residual_history:
                 fh.write(dumps17(r) + "\n")
     if args.report:
-        rows = [(i, tgt.masses[i], report.masses[i], refr.radii[i])
+        rows = [(i, tgt.masses[i], refr.info.masses[i], refr.radii[i])
                 for i in range(tgt.count)]
         write_csv(args.report, ["target", "g", "mass", "b"], rows)
     if args.mesh:

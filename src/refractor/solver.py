@@ -135,6 +135,7 @@ class SolveInfo:
     residual_history: list = field(default_factory=list)
     updates: int = 0      # target-radius updates
     band_misses: int = 0  # updates that took the full pass over all J nodes
+    masses: np.ndarray | None = None  # the last sweep's cell masses
 
 
 class Refractor:
@@ -292,17 +293,19 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
 
 
 def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
-          b_i: float):
-    """Target i's band after a full pass: (rows, floor), or None where it
-    would hold over BAND_SHARE of the nodes, which the full pass reads
-    about as fast.
+          b_i: float, w: np.ndarray, out):
+    """Target i's band after a full pass: (n, floor), its n rows, their
+    weights w and their denominators den_i written to the first n entries
+    of the three arrays out; or None where it would hold over BAND_SHARE of
+    the nodes, which the full pass reads about as fast.
 
     The floor is the threshold ranked BAND_RANK times the cell's node count
-    at b_i, so b_i > floor; rows are the indices of the nodes with
+    at b_i, so b_i > floor > 0; rows are the indices of the nodes with
     second * den_i >= floor (a relative 1e-12 below it, for the rounding of
-    h_i = b_i / den_i).  Heights only fall, so second * den_i only falls:
-    every node whose threshold (at most second * den_i) reaches the floor,
-    and every node with h_i < second at a radius >= floor, stays in rows."""
+    h_i = b_i / den_i), so den_i > 0 on every row.  Heights only fall, so
+    second * den_i only falls: every node whose threshold (at most
+    second * den_i) reaches the floor, and every node with h_i < second at
+    a radius >= floor, stays in rows."""
     rank = BAND_RANK * (np.count_nonzero(s >= b_i) + 1)
     if rank > BAND_SHARE * s.size:
         return None
@@ -314,7 +317,9 @@ def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
     rows = np.flatnonzero(c >= floor * (1.0 - 1e-12))
     if rows.size > BAND_SHARE * s.size:
         return None
-    return rows, floor
+    for a, v in zip(out, (rows, w[rows], den_i[rows])):
+        a[:rows.size] = v
+    return rows.size, floor
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -367,15 +372,20 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     half_band = 0.5 * delta_c
     w_mean = w.mean()
     info = SolveInfo()
-    # radii only shrink from here on, which keeps this state exact
-    top = kernels.Top2.of(kernels.heights(denom, b))
+    # radii only shrink from here on, which keeps this state exact; an
+    # extreme b1 overflows b / denom, which the check below names
+    with np.errstate(over="ignore"):
+        top = kernels.Top2.of(kernels.heights(denom, b))
+    if not np.all((top.first >= np.finfo(float).tiny) & (top.first < np.inf)):
+        raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
+                              "outside the normal float range")
     # per target: (n, floor) from its last full pass, its band being the
-    # first n entries of its row of band_rows; one block holds every band,
-    # so rebuilding bands does not fragment the heap.  It is taken after
-    # Top2.of so as not to push those (J, N) heights out of memory the
-    # process already holds
+    # first n entries of its rows of cache's blocks (rows, weights and
+    # denominators), which rebuilds do not fragment; taken after Top2.of so
+    # as not to push its (J, N) heights out of memory the process holds
     bands = [None] * N
-    band_rows = np.empty((N, int(BAND_SHARE * src.count) + 1), np.int32)
+    size = (N, int(BAND_SHARE * src.count) + 1)
+    cache = np.empty(size, np.intp), np.empty(size), np.empty(size)
 
     for sweep in range(max_sweeps):
         masses = kernels.masses(top, denom, b, w)
@@ -384,6 +394,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         info.residual = resid / src.total
         info.residual_history.append(resid / src.total)
         if resid <= delta:
+            info.masses = masses
             return Refractor(pair, tgt, b, info=info)
         moved = False
         for i in range(1, N):
@@ -394,21 +405,21 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             new_b = rows = None
             if bands[i] is not None:
                 n, floor = bands[i]
-                rows = band_rows[i, :n].astype(np.intp)
+                rows, w_b, den_b = (a[i, :n] for a in cache)
                 part = top.take(rows)
-                s = kernels.win_thresholds(denom, part, i, rows)
-                new_b = _fill_radius(s, w.take(rows), b[i], g[i], half_band,
-                                     i, w_mean, floor)
+                # win_thresholds on the part; den_b > 0 on every band row
+                s = np.where(part.win == i, part.second, part.first) * den_b
+                new_b = _fill_radius(s, w_b, b[i], g[i], half_band, i,
+                                     w_mean, floor)
             if new_b is None:
                 info.band_misses += 1
                 s = kernels.win_thresholds(denom, top, i)
                 new_b = _fill_radius(s, w, b[i], g[i], half_band, i, w_mean)
-                band = _band(s, top.second, denom[:, i], new_b)
-                bands[i] = rows = None
-                if band is not None:
-                    rows, floor = band
-                    band_rows[i, :rows.size] = rows
-                    bands[i] = rows.size, floor
+                bands[i] = _band(s, top.second, denom[:, i], new_b, w,
+                                 [a[i] for a in cache])
+                rows = None
+                if bands[i] is not None:
+                    rows, _, den_b = (a[i, :bands[i][0]] for a in cache)
                     part = top.take(rows)
             if new_b < b[i]:
                 b[i] = new_b
@@ -416,8 +427,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                     kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
                 else:
                     # new_b > floor: the band holds every node lower changes
-                    h_i = kernels.heights(denom[:, i].take(rows), new_b)
-                    kernels.lower(part, h_i, i)
+                    kernels.lower(part, new_b / den_b, i)
                     top.put(rows, part)
                 moved = True
         if not moved:

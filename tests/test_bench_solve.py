@@ -1,5 +1,5 @@
-"""The solve benchmark runs end to end on a tiny grid and writes the
-documented keys."""
+"""The solve benchmark runs end to end on a tiny grid and its CLI rows,
+and writes the documented keys."""
 
 import json
 import subprocess
@@ -20,7 +20,7 @@ def test_bench_solve_smoke(tmp_path):
                    timeout=120)
     result = json.loads(out.read_text())
     assert {"benchmark", "problem", "environment", "repeats", "versions",
-            "rows"} <= set(result)
+            "rows", "cli_rows"} <= set(result)
     assert result["versions"] == ["current", "same"]
     assert [(r["J"], r["N"]) for r in result["rows"]] == [(2000, 3),
                                                           (2000, 8)]
@@ -33,3 +33,16 @@ def test_bench_solve_smoke(tmp_path):
                                 "digest"}
             assert len(run["solve_s_runs"]) == 1
             assert 0 < run["band_misses"] <= run["updates"]
+    # the CLI rows: the golden problem and the 20k x 20 grid row, designed
+    # by both versions with byte-identical outputs
+    assert [r["problem"] for r in result["cli_rows"]] == [
+        "problems/iso_5targets.json", "grid 20000x20"]
+    for row in result["cli_rows"]:
+        assert row["same_output"] is True
+        assert row["time_ratio"] > 0
+        for name in result["versions"]:
+            run = row[name]
+            assert set(run) == {"wall_s", "wall_s_runs", "peak_rss_mb",
+                                "digest"}
+            assert len(run["wall_s_runs"]) == 1
+            assert run["peak_rss_mb"] > 0

@@ -100,6 +100,14 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["design", str(bad)]) == 1
     assert "A must be finite" in capsys.readouterr().err
+    # a b1 whose start heights b1 / denom overflow or underflow is named,
+    # not left to stagnate the sweep (exit 3)
+    prob = json.loads(GOLDEN_PROBLEM.read_text())
+    for b1 in (1.7e308, 5e-324):
+        bad.write_text(json.dumps({**prob, "b1": b1}))
+        assert main(["design", str(bad)]) == 1
+        assert (f"b1 = {b1!r} puts start heights b1 / denom outside the "
+                "normal float range") in capsys.readouterr().err
     # a usage error exits 1 too, not argparse's 2 (no refraction)
     capsys.readouterr()
     assert main(["design"]) == 1
@@ -392,6 +400,33 @@ def test_golden_problem(tmp_path, regen_golden):
     assert np.allclose(got["radii"], expect["radii"], rtol=1e-12, atol=0)
     assert np.allclose(got["masses"], expect["masses"], rtol=1e-12, atol=0)
     assert got["residual"] <= 1e-3
+    # the sweep's masses are the full tally's at the written radii
+    pair, src, tgt = load_problem(GOLDEN_PROBLEM).build()
+    report = refractor_measure(Refractor(pair, tgt, got["radii"]), src)
+    assert got["masses"] == report.masses.tolist()
+
+
+def test_design_tallies_tied_rows_only(tmp_path, monkeypatch):
+    # design reports the sweep's masses: each tally it makes sees the tied
+    # rows only; verify prices the plan of one full tally
+    from refractor import kernels
+
+    rows = []
+    tally = kernels.tally
+
+    def recording(denom, b, w):
+        rows.append(denom.shape[0])
+        return tally(denom, b, w)
+
+    monkeypatch.setattr(kernels, "tally", recording)
+    J = load_problem(GOLDEN_PROBLEM).build()[1].count
+    assert main(["design", str(GOLDEN_PROBLEM), "-o",
+                 str(tmp_path / "sol.json")]) == 0
+    assert rows and max(rows) < J
+    rows.clear()
+    assert main(["verify", str(GOLDEN_PROBLEM), "-o",
+                 str(tmp_path / "verify.json")]) == 0
+    assert rows.count(J) == 1
 
 
 def test_verify_golden(tmp_path, regen_golden):

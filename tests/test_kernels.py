@@ -151,7 +151,7 @@ def test_row_updates_match_full_updates(run, extra):
             assert np.array_equal(a, c)
         for k in range(len(b)):
             assert np.array_equal(
-                kernels.win_thresholds(denom, banded.take(rows), k, rows),
+                kernels.win_thresholds(denom[rows], banded.take(rows), k),
                 kernels.win_thresholds(denom, full, k)[rows])
 
 

@@ -649,6 +649,43 @@ def test_band_miss_rebuilds_the_band(monkeypatch):
     assert tgt.count - 1 < banded[4] < tight[4] < full[4] == full[3]
 
 
+@pytest.mark.parametrize("angle, tilt, count, seed",
+                         [(0.5, 0.4, 20, 2), (0.4, 0.45, 16, 3)])
+def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
+    # Case II targets tilted off a wide cap miss some of its nodes; a band
+    # still holds only nodes its target reaches (positive denominators, so
+    # the band update needs no reach mask), and keeps their weights and
+    # denominators as the full arrays hold them
+    pair = MediumPair.isotropic(1.0, 1.5)
+    src = SourceDensity.from_cap(pair.n1, Z, angle, 3000)
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 2.0 * np.pi, count - 1)
+    th = tilt * np.sqrt(rng.uniform(0.2, 1.0, count - 1))
+    dirs = np.vstack([Z, np.stack([np.sin(th) * np.cos(phi),
+                                   np.sin(th) * np.sin(phi), np.cos(th)], 1)])
+    g = rng.uniform(0.5, 1.5, count)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    denom = pair.denominators(src.nodes, tgt.directions)
+    band, partial = solver._band, []
+
+    def checked(s, second, den_i, b_i, w, out):
+        got = band(s, second, den_i, b_i, w, out)
+        if got is not None:
+            i = next(k for k in range(count)
+                     if np.array_equal(den_i, denom[:, k]))
+            rows, w_b, den_b = (a[:got[0]] for a in out)
+            assert np.all(denom[rows, i] > 0.0)
+            assert np.array_equal(w_b, src.weights[rows])
+            assert np.array_equal(den_b, denom[rows, i])
+            partial.append(bool(np.any(denom[:, i] <= 0.0)))
+        return got
+
+    monkeypatch.setattr(solver, "_band", checked)
+    tol = 1.3 * (count - 1) * np.max(src.weights) / src.total
+    solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert any(partial)  # some band's target misses some nodes
+
+
 def test_balance_required():
     pair, src, tgt = small_instance(nodes=300)
     bad = TargetMeasure.of(pair.n2, tgt.directions, tgt.masses * 1.01)
@@ -664,6 +701,7 @@ def test_balance_required():
     ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
     ({"b1": float("nan")}, "b1 must be finite and positive, got nan"),
     ({"b1": float("inf")}, "b1 must be finite and positive, got inf"),
+    ({"b1": 1e-310}, "b1 = 1e-310 puts start heights b1 / denom outside"),
 ])
 def test_invalid_solve_arguments(kwargs, message):
     pair, src, tgt = small_instance(nodes=300)
@@ -756,6 +794,7 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     tol = max(3e-3, 1.3 * (count - 1) * np.max(src.weights) / src.total)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     rep = refractor_measure(r, src)
+    assert np.array_equal(r.info.masses, rep.masses)  # what design reports
     assert np.sum(rep.masses) == pytest.approx(src.total, rel=1e-12)
     assert rep.residual <= tol
     cert = certificate(r, src, rep, build_cost(pair, src, tgt))
