@@ -27,6 +27,14 @@ median wall time and every run, and the peak RSS that ``os.wait4`` gives
 each run (it never reads below this script's own, about 27 MB with numpy
 imported), and compare the output files byte for byte across all runs and
 versions.
+
+The import row splits interpreter start and imports off those rows: it times
+``python -c "import numpy"`` and each version's ``python -c "import
+refractor.cli"`` in fresh interpreters, run by run, with the CLI rows' BLAS
+threads and PYTHONDONTWRITEBYTECODE=1, as perfbench's ops run.  So
+``refractor`` compiles from source on every import (unless a ``__pycache__``
+already sits in the source directory), and the row shows what the source
+size costs.
 """
 
 from __future__ import annotations
@@ -153,6 +161,29 @@ def cli_rows(versions: dict, repeats: int) -> list[dict]:
     return rows
 
 
+def run_import(src: Path, module: str) -> float:
+    """Wall seconds of ``python -c "import MODULE"`` in a fresh interpreter
+    that writes no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               **dict.fromkeys(THREAD_VARS, CLI_THREADS))
+    t = time.perf_counter()
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                   check=True)
+    return time.perf_counter() - t
+
+
+def import_row(versions: dict, repeats: int) -> dict:
+    """The import split: ``numpy`` times ``import numpy`` and each version
+    its ``import refractor.cli``, alternating run by run."""
+    runs = {"numpy": [], **{v: [] for v in versions}}
+    for _ in range(repeats):
+        runs["numpy"].append(run_import(SRC, "numpy"))
+        for v, src in versions.items():
+            runs[v].append(run_import(src, "refractor.cli"))
+    return {k: {"wall_s": statistics.median(r), "wall_s_runs": r}
+            for k, r in runs.items()}
+
+
 def run_child(src: Path, J: int, N: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src),
                **dict.fromkeys(THREAD_VARS, "1"))
@@ -190,7 +221,7 @@ def main(argv=None) -> int:
     ap.add_argument("--grid", default=GRID,
                     help=f"comma-separated JxN rows (default {GRID})")
     ap.add_argument("--repeats", type=int, default=3,
-                    help="timed solves per row and version (default 3)")
+                    help="timed runs per row and version (default 3)")
     ap.add_argument("--label", default="current",
                     help="name of this checkout's version in the output")
     ap.add_argument("--baseline", type=Path,
@@ -228,6 +259,11 @@ def main(argv=None) -> int:
             row["time_ratio"] = (row[args.label]["wall_s"]
                                  / row[args.baseline_label]["wall_s"])
         print(json.dumps(row), file=sys.stderr)
+    imports = import_row(versions, args.repeats)
+    if args.baseline is not None:
+        imports["time_ratio"] = (imports[args.label]["wall_s"]
+                                 / imports[args.baseline_label]["wall_s"])
+    print(json.dumps(imports), file=sys.stderr)
     import numpy
 
     result = {
@@ -243,6 +279,7 @@ def main(argv=None) -> int:
         "versions": list(versions),
         "rows": rows,
         "cli_rows": cli,
+        "import_row": imports,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -5,13 +5,12 @@ refracting surfaces, h_i(x) = b_i / denom_i(x) with denom = 1 - x.p2(m_i)
 in Case I and x.p2(m_i) - 1 in Case II.  The regime is read only in
 ``MediumPair.denominators``; every kernel takes its (J, N) denominators and
 never asks which regime they came from.  ``heights`` evaluates b / denom
-where a surface may miss nodes (band updates, which reach all of theirs,
-divide directly).  ``tally`` scores every node against every target and
-splits its weight over the tied ones: that (J, N) split is the refractor's
-transport plan, whose column sums are the cell masses and which ``verify``
-prices.  It runs over all J nodes only there, in ``refractor_measure``;
-``design`` reports the sweep's own masses.  Everything is vectorized numpy
-and deterministic.
+where a surface may miss nodes.  ``tally`` scores every node against every
+target and splits its weight over the tied ones: that (J, N) split is the
+refractor's transport plan, whose column sums are the cell masses and which
+``verify`` prices.  It runs over all J nodes only there, in
+``refractor_measure``; ``design`` reports the sweep's own masses.
+Everything is vectorized numpy and deterministic.
 
 The design sweep also keeps, per node, the envelope's winner and its best
 and second-best heights (``Top2``).  Target i's cell threshold needs only
@@ -25,19 +24,10 @@ masses from the same state (``masses``): an untied node sends its whole
 weight to its winner, and only the few tied rows go through ``tally``, so
 no sweep makes a (J, N) pass.
 
-Most updates need not even read all J rows.  ``Top2.take`` copies the
-state of some rows, ``lower`` updates whatever state it is given and
-``Top2.put`` writes the part back.  Heights only fall, so a node's
-second-best height only falls, and so does second_j * denom_ij, which
-bounds node j's threshold for target i from above.  The rows where it is at
-or above a floor V_i > 0 (target i's band) therefore keep every node whose
-threshold can reach V_i, and every node whose state a radius at or above
-V_i can change, since ``lower`` changes only the nodes whose new height is
-below their second-best.  So the band stays a superset of what an update
-reads and writes until the update needs a threshold below V_i.  The solver
-then counts a miss and redoes the update over all J rows, which rebuilds the
-band.  A band also keeps its rows' weights and denominators, all positive,
-so the solver reads its thresholds and heights without a reach mask.
+``Top2.take`` and ``Top2.put`` copy out and write back the state of any
+subset of rows, and ``lower`` updates whatever state it is given, so an
+update can read and write only the rows its new radius can reach (the
+solver's bands).
 """
 
 from __future__ import annotations

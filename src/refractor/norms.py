@@ -23,6 +23,7 @@ relative error on strongly anisotropic pairs).
 from __future__ import annotations
 
 import enum
+import numbers
 
 import numpy as np
 
@@ -123,7 +124,13 @@ class Norm:
             if kind == "ellipsoidal":
                 return cls.ellipsoidal(np.asarray(d["A"], dtype=float))
             if kind == "lq":
-                return cls.lq(float(d["q"]), int(d["dim"]))
+                q, dim = d["q"], d["dim"]
+                if isinstance(q, bool) or not isinstance(q, numbers.Real):
+                    raise TypeError(f"q must be a number, got {q!r}")
+                if (isinstance(dim, bool)
+                        or not isinstance(dim, numbers.Integral)):
+                    raise TypeError(f"dim must be an integer, got {dim!r}")
+                return cls.lq(float(q), int(dim))
         except KeyError as exc:
             raise ValidationError(f"{kind} norm is missing {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -293,19 +293,18 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
 
 
 def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
-          b_i: float, w: np.ndarray, out):
-    """Target i's band after a full pass: (n, floor), its n rows, their
-    weights w and their denominators den_i written to the first n entries
-    of the three arrays out; or None where it would hold over BAND_SHARE of
-    the nodes, which the full pass reads about as fast.
+          b_i: float, w: np.ndarray):
+    """Target i's band after a full pass: (floor, rows, w[rows],
+    den_i[rows]), or None where it would hold over BAND_SHARE of the
+    nodes, which the full pass reads about as fast.
 
     The floor is the threshold ranked BAND_RANK times the cell's node count
-    at b_i, so b_i > floor > 0; rows are the indices of the nodes with
-    second * den_i >= floor (a relative 1e-12 below it, for the rounding of
-    h_i = b_i / den_i), so den_i > 0 on every row.  Heights only fall, so
-    second * den_i only falls: every node whose threshold (at most
-    second * den_i) reaches the floor, and every node with h_i < second at
-    a radius >= floor, stays in rows."""
+    at b_i, so b_i > floor > 0; rows are the nodes with second * den_i >=
+    floor (a relative 1e-12 below it, for the rounding of b_i / den_i), so
+    den_i > 0 on every row.  Heights only fall, so second * den_i, a bound
+    above node j's threshold, only falls: rows keep every node whose
+    threshold reaches the floor and every node ``kernels.lower`` changes at
+    a radius >= floor.  A cut below it misses; the full pass rebuilds it."""
     rank = BAND_RANK * (np.count_nonzero(s >= b_i) + 1)
     if rank > BAND_SHARE * s.size:
         return None
@@ -317,9 +316,7 @@ def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
     rows = np.flatnonzero(c >= floor * (1.0 - 1e-12))
     if rows.size > BAND_SHARE * s.size:
         return None
-    for a, v in zip(out, (rows, w[rows], den_i[rows])):
-        a[:rows.size] = v
-    return rows.size, floor
+    return floor, rows, w[rows], den_i[rows]
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -379,13 +376,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     if not np.all((top.first >= np.finfo(float).tiny) & (top.first < np.inf)):
         raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
                               "outside the normal float range")
-    # per target: (n, floor) from its last full pass, its band being the
-    # first n entries of its rows of cache's blocks (rows, weights and
-    # denominators), which rebuilds do not fragment; taken after Top2.of so
-    # as not to push its (J, N) heights out of memory the process holds
-    bands = [None] * N
-    size = (N, int(BAND_SHARE * src.count) + 1)
-    cache = np.empty(size, np.intp), np.empty(size), np.empty(size)
+    bands = [None] * N  # per target: `_band` of its last full pass
 
     for sweep in range(max_sweeps):
         masses = kernels.masses(top, denom, b, w)
@@ -402,10 +393,9 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                 continue
             info.updates += 1
             # the band's pass, or the full pass on a miss, which rebuilds it
-            new_b = rows = None
+            new_b = part = None
             if bands[i] is not None:
-                n, floor = bands[i]
-                rows, w_b, den_b = (a[i, :n] for a in cache)
+                floor, rows, w_b, den_b = bands[i]
                 part = top.take(rows)
                 # win_thresholds on the part; den_b > 0 on every band row
                 s = np.where(part.win == i, part.second, part.first) * den_b
@@ -415,15 +405,11 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                 info.band_misses += 1
                 s = kernels.win_thresholds(denom, top, i)
                 new_b = _fill_radius(s, w, b[i], g[i], half_band, i, w_mean)
-                bands[i] = _band(s, top.second, denom[:, i], new_b, w,
-                                 [a[i] for a in cache])
-                rows = None
-                if bands[i] is not None:
-                    rows, _, den_b = (a[i, :bands[i][0]] for a in cache)
-                    part = top.take(rows)
+                bands[i] = _band(s, top.second, denom[:, i], new_b, w)
+                part = None
             if new_b < b[i]:
                 b[i] = new_b
-                if rows is None:
+                if part is None:
                     kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
                 else:
                     # new_b > floor: the band holds every node lower changes
@@ -458,6 +444,8 @@ def approximate_measure(density_spec: TargetDensity, count: int,
     contributes its local density integral as mass, placed at its density
     centroid mapped onto Sigma2.  Masses are rescaled to total_mass exactly.
     """
+    if count < 1:
+        raise ValidationError("count must be positive")
     spec = density_spec
     axis = np.asarray(spec.axis, dtype=float)
     axis = axis / np.linalg.norm(axis)

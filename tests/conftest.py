@@ -87,3 +87,23 @@ def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
             return dirs
         spread *= 0.7
     raise AssertionError("could not build admissible targets")
+
+
+def admissible_instance(draw_pair, rng, angle, nodes, count, spread):
+    """pair = draw_pair(), its source cap of the given angle and node count
+    about the last axis, and `count` targets from `admissible_targets`.  A
+    random pair near kappa = 1 may admit no target at all: its best-aligned
+    direction misses the margin, which no spread mends, so such a pair is
+    drawn again, at most 10 times."""
+    from refractor.solver import SourceDensity
+
+    for _ in range(10):
+        pair = draw_pair()
+        src = SourceDensity.from_cap(pair.n1, np.eye(pair.dim)[-1], angle,
+                                     nodes)
+        try:
+            return pair, src, admissible_targets(pair, src, count, spread,
+                                                 rng)
+        except AssertionError:
+            continue
+    raise AssertionError("no admissible instance in 10 draws")

@@ -1,5 +1,5 @@
-"""The solve benchmark runs end to end on a tiny grid and its CLI rows,
-and writes the documented keys."""
+"""The solve benchmark runs end to end on a tiny grid, its CLI rows and
+its import row, and writes the documented keys."""
 
 import json
 import subprocess
@@ -20,7 +20,7 @@ def test_bench_solve_smoke(tmp_path):
                    timeout=120)
     result = json.loads(out.read_text())
     assert {"benchmark", "problem", "environment", "repeats", "versions",
-            "rows", "cli_rows"} <= set(result)
+            "rows", "cli_rows", "import_row"} <= set(result)
     assert result["versions"] == ["current", "same"]
     assert [(r["J"], r["N"]) for r in result["rows"]] == [(2000, 3),
                                                           (2000, 8)]
@@ -46,3 +46,12 @@ def test_bench_solve_smoke(tmp_path):
                                 "digest"}
             assert len(run["wall_s_runs"]) == 1
             assert run["peak_rss_mb"] > 0
+    # the import row: `import numpy`, and each version's `import
+    # refractor.cli`
+    imports = result["import_row"]
+    assert set(imports) == {"numpy", *result["versions"], "time_ratio"}
+    assert imports["time_ratio"] > 0
+    for name in ["numpy", *result["versions"]]:
+        assert set(imports[name]) == {"wall_s", "wall_s_runs"}
+        assert len(imports[name]["wall_s_runs"]) == 1
+        assert imports[name]["wall_s"] > 0

@@ -183,6 +183,13 @@ def test_non_finite_input_exit_code(tmp_path, capsys, edit):
 
 
 LQ2 = {"kind": "lq", "q": 2.0, "dim": 3}
+
+
+def lq_n1(**fields):
+    """An edit that makes n1 the lq(2) norm with some fields replaced."""
+    return lambda p: p.update(media={"n1": {**LQ2, **fields}, "n2": LQ2})
+
+
 MALFORMED_EDITS = {
     "targets_object": (lambda p: p.update(targets={"m": 1}),
                        "'targets' must be a list of objects"),
@@ -213,6 +220,20 @@ MALFORMED_EDITS = {
     "lq_q_null": (lambda p: p.update(media={
         "n1": {"kind": "lq", "q": None, "dim": 3}, "n2": LQ2}),
         "malformed lq norm"),
+    # q is a number and dim an integer: no string or bool, and no float dim,
+    # which int() would truncate
+    "lq_dim_fraction": (lq_n1(dim=3.7),
+                        "malformed lq norm: dim must be an integer, got 3.7"),
+    "lq_dim_float": (lq_n1(dim=3.0),
+                     "malformed lq norm: dim must be an integer, got 3.0"),
+    "lq_dim_string": (lq_n1(dim="3"),
+                      "malformed lq norm: dim must be an integer, got '3'"),
+    "lq_dim_bool": (lq_n1(dim=True),
+                    "malformed lq norm: dim must be an integer, got True"),
+    "lq_q_string": (lq_n1(q="3"),
+                    "malformed lq norm: q must be a number, got '3'"),
+    "lq_q_bool": (lq_n1(q=False),
+                  "malformed lq norm: q must be a number, got False"),
     "touching_pair": (lambda p: p.update(media={
         "n1": {"kind": "lq", "q": 1.5, "dim": 3},
         "n2": {"kind": "lq", "q": 4.0, "dim": 3}}),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_targets, random_ellipsoidal_pair
+from conftest import (admissible_instance, admissible_targets,
+                      random_ellipsoidal_pair)
 from refractor import kernels, solver
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
@@ -668,12 +669,12 @@ def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
     denom = pair.denominators(src.nodes, tgt.directions)
     band, partial = solver._band, []
 
-    def checked(s, second, den_i, b_i, w, out):
-        got = band(s, second, den_i, b_i, w, out)
+    def checked(s, second, den_i, b_i, w):
+        got = band(s, second, den_i, b_i, w)
         if got is not None:
             i = next(k for k in range(count)
                      if np.array_equal(den_i, denom[:, k]))
-            rows, w_b, den_b = (a[:got[0]] for a in out)
+            _, rows, w_b, den_b = got
             assert np.all(denom[rows, i] > 0.0)
             assert np.array_equal(w_b, src.weights[rows])
             assert np.array_equal(den_b, denom[rows, i])
@@ -768,6 +769,8 @@ def test_case1_domain_covers_all_admissible_targets():
        media=st.sampled_from(["isotropic", "ellipsoidal", "lq"]),
        nodes=st.integers(200, 1500), count=st.integers(1, 5),
        C=st.floats(0.1, 10.0))
+@example(seed=6186, case2=False, dim=2, media="ellipsoidal", nodes=200,
+         count=1, C=2.0)  # a pair near kappa = 1: no target is admissible
 def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     # one solve_discrete for both regimes, 2D and 3D, isotropic, ellipsoidal
     # and lq media: energy balance, the residual, the duality certificate,
@@ -779,15 +782,13 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
     if media == "lq":  # lq(3) -> isotropic(0.5) in Case I, and back
         lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
-        pair = MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
+        pairs = lambda: MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
     elif media == "ellipsoidal":
-        pair = random_ellipsoidal_pair(rng, dim, n1, n2)
+        pairs = lambda: random_ellipsoidal_pair(rng, dim, n1, n2)
     else:
-        pair = MediumPair.isotropic(n1, n2, dim)
+        pairs = lambda: MediumPair.isotropic(n1, n2, dim)
+    pair, src, dirs = admissible_instance(pairs, rng, 0.2, nodes, count, 0.1)
     assert (pair.regime is Regime.CASE_II) == case2
-    axis = np.eye(dim)[-1]
-    src = SourceDensity.from_cap(pair.n1, axis, 0.2, nodes)
-    dirs = admissible_targets(pair, src, count, 0.1, rng)
     g = rng.uniform(0.5, 1.5, count)
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
     # keep the tolerance above the quadrature resolution
@@ -843,6 +844,15 @@ def test_approximate_measure_single_centroid():
     assert tgt.count == 1
     # symmetric cap centroid is the axis, mapped to Sigma2
     assert np.allclose(tgt.directions[0], Z / 2.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [Z, np.array([0.0, 1.0])], ids=["3d", "2d"])
+@pytest.mark.parametrize("count", [0, -2])
+def test_approximate_measure_count_positive(axis, count):
+    spec = TargetDensity(norm2=Norm.isotropic(1.0, axis.size), axis=axis,
+                         angle=0.2, total_mass=1.0)
+    with pytest.raises(ValidationError, match="count must be positive"):
+        approximate_measure(spec, count)
 
 
 def test_approximate_measure_refinement_cauchy():
