@@ -12,7 +12,6 @@ Exit codes: 0 ok, 1 validation (usage errors included), 2 no refraction,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -20,8 +19,8 @@ import numpy as np
 from .errors import (InfeasibleTarget, NoRefraction, NonConvergence,
                      NotProportional, RefractorError, ValidationError)
 from .geometry import fibonacci_sphere
-from .problems import (_require, dumps17, load_problem, parse_pair,
-                       write_csv, write_json)
+from .problems import (_require, dumps17, load_json_object, load_problem,
+                       parse_pair, write_csv, write_json)
 
 EXIT_VALIDATION = 1
 EXIT_NO_REFRACTION = 2
@@ -43,18 +42,10 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(dumps17(payload) + "\n")
 
 
-def _load_json(path) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path} must hold a JSON object")
-    return raw
-
-
 def cmd_snell(args) -> int:
     from .snell import refract
 
-    raw = _load_json(args.input)
+    raw = load_json_object(args.input)
     pair = parse_pair(raw["pair"] if "pair" in raw
                       else _require(raw, "media", "event"))
     event = refract(pair, np.asarray(_require(raw, "x", "event"), float),
@@ -111,7 +102,7 @@ def cmd_design(args) -> int:
 def cmd_fresnel(args) -> int:
     from .fresnel import FresnelMaterial, induced_norm, sheet_radii
 
-    mat = FresnelMaterial.from_json_dict(_load_json(args.material))
+    mat = FresnelMaterial.from_json_dict(load_json_object(args.material))
     # principal axes first so the axis radii are directly readable
     dirs = np.vstack([np.eye(3), fibonacci_sphere(args.samples)])
     rows = []
@@ -136,13 +127,11 @@ def cmd_fresnel(args) -> int:
 
 def cmd_verify(args) -> int:
     from .solver import refractor_measure
-    from .transport import build_cost, certificate
+    from .transport import certificate
 
     spec = load_problem(args.problem)
-    pair, src, tgt, refr = _solve_problem(spec, spec.tol, args.max_sweeps)
-    report = refractor_measure(refr, src)
-    _emit(certificate(refr, src, report, build_cost(pair, src, tgt)),
-          args.output)
+    _, src, _, refr = _solve_problem(spec, spec.tol, args.max_sweeps)
+    _emit(certificate(refr, src, refractor_measure(refr, src)), args.output)
     return 0
 
 
@@ -153,8 +142,8 @@ def cmd_export(args) -> int:
     spec = load_problem(args.problem)
     pair, src, tgt = spec.build()
     if args.solution:
-        radii = np.asarray(_require(_load_json(args.solution), "radii",
-                                    "solution"), dtype=float)
+        radii = np.asarray(_require(load_json_object(args.solution),
+                                    "radii", "solution"), dtype=float)
         refr = Refractor(pair, tgt, radii)
         refractor_to_obj(refr, src, args.mesh)
     elif args.target_index is not None:

@@ -16,9 +16,11 @@ The design sweep also keeps, per node, the envelope's winner and its best
 and second-best heights (``Top2``).  Target i's cell threshold needs only
 the minimum over the other targets, which is the second-best height where
 i wins and the best height elsewhere, so ``win_thresholds`` is O(J) rather
-than a fresh (J, N) pass.  The state stays exact because radii only shrink
-during a solve: after b_i shrinks, ``lower`` folds target i's new column of
-heights into it with the floating-point minima a rebuild would take, so
+than a fresh (J, N) pass.  ``lower`` is the only code that computes the
+state: it folds one target's column of heights in, which is exact while no
+height grows.  ``Top2.of`` folds every column into the empty state, where
+every height is +inf, and after b_i shrinks the sweep folds in target i's
+new column, with the floating-point minima a rebuild would take, so
 thresholds are bit-identical to a rebuild's.  The sweep reads its cell
 masses from the same state (``masses``): an untied node sends its whole
 weight to its winner, and only the few tied rows go through ``tally``, so
@@ -79,20 +81,27 @@ def tally(denom, b, w):
 
 class Top2(NamedTuple):
     """Per-node min-envelope state: the winning target and the best and
-    second-best heights (+inf where fewer surfaces reach the node)."""
+    second-best heights (+inf where fewer surfaces reach the node).
+
+    ``lower`` alone computes it, so its rules live there: the earlier
+    target wins a tie, a tied height counts as the second best, and a node
+    no surface reaches keeps winner 0 at height +inf."""
 
     win: np.ndarray     # (J,) int64, an argmin target of each node
     first: np.ndarray   # (J,) min_k h_k
     second: np.ndarray  # (J,) min over k != win of h_k
 
     @classmethod
-    def of(cls, H) -> "Top2":
-        """The state of a (J, N) heights matrix, which is overwritten."""
-        rows = np.arange(H.shape[0])
-        win = np.argmin(H, axis=1).astype(np.int64)
-        first = H[rows, win]
-        H[rows, win] = np.inf
-        return cls(win, first, H.min(axis=1))
+    def of(cls, denom, b) -> "Top2":
+        """The state at radii b of (J, N) denominators: the empty state
+        (no surface reaches any node) with every target's column of heights
+        folded in through ``lower``, one at a time."""
+        J = denom.shape[0]
+        top = cls(np.zeros(J, np.int64), np.full(J, np.inf),
+                  np.full(J, np.inf))
+        for i in range(denom.shape[1]):
+            lower(top, heights(denom[:, i], b[i]), i)
+        return top
 
     def take(self, rows) -> "Top2":
         """A copy of the state of the nodes rows."""

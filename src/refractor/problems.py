@@ -36,37 +36,23 @@ __all__ = ["ProblemSpec", "load_problem", "parse_pair", "dumps17",
 MAX_ENTRIES = 20_000_000  # node_count x targets: 160 MB per (J, N) array
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _to_jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def dumps17(obj) -> str:
-    """Compact JSON with floats at 17 significant digits, key order kept."""
-    obj = _to_jsonable(obj)
-
-    def enc(o):
-        if isinstance(o, dict):
-            return "{" + ",".join(json.dumps(k) + ":" + enc(v)
-                                  for k, v in o.items()) + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(enc(v) for v in o) + "]"
-        if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
-            return json.dumps(o)
-        if isinstance(o, float):
-            return format_float(o)
-        raise ValidationError(f"cannot serialize {type(o)!r}")
-
-    return enc(obj)
+    """Compact JSON with floats at 17 significant digits, key order kept;
+    numpy arrays and scalars are written as their Python values."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + dumps17(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(dumps17(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, np.integer):
+        return json.dumps(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    raise ValidationError(f"cannot serialize {type(obj)!r}")
 
 
 def write_json(path, obj) -> None:
@@ -153,18 +139,19 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def load_problem(source) -> ProblemSpec:
-    """Parse and validate a problem from a path, file object, or dict,
-    refusing node_count x targets above MAX_ENTRIES."""
-    if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        with open(source) as fh:
-            raw = json.load(fh)
+def load_json_object(path) -> dict:
+    """The JSON object held by the file at path."""
+    with open(path) as fh:
+        raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValidationError("problem file must hold a JSON object")
+        raise ValidationError(f"{path} must hold a JSON object")
+    return raw
+
+
+def load_problem(source) -> ProblemSpec:
+    """Parse and validate a problem from a path or a dict, refusing
+    node_count x targets above MAX_ENTRIES."""
+    raw = source if isinstance(source, dict) else load_json_object(source)
 
     _integer(raw.get("seed", 0), "seed")
     media = raw.get("media", raw.get("pair"))

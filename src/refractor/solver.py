@@ -100,9 +100,19 @@ class TargetMeasure:
             raise ValidationError("target masses must be positive")
         if dirs.shape[0] != masses.shape[0]:
             raise ValidationError("directions/masses length mismatch")
-        if dirs.shape[0] > 1:
-            dist = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=-1)
-            dist = dist + 1e9 * np.eye(dirs.shape[0])
+        # no two directions within 1e-12, in O(N) memory: on a unit axis v,
+        # |(m_a - m_b).v| <= |m_a - m_b|, so sorted by projection only
+        # neighbours closer than 1e-12 (plus rounding) can be that close
+        v = np.sqrt(np.arange(2.0, dirs.shape[1] + 2.0))
+        proj = dirs @ (v / np.linalg.norm(v))
+        order = np.argsort(proj)
+        proj, ranked = proj[order], dirs[order]
+        reach = 1e-12 + 1e-14 * float(np.abs(dirs).max(initial=0.0))
+        for k in range(1, proj.size):
+            pairs = np.flatnonzero(proj[k:] - proj[:-k] < reach)
+            if not pairs.size:
+                break
+            dist = np.linalg.norm(ranked[pairs + k] - ranked[pairs], axis=-1)
             if float(dist.min()) < 1e-12:
                 raise ValidationError("target directions must be distinct")
         return cls(directions=dirs, masses=masses)
@@ -372,7 +382,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     # radii only shrink from here on, which keeps this state exact; an
     # extreme b1 overflows b / denom, which the check below names
     with np.errstate(over="ignore"):
-        top = kernels.Top2.of(kernels.heights(denom, b))
+        top = kernels.Top2.of(denom, b)
     if not np.all((top.first >= np.finfo(float).tiny) & (top.first < np.inf)):
         raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
                               "outside the normal float range")
@@ -435,8 +445,8 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
 solve_discrete_caseII = solve_discrete
 
 
-def approximate_measure(density_spec: TargetDensity, count: int,
-                        subgrid: int = 8) -> TargetMeasure:
+def approximate_measure(density_spec: TargetDensity,
+                        count: int) -> TargetMeasure:
     """Discretize a continuous cap density into `count` weighted directions.
 
     The cap chart (z = cos angle-from-axis, azimuth phi) is stratified into
@@ -447,6 +457,7 @@ def approximate_measure(density_spec: TargetDensity, count: int,
     if count < 1:
         raise ValidationError("count must be positive")
     spec = density_spec
+    subgrid = 8  # samples per cell side
     axis = np.asarray(spec.axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     dim = axis.shape[0]
@@ -540,8 +551,7 @@ def max_difference_quotient(r: Refractor, src: SourceDensity,
     return max(quot, float(np.max(dv / np.maximum(d, 1e-300))))
 
 
-def refractor_to_obj(r: Refractor, src: SourceDensity, path,
-                     name: str = "refractor") -> None:
+def refractor_to_obj(r: Refractor, src: SourceDensity, path) -> None:
     """Export the designed surface rho(x) x over the source triangulation."""
     rho = rho_values(r, src.nodes)
-    write_obj(path, rho[:, None] * src.nodes, src.tris, name=name)
+    write_obj(path, rho[:, None] * src.nodes, src.tris, name="refractor")

@@ -107,10 +107,12 @@ def plan_objective(cost: CostMatrix, plan: np.ndarray) -> float:
 
 
 def certificate(r: Refractor, src: SourceDensity,
-                report: RefractorMeasureReport, cost: CostMatrix) -> dict:
-    """Weak-duality certificate of report.plan, u = log rho and v = -log b:
-    every arc slack c - u - v >= 0 (excluded arcs give +inf),
-    sum(plan * c) = w.u + M.v, and the plan's marginals are w, M."""
+                report: RefractorMeasureReport) -> dict:
+    """Weak-duality certificate of report.plan against r's cost on src,
+    u = log rho and v = -log b: every arc slack c - u - v >= 0 (excluded
+    arcs give +inf), sum(plan * c) = w.u + M.v, and the plan's marginals
+    are w, M."""
+    cost = build_cost(r.pair, src, r.target)
     u, v = np.log(report.min_radii), -np.log(r.radii)
     objective = plan_objective(cost, report.plan)
     gap = abs(objective - src.weights @ u - report.masses @ v)
@@ -129,18 +131,17 @@ def certificate(r: Refractor, src: SourceDensity,
 
 
 def assignment_agreement(r: Refractor, src: SourceDensity,
-                         plan: np.ndarray, cost: CostMatrix,
-                         band_rtol: float = 1e-9) -> dict:
+                         plan: np.ndarray, cost: CostMatrix) -> dict:
     """Compare the LP plan's dominant target with the refractor map.
 
-    Nodes whose two best surfaces differ by <= band_rtol relative belong to
+    Nodes whose two best surfaces differ by <= 1e-9 relative belong to
     the tie band and are exempt.  Returns masses of the band and of genuine
     mismatches, plus the relative objective gap of the induced plan.
     """
     report = refractor_measure(r, src)
     dominant = np.argmax(plan, axis=1)
-    top = kernels.Top2.of(kernels.heights(r.denom(src.nodes), r.radii))
-    band = (top.second - top.first) <= band_rtol * top.first
+    top = kernels.Top2.of(r.denom(src.nodes), r.radii)
+    band = (top.second - top.first) <= 1e-9 * top.first
     mismatch = (dominant != report.assignment) & ~band
     obj_lp = plan_objective(cost, plan)
     obj_rf = plan_objective(cost, report.plan)

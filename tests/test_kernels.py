@@ -62,7 +62,7 @@ def test_thresholds_semantics(instance):
     # node j is in cell i at radius beta iff beta <= s_j
     denom, b, w = instance
     i = 2
-    top = kernels.Top2.of(kernels.heights(denom, b))
+    top = kernels.Top2.of(denom, b)
     s = kernels.win_thresholds(denom, top, i)
     assert np.array_equal(s, thresholds_oracle(denom, b, i))
     for beta in (0.3, 0.9, 1.7):
@@ -103,12 +103,36 @@ def shrinking_runs(draw):
     return dots, b, twin, case2, steps
 
 
+def top2_oracle(denom, b):
+    # the state read off the whole (J, N) heights matrix at once: argmin,
+    # then the min of the row with the winner's height struck out
+    H = kernels.heights(denom, b)
+    rows = np.arange(H.shape[0])
+    win = np.argmin(H, axis=1).astype(np.int64)
+    first = H[rows, win]
+    H[rows, win] = np.inf
+    return win, first, H.min(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shrinking_runs())
+def test_top2_fold_matches_argmin_oracle(run):
+    # folding the columns in one at a time through lower gives the argmin
+    # state bit for bit: ties to the earlier target, duplicated heights as
+    # the second best, unreached rows at winner 0 and +inf
+    dots, b, twin, case2, steps = run
+    denom = (dots - 1.0) if case2 else (1.0 - dots)
+    for a, c in zip(kernels.Top2.of(denom, b), top2_oracle(denom, b)):
+        assert a.dtype == c.dtype
+        assert np.array_equal(a, c)
+
+
 @settings(max_examples=300, deadline=None)
 @given(shrinking_runs())
 def test_maintained_thresholds_are_exact(run):
     dots, b, twin, case2, steps = run
     denom = (dots - 1.0) if case2 else (1.0 - dots)
-    top = kernels.Top2.of(kernels.heights(denom, b))
+    top = kernels.Top2.of(denom, b)
     for i, step in steps:
         if step == "tie":  # take the twin's radius when it is smaller
             b[i] = min(b[i], b[twin[i]])
@@ -132,7 +156,7 @@ def test_row_updates_match_full_updates(run, extra):
     # thresholds' entries
     dots, b, twin, case2, steps = run
     denom = (dots - 1.0) if case2 else (1.0 - dots)
-    full = kernels.Top2.of(kernels.heights(denom, b))
+    full = kernels.Top2.of(denom, b)
     banded = kernels.Top2(*(a.copy() for a in full))
     rng = np.random.default_rng(len(steps))
     for i, step in steps:
@@ -163,7 +187,7 @@ def test_masses_match_tally_bit_for_bit(run):
     dots, b, twin, case2, steps = run
     denom = (dots - 1.0) if case2 else (1.0 - dots)
     w = np.random.default_rng(len(steps)).uniform(0.1, 1.0, len(denom))
-    top = kernels.Top2.of(kernels.heights(denom, b))
+    top = kernels.Top2.of(denom, b)
     for i, step in [(0, "keep")] + steps:
         if step == "tie":
             b[i] = min(b[i], b[twin[i]])
@@ -186,6 +210,6 @@ def test_masses_match_tally_at_scale():
         b = rng.uniform(0.5, 2.0, N)
         b[-1] = b[0]
         w = rng.uniform(0.1, 1.0, 20_000)
-        top = kernels.Top2.of(kernels.heights(denom, b))
+        top = kernels.Top2.of(denom, b)
         assert np.array_equal(kernels.masses(top, denom, b, w),
                               kernels.tally(denom, b, w)[0].sum(axis=0))

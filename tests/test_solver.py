@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from refractor.solver import (Refractor, SourceDensity, TargetDensity,
                               solve_discrete, check_admissibility)
 from refractor.solver import _fill_radius
 from refractor.surfaces import UniformSurface, surface_normal
-from refractor.transport import build_cost, certificate
+from refractor.transport import certificate
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -798,7 +800,7 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     assert np.array_equal(r.info.masses, rep.masses)  # what design reports
     assert np.sum(rep.masses) == pytest.approx(src.total, rel=1e-12)
     assert rep.residual <= tol
-    cert = certificate(r, src, rep, build_cost(pair, src, tgt))
+    cert = certificate(r, src, rep)
     assert cert["agrees"]
     assert cert["tie_band_mass"] <= 1e-3 * src.total
     dilated = refractor_measure(dilate(r, C), src).masses
@@ -853,6 +855,33 @@ def test_approximate_measure_count_positive(axis, count):
                          angle=0.2, total_mass=1.0)
     with pytest.raises(ValidationError, match="count must be positive"):
         approximate_measure(spec, count)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_target_distinct_check_in_linear_memory(dim):
+    # 2,000 targets are checked for duplicates without an (N, N, n) array
+    # (about 250 MB here); a pair 1e-13 apart among them is still refused,
+    # and one 1e-10 apart is not
+    norm2 = Norm.isotropic(1.0, dim)
+    dirs = np.random.default_rng(0).standard_normal((2000, dim))
+    g = np.ones(2000)
+    tracemalloc.start()
+    try:
+        TargetMeasure.of(norm2, dirs, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    off = np.zeros(dim)
+    off[0] = 1.0
+    for gap, refused in ((1e-13, True), (1e-10, False)):
+        near = dirs.copy()
+        near[1234] = near[77] / np.linalg.norm(near[77]) + gap * off
+        if refused:
+            with pytest.raises(ValidationError, match="must be distinct"):
+                TargetMeasure.of(norm2, near, g)
+        else:
+            assert TargetMeasure.of(norm2, near, g).count == 2000
 
 
 def test_approximate_measure_refinement_cauchy():

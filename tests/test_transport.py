@@ -95,7 +95,7 @@ def test_refractor_plan_is_optimal_case1():
     obj_lp = plan_objective(cost, plan)
     obj_rf = plan_objective(cost, rep.plan)
     assert abs(obj_rf - obj_lp) <= 1e-9 * abs(obj_lp)
-    cert = certificate(refr, src, rep, cost)
+    cert = certificate(refr, src, rep)
     assert cert["agrees"] is True
     assert abs(cert["objective"] - obj_lp) <= 1e-9 * abs(obj_lp)
     # the minimization direction is essential: maximizing disagrees
@@ -111,7 +111,7 @@ def test_refractor_plan_is_optimal_case1():
     moved[j] = 0.0
     moved[j, k] = src.weights[j]
     bad = replace(rep, plan=moved, masses=moved.sum(axis=0))
-    cert = certificate(refr, src, bad, cost)
+    cert = certificate(refr, src, bad)
     assert cert["agrees"] is False
     assert cert["duality_gap_rel"] > 1e-9
 
@@ -124,7 +124,7 @@ def test_refractor_plan_is_optimal_case2():
     obj_lp = plan_objective(cost, plan)
     obj_rf = plan_objective(cost, rep.plan)
     assert abs(obj_rf - obj_lp) <= 1e-9 * abs(obj_lp)
-    cert = certificate(refr, src, rep, cost)
+    cert = certificate(refr, src, rep)
     assert cert["agrees"] is True
     assert cert["min_slack"] >= -1e-12  # excluded arcs count as +inf
     assert abs(cert["objective"] - obj_lp) <= 1e-9 * abs(obj_lp)
@@ -175,8 +175,7 @@ def test_c_concavity_solved_refractor():
     for n1, n2, seed in ((1.5, 1.0, 7), (1.0, 1.5, 8)):
         pair, src, tgt, refr = solved_instance(n1=n1, n2=n2, seed=seed)
         cost = build_cost(pair, src, tgt)
-        assert certificate(refr, src, refractor_measure(refr, src),
-                           cost)["agrees"]
+        assert certificate(refr, src, refractor_measure(refr, src))["agrees"]
         direct = np.min(np.log(refr.radii) + cost.entries, axis=1)
         log_rho = np.log(rho_values(refr, src.nodes))
         assert np.max(np.abs(direct - log_rho)) <= 1e-9
@@ -187,13 +186,12 @@ def test_c_concavity_corrupted_radius_still_min_structure():
     radii = refr.radii.copy()
     radii[2] *= 1.05  # large enough to move cell boundaries past nodes
     corrupted = Refractor(pair, tgt, radii)
-    cost = build_cost(pair, src, tgt)
     rep = refractor_measure(corrupted, src)
-    assert certificate(corrupted, src, rep, cost)["agrees"]  # a min of surfaces
+    assert certificate(corrupted, src, rep)["agrees"]  # a min of surfaces
     own = refractor_measure(refr, src)
     assert rep.residual > own.residual
     # the certificate of refr must not pass with u taken from other radii
-    cert = certificate(refr, src, replace(own, min_radii=rep.min_radii), cost)
+    cert = certificate(refr, src, replace(own, min_radii=rep.min_radii))
     assert cert["agrees"] is False
     assert cert["min_slack"] < -1e-6
 
@@ -201,11 +199,10 @@ def test_c_concavity_corrupted_radius_still_min_structure():
 def test_c_concavity_random_profile_fails():
     # a profile raised at random is no min of the refractor's surfaces
     pair, src, tgt, refr = solved_instance(seed=10)
-    cost = build_cost(pair, src, tgt)
     own = refractor_measure(refr, src)
     rng = np.random.default_rng(0)
     raised = own.min_radii * np.exp(rng.uniform(0.0, 0.05, src.count))
-    cert = certificate(refr, src, replace(own, min_radii=raised), cost)
+    cert = certificate(refr, src, replace(own, min_radii=raised))
     assert cert["agrees"] is False
     assert cert["min_slack"] < -1e-6
 
