@@ -15,9 +15,13 @@ that builds the quadrature (timed apart) and then times one
 also solved by the ``refractor`` package in that source directory, and the
 two alternate run by run, so both see the same drift in machine speed.
 Each row reports the median solve time and every run, the sweeps, the
-target-radius updates, the updates that read all J nodes (``band_misses``;
-null for a version that does not count them) and a digest of the radii and
-residual history, which must agree between versions.
+Newton steps, the target-radius updates, the updates that read all J nodes
+(``band_misses``; null for a version that does not count them) and a digest
+of the radii and residual history.  With a baseline it also reports the
+largest relative difference between the versions' radii, which shows how far
+apart two results are when their digests differ.  A solve that raises is a
+row too: its ``error`` holds the exception's type and message, its times
+the seconds until the raise, and the run goes on.
 
 The CLI rows run ``python -m refractor.cli design PROBLEM -o OUT`` in fresh
 interpreters, as the perfbench harness does (one BLAS thread per core), on
@@ -76,6 +80,7 @@ def solve_once(J: int, N: int) -> dict:
     """Build row (J, N), solve it once and time both steps (child side)."""
     from numpy import array
 
+    from refractor.errors import RefractorError
     from refractor.norms import MediumPair
     from refractor.solver import SourceDensity, TargetMeasure, solve_discrete
 
@@ -86,15 +91,21 @@ def solve_once(J: int, N: int) -> dict:
     quadrature = time.perf_counter() - t
     tgt = TargetMeasure.of(pair.n2, m, g * (src.total / g.sum()))
     t = time.perf_counter()
-    r = solve_discrete(pair, src, tgt, 1.0, tol=1e-3)
+    try:
+        r = solve_discrete(pair, src, tgt, 1.0, tol=1e-3)
+    except RefractorError as exc:
+        return {"solve_s": time.perf_counter() - t,
+                "quadrature_s": quadrature,
+                "error": {"type": type(exc).__name__, "message": str(exc)}}
     solve = time.perf_counter() - t
     digest = hashlib.sha256(r.radii.tobytes() + array(
         r.info.residual_history).tobytes()).hexdigest()[:16]
     return {"solve_s": solve, "quadrature_s": quadrature,
             "sweeps": r.info.sweeps,
+            "newton_steps": getattr(r.info, "newton_steps", None),
             "updates": getattr(r.info, "updates", None),
             "band_misses": getattr(r.info, "band_misses", None),
-            "digest": digest}
+            "digest": digest, "radii": r.radii.tolist()}
 
 
 def grid_problem(J: int, N: int) -> str:
@@ -195,14 +206,28 @@ def run_child(src: Path, J: int, N: int) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+RUN_KEYS = ("sweeps", "newton_steps", "updates", "band_misses", "digest",
+            "error")
+
+
 def summary(runs: list[dict]) -> dict:
+    """A version's row: median times over its runs and its first run's
+    counters (null where the solve raised) or error (null where it did
+    not)."""
     times = [r["solve_s"] for r in runs]
     first = runs[0]
     return {"solve_s": statistics.median(times), "solve_s_runs": times,
             "quadrature_s": statistics.median(r["quadrature_s"]
                                               for r in runs),
-            **{k: first[k] for k in ("sweeps", "updates", "band_misses",
-                                     "digest")}}
+            **{k: first.get(k) for k in RUN_KEYS}}
+
+
+def radii_rel_diff(a: dict, b: dict) -> float | None:
+    """The largest |a_i / b_i - 1| over two runs' radii, or None when either
+    solve raised."""
+    if "radii" not in a or "radii" not in b:
+        return None
+    return max(abs(x / y - 1.0) for x, y in zip(a["radii"], b["radii"]))
 
 
 def parse_grid(text: str) -> list[tuple[int, int]]:
@@ -249,7 +274,10 @@ def main(argv=None) -> int:
                **{name: summary(r) for name, r in runs.items()}}
         if args.baseline is not None:
             mine, base = row[args.label], row[args.baseline_label]
-            row["same_result"] = mine["digest"] == base["digest"]
+            row["same_result"] = all(mine[k] == base[k]
+                                     for k in ("digest", "error"))
+            row["radii_rel_diff"] = radii_rel_diff(
+                runs[args.label][0], runs[args.baseline_label][0])
             row["time_ratio"] = mine["solve_s"] / base["solve_s"]
         rows.append(row)
         print(json.dumps(row), file=sys.stderr)

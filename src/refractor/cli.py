@@ -78,7 +78,7 @@ def cmd_design(args) -> int:
     payload = {
         "radii": refr.radii.tolist(),
         "residual": refr.info.residual,
-        "iterations": refr.info.sweeps,
+        "iterations": len(refr.info.residual_history) - 1,
         "residual_history": refr.info.residual_history,
         "regime": pair.regime.value,
         "kappa": pair.kappa,

@@ -18,6 +18,28 @@ from .errors import ValidationError
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
+def short_matmul(x, m) -> np.ndarray:
+    """x @ m for an inner dimension n = m.shape[0] of at most 3, the space
+    dimension, summed term by term in numpy.  x is (..., n) and m (n, k) or
+    (n,).  BLAS would run a (J, 3) @ (3, k) product on several threads,
+    whose workers then keep spinning and slow the single-threaded numpy
+    code that follows.  Each column of the result is summed along x's
+    columns, made contiguous, so a (J, k) result is column-major."""
+    x = np.asarray(x, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 1:
+        return short_matmul(x, m[:, None])[..., 0]
+    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0))  # (n, ...)
+    out = np.empty(m.shape[1:] + x.shape[:-1])          # (k, ...)
+    term = np.empty(x.shape[:-1])
+    for c in range(m.shape[1]):
+        col = out[c, ...]  # a view, also when x is a single vector
+        np.multiply(cols[0], m[0, c], out=col)
+        for j in range(1, m.shape[0]):
+            col += np.multiply(cols[j], m[j, c], out=term)
+    return np.moveaxis(out, 0, -1)
+
+
 def tangent_basis(nu) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to nu, shape (n, n-1).
 
@@ -96,7 +118,7 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
         theta = np.linspace(-angle, angle, count) if count > 1 \
             else np.zeros(1)
         pts = np.stack([np.sin(theta), np.cos(theta)], axis=-1)
-        return pts @ R.T
+        return short_matmul(pts, R.T)
     theta, n = _rings(angle, count)
     start = np.cumsum(n) - n
     i = np.arange(count - 1) - np.repeat(start, n)
@@ -107,7 +129,7 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     pts[1:, 0] = np.sin(t) * np.cos(phi)
     pts[1:, 1] = np.sin(t) * np.sin(phi)
     pts[1:, 2] = np.cos(t)
-    return pts @ R.T
+    return short_matmul(pts, R.T)
 
 
 def cap_triangulation(angle: float, count: int, dim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ where a surface may miss nodes.  ``tally`` scores every node against every
 target and splits its weight over the tied ones: that (J, N) split is the
 refractor's transport plan, whose column sums are the cell masses and which
 ``verify`` prices.  It runs over all J nodes only there, in
-``refractor_measure``; ``design`` reports the sweep's own masses.
+``refractor_measure``; ``design`` reports its solve's own masses.
 Everything is vectorized numpy and deterministic.
 
 The design sweep also keeps, per node, the envelope's winner and its best
@@ -30,6 +30,10 @@ no sweep makes a (J, N) pass.
 subset of rows, and ``lower`` updates whatever state it is given, so an
 update can read and write only the rows its new radius can reach (the
 solver's bands).
+
+``soup_jacobian`` is the derivative of the cell masses in log b for the
+simplex-soup measure on the cap mesh, which the 3D Newton finish steps
+with; it reads only the triangles whose vertices have different winners.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["heights", "tally", "Top2", "masses", "win_thresholds", "lower",
-           "active_backend", "TIE_RTOL"]
+           "soup_jacobian", "active_backend", "TIE_RTOL"]
 
 TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
 
@@ -126,6 +130,8 @@ def masses(top: Top2, denom, b, w):
     if denom.shape[1] == 1:
         return np.where(untied, w, 0.0)[:, None].sum(axis=0)
     tied = np.flatnonzero(~untied)
+    if not tied.size:  # each weight goes to its winner
+        return np.bincount(top.win, w, minlength=denom.shape[1])
     plan = tally(denom[tied], b, w[tied])[0]
     r, c = np.nonzero(plan)
     # the tied shares go in among the untied weights, in node order
@@ -166,3 +172,109 @@ def lower(top: Top2, h_i, i: int) -> None:
     np.minimum(second, np.maximum(first, h_i), out=second)
     win[h_i < first] = i
     np.minimum(first, h_i, out=first)
+
+
+def _ranges(start, count):
+    """start[r] + 0..count[r]-1 for every r, concatenated, and r for each."""
+    r = np.repeat(np.arange(start.size), count)
+    return r, start[r] + np.arange(r.size) - np.repeat(np.cumsum(count)
+                                                       - count, count)
+
+
+def _mixed(win, nodes, tris, f):
+    """The triangles whose vertices have different winners, (3, T), and
+    their masses: area times the mean vertex density."""
+    first = win[tris[:, 0]]
+    tri = tris[np.flatnonzero((first != win[tris[:, 1]])
+                              | (first != win[tris[:, 2]]))].T
+    x = nodes[tri]
+    e, h = x[1] - x[0], x[2] - x[0]
+    cross = e[:, [1, 2, 0]] * h[:, [2, 0, 1]] - e[:, [2, 0, 1]] * h[:, [1, 2, 0]]
+    return tri, (np.sqrt(np.sum(cross * cross, axis=1))
+                 * (f[tri[0]] + f[tri[1]] + f[tri[2]]) / 6.0)
+
+
+def _candidates(phi):
+    """(triangle, target) entries, grouped by triangle, of the targets whose
+    largest vertex phi reaches max_l min_v phi_l; phi is (N, 3, T)."""
+    ext = np.minimum(phi[:, 0], phi[:, 1])
+    floor = np.minimum(ext, phi[:, 2], out=ext).max(axis=0)
+    np.maximum(phi[:, 0], phi[:, 1], out=ext)
+    return np.nonzero((np.maximum(ext, phi[:, 2], out=ext) >= floor).T)
+
+
+def soup_jacobian(denom, b, win, nodes, tris, f):
+    """dM_i / dlog b_k of the simplex-soup measure, (N, N): each flat
+    triangle of the mesh tris over the nodes holds the mass m_T = its area
+    times the mean of the density f at its vertices, spread uniformly.
+    denom: the nodes' (J, N) denominators; win: a winner of each node at
+    radii b.
+
+    phi_k = denom_k / b_k is affine on a flat triangle, and cell i is where
+    phi_i is largest, so a triangle whose three vertices share a winner lies
+    in that cell and only mixed triangles hold cell boundaries.  Raising
+    log b_k lowers phi_k by phi_k, which moves the chord phi_i = phi_k into
+    cell k by phi_k / |grad(phi_i - phi_k)|.  In barycentric coordinates,
+    where the triangle has area 1/2, dM_i / dlog b_k is 2 m_T times the
+    integral of phi_k / |grad(phi_i - phi_k)| along the part of the chord
+    where phi_i = phi_k is the largest.  Only targets whose largest vertex
+    phi reaches max_l min_v phi_l can be largest anywhere on a triangle.
+    The matrix is symmetric with nonnegative off-diagonal entries, and its
+    diagonal is minus the row sums.
+    """
+    N = denom.shape[1]
+    tri, m_T = _mixed(win, nodes, tris, f)
+    T = tri.shape[1]
+    # phi at the vertices, (N, 3, T): a gather from each target's column
+    phi = np.take(denom.T, tri, axis=1)
+    phi /= b[:, None, None]
+    t, k = _candidates(phi)
+    size = np.bincount(t, minlength=T)  # candidates, by triangle
+    start = np.cumsum(size) - size
+    # an entry's vertex values, (3, entries): phi[at[entries] + vert]
+    at, vert = k * (3 * T) + t, np.arange(0, 3 * T, T)[:, None]
+    phi = phi.ravel()
+    # every pair of candidate entries a < c of one triangle: targets i, j
+    entry = np.arange(t.size)
+    a, c = _ranges(entry + 1, start[t] + size[t] - entry - 1)
+    psi = phi[at[a] + vert] - phi[at[c] + vert]
+    npos = np.count_nonzero(psi > 0.0, axis=0)
+    chord = (npos == 1) | (npos == 2)
+    a, c, psi, npos = a[chord], c[chord], psi[:, chord], npos[chord]
+    tp, i, j = t[a], k[a], k[c]
+    # the chord runs from edge (o, o+1) to edge (o, o+2), o being the vertex
+    # alone on its side of it; p and q are its ends, in barycentric
+    # coordinates
+    rows = np.arange(a.size)
+    o = np.where(npos == 1, psi.argmax(axis=0), psi.argmin(axis=0))
+    po, pa, pc = (psi[(o + n) % 3, rows] for n in range(3))
+    ta, tc = po / (po - pa), po / (po - pc)
+    p, q = np.zeros((3, a.size)), np.zeros((3, a.size))
+    p[o, rows], p[(o + 1) % 3, rows] = 1.0 - ta, ta
+    q[o, rows], q[(o + 2) % 3, rows] = 1.0 - tc, tc
+    # clip it to where phi_i is largest: each other candidate l keeps the
+    # s in [0, 1] where (1 - s) d(p) + s d(q) >= 0, d = phi_i - phi_l
+    pair, l = _ranges(start[tp], size[tp])
+    keep = (l != a[pair]) & (l != c[pair])
+    pair, l = pair[keep], l[keep]
+    d = phi[at[a[pair]] + vert] - phi[at[l] + vert]
+    dp, dq = np.sum(d * p[:, pair], axis=0), np.sum(d * q[:, pair], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = dp / (dp - dq)
+    lo, hi = np.zeros(a.size), np.ones(a.size)
+    np.maximum.at(lo, pair, np.where(dp < 0.0, np.where(dq >= 0.0, root,
+                                                        1.0), 0.0))
+    np.minimum.at(hi, pair, np.where(dq < 0.0, np.where(dp >= 0.0, root,
+                                                        0.0), 1.0))
+    # |q - p| / |grad psi| in the chart (lambda_(o+1), lambda_(o+2)) is
+    # |psi_o| / ((psi_o - psi_(o+1)) (psi_o - psi_(o+2))); times the clipped
+    # length and phi_j at its midpoint
+    phij = phi[at[c] + vert]
+    fp, fq = np.sum(phij * p, axis=0), np.sum(phij * q, axis=0)
+    mid = 0.5 * (lo + hi)
+    val = (2.0 * m_T[tp] * np.abs(po) / ((po - pa) * (po - pc))
+           * np.maximum(hi - lo, 0.0) * (fp + mid * (fq - fp)))
+    H = np.bincount(i * N + j, val, N * N).reshape(N, N)
+    H += H.T
+    H[np.diag_indices(N)] = -H.sum(axis=1)
+    return H

@@ -28,7 +28,7 @@ import numbers
 import numpy as np
 
 from .errors import RegimeViolation, ValidationError, ZeroVector
-from .geometry import fibonacci_sphere
+from .geometry import fibonacci_sphere, short_matmul
 
 __all__ = [
     "Regime",
@@ -147,7 +147,7 @@ def norm_eval(norm: Norm, x) -> np.ndarray:
     """N(x).  Accepts a single vector or an array of shape (..., n)."""
     x = np.asarray(x, dtype=float)
     if norm.kind == "ellipsoidal":
-        return np.linalg.norm(x @ norm.A.T, axis=-1)
+        return np.linalg.norm(short_matmul(x, norm.A.T), axis=-1)
     return np.sum(np.abs(x) ** norm.q, axis=-1) ** (1.0 / norm.q)
 
 
@@ -158,7 +158,7 @@ def norm_gradient(norm: Norm, x) -> np.ndarray:
     if np.any(n == 0.0):
         raise ZeroVector("gradient undefined at the origin")
     if norm.kind == "ellipsoidal":
-        return (x @ norm._AtA) / n[..., None]
+        return short_matmul(x, norm._AtA) / n[..., None]
     q = norm.q
     return np.sign(x) * np.abs(x) ** (q - 1.0) / n[..., None] ** (q - 1.0)
 
@@ -265,8 +265,7 @@ class MediumPair:
         b / denom.  nodes (J, n) against directions (N, n) gives (J, N); a
         single direction (n,) gives (J,).
         """
-        dots = np.asarray(nodes, dtype=float) @ norm_gradient(
-            self.n2, directions).T
+        dots = short_matmul(nodes, norm_gradient(self.n2, directions).T)
         dots *= -self.sign  # then + sign: exactly 1 - d or d - 1, +0 at d = 1
         dots += self.sign
         return dots
@@ -275,7 +274,8 @@ class MediumPair:
         """nu.m = sign (p1(x).m - 1) for m on Sigma2, shaped as denominators,
         at least 1 - 1/kappa > 0 in Case II; (x, m) is admissible iff both
         are >= 0."""
-        dots = norm_gradient(self.n1, nodes) @ np.asarray(directions, float).T
+        dots = short_matmul(norm_gradient(self.n1, nodes),
+                            np.asarray(directions, float).T)
         dots -= 1.0
         dots *= self.sign
         return dots

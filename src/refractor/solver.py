@@ -9,9 +9,11 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
 
 pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).  The
-construction is monotone: start with every surface except the first inactive,
-then repeatedly shrink the radius of each under-filled target, which can only
-grow its cell and shrink the others'.
+sweep is monotone: start with every surface except the first inactive, then
+repeatedly shrink the radius of each under-filled target, which can only
+grow its cell and shrink the others'.  In 3D, once every cell holds half its
+mass, damped Newton steps on the simplex-soup Jacobian try to finish the
+design; the sweep goes on where it paused if they fail.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import InfeasibleTarget, NonConvergence, ValidationError
 from .geometry import (cap_triangulation, fibonacci_cap, node_area_weights,
-                       rotate_z_to, write_obj)
+                       rotate_z_to, short_matmul, write_obj)
 from .norms import MediumPair, Norm, Regime, norm_eval, norm_gradient
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
 
 _DENSITIES = {
     "uniform": lambda dirs, axis: np.ones(dirs.shape[0]),
-    "cosine": lambda dirs, axis: dirs @ axis,
+    "cosine": lambda dirs, axis: short_matmul(dirs, axis),
 }
 
 
@@ -45,12 +47,14 @@ _DENSITIES = {
 class SourceDensity:
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
     positive weights w_j, plus the triangulation of the Euclidean directions
-    the nodes were built from (for meshes and edge difference quotients)."""
+    the nodes were built from (for meshes, edge difference quotients and
+    the simplex soup of the 3D Newton finish)."""
 
     nodes: np.ndarray      # (J, n) on Sigma1
     weights: np.ndarray    # (J,) positive
     tris: np.ndarray       # node triangles (segments when n = 2)
     total: float
+    f: np.ndarray          # (J,) the density at the nodes
 
     @classmethod
     def from_cap(cls, norm1: Norm, axis, angle: float, node_count: int,
@@ -71,7 +75,7 @@ class SourceDensity:
         if np.any(w <= 0.0):
             raise ValidationError("source weights must be positive")
         return cls(nodes=nodes, weights=w, tris=tris,
-                   total=float(np.sum(w)))
+                   total=float(np.sum(w)), f=f)
 
     @property
     def count(self) -> int:
@@ -141,11 +145,12 @@ class TargetDensity:
 @dataclass
 class SolveInfo:
     sweeps: int = 0
+    newton_steps: int = 0  # accepted steps of the 3D Newton finish
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
     updates: int = 0      # target-radius updates
     band_misses: int = 0  # updates that took the full pass over all J nodes
-    masses: np.ndarray | None = None  # the last sweep's cell masses
+    masses: np.ndarray | None = None  # the cell masses at the radii
 
 
 class Refractor:
@@ -329,16 +334,79 @@ def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
     return floor, rows, w[rows], den_i[rows]
 
 
+NEWTON_STEPS = 8        # the Newton finish's budget of steps
+NEWTON_MIN_TAU = 0.125  # its smallest damping factor
+
+
+def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
+    """Newton steps on the node residual from a paused sweep's radii b,
+    state top and masses: (radii, masses, residuals) once max|M - g| <=
+    delta, or None.  The sweep's arrays are left as they are.
+
+    The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
+    b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
+    over targets 2..N, H being `kernels.soup_jacobian`, and halves tau from
+    1 until the node residual falls to (1 - tau / 2) times its last value,
+    so it never rises.  A singular system, tau < NEWTON_MIN_TAU or
+    NEWTON_STEPS steps without convergence give None.
+    """
+    b1 = b[0]
+    eta = np.log(b / b1)
+    err = float(np.max(np.abs(masses - g)))
+    residuals = []
+    for _ in range(NEWTON_STEPS):
+        H = kernels.soup_jacobian(denom, b, top.win, src.nodes, src.tris,
+                                  src.f)
+        try:
+            d = np.linalg.solve(H[1:, 1:], (g - masses)[1:])
+        except np.linalg.LinAlgError:
+            return None
+        tau = 1.0
+        while tau >= NEWTON_MIN_TAU:
+            # a non-finite step fails the test below and halves tau
+            with np.errstate(over="ignore", invalid="ignore"):
+                eta_t = np.r_[0.0, eta[1:] + tau * d]
+                b_t = b1 * np.exp(eta_t)
+                top_t = kernels.Top2.of(denom, b_t)
+                m_t = kernels.masses(top_t, denom, b_t, src.weights)
+            err_t = float(np.max(np.abs(m_t - g)))
+            if err_t <= (1.0 - 0.5 * tau) * err:
+                break
+            tau *= 0.5
+        else:
+            return None
+        eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
+        residuals.append(err / src.total)
+        if err <= delta:
+            return b, masses, residuals
+    return None
+
+
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
                    init_factor: float = 1.0) -> Refractor:
     """Design in either regime: unique radii (b_1 fixed) with residual
     <= tol * total.
 
+    The sweep (`_sweep`) designs 2D problems alone.  In 3D it pauses the
+    first time every cell holds at least half its mass and tries the Newton
+    finish (`_newton`); if that fails, the sweep resumes from where it
+    paused, so its stops, messages and errors are the sweep's own.
+
     init_factor >= 1 scales the inactive-surface initialization; any value
     keeps the construction admissible, so re-solving with a different factor
     probes uniqueness at the quadrature scale.
     """
+    return _sweep(pair, src, tgt, b1, tol, max_sweeps, init_factor,
+                  newton=pair.dim == 3)
+
+
+def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
+           b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
+           init_factor: float = 1.0, newton: bool = False) -> Refractor:
+    """The monotone radius sweep of `solve_discrete`; with newton, it tries
+    the Newton finish once, the first time every cell holds at least half
+    its mass."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -397,6 +465,15 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         if resid <= delta:
             info.masses = masses
             return Refractor(pair, tgt, b, info=info)
+        if newton and np.all(masses >= 0.5 * g):
+            newton = False  # tried once
+            done = _newton(denom, src, g, b, top, masses, delta)
+            if done is not None:
+                radii, info.masses, residuals = done
+                info.newton_steps = len(residuals)
+                info.residual = residuals[-1]
+                info.residual_history += residuals
+                return Refractor(pair, tgt, radii, info=info)
         moved = False
         for i in range(1, N):
             if masses[i] >= g[i] - delta_c:

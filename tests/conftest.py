@@ -61,6 +61,19 @@ def random_ellipsoidal_pair(rng, dim=3, scale1=1.6, scale2=0.9, jitter=0.12):
             continue
 
 
+def media_pairs(media, case2, dim, rng):
+    """A function that draws a medium pair: isotropic 1.5 -> 1.0, a random
+    ellipsoidal pair about it, or lq(3) -> isotropic(0.5); each reversed in
+    Case II."""
+    n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
+    if media == "lq":
+        lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
+        return lambda: MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
+    if media == "ellipsoidal":
+        return lambda: random_ellipsoidal_pair(rng, dim, n1, n2)
+    return lambda: MediumPair.isotropic(n1, n2, dim)
+
+
 def admissible_targets(pair, src, count, spread, rng, margin=1e-4):
     """Target directions on Sigma2 around the best-aligned direction of the
     cap center, shrunk until every node is admissible for every target by

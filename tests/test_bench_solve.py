@@ -1,5 +1,6 @@
-"""The solve benchmark runs end to end on a tiny grid, its CLI rows and
-its import row, and writes the documented keys."""
+"""The solve benchmark runs end to end on a tiny grid, with a row whose
+solve raises, its CLI rows and its import row, and writes the documented
+keys."""
 
 import json
 import subprocess
@@ -14,7 +15,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_solve.py"
 def test_bench_solve_smoke(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
-                    "--grid", "2000x3,2000x8", "--repeats", "1",
+                    "--grid", "2000x3,13x5,2000x8", "--repeats", "1",
                     "--baseline", str(SRC), "--baseline-label", "same"],
                    env=src_env(), check=True, capture_output=True,
                    timeout=120)
@@ -22,17 +23,27 @@ def test_bench_solve_smoke(tmp_path):
     assert {"benchmark", "problem", "environment", "repeats", "versions",
             "rows", "cli_rows", "import_row"} <= set(result)
     assert result["versions"] == ["current", "same"]
-    assert [(r["J"], r["N"]) for r in result["rows"]] == [(2000, 3),
-                                                          (2000, 8)]
+    assert [(r["J"], r["N"]) for r in result["rows"]] == [
+        (2000, 3), (13, 5), (2000, 8)]
     for row in result["rows"]:
         assert row["same_result"] is True
         for name in result["versions"]:
             run = row[name]
             assert set(run) == {"solve_s", "solve_s_runs", "quadrature_s",
-                                "sweeps", "updates", "band_misses",
-                                "digest"}
+                                "sweeps", "newton_steps", "updates",
+                                "band_misses", "digest", "error"}
             assert len(run["solve_s_runs"]) == 1
+            assert run["solve_s"] > 0
+            if row["J"] == 13:  # 13 nodes cannot balance 5 targets
+                assert run["error"]["type"] == "NonConvergence"
+                assert "the sweep stagnated" in run["error"]["message"]
+                assert run["digest"] is run["sweeps"] is None
+                continue
+            assert run["error"] is None
             assert 0 < run["band_misses"] <= run["updates"]
+            assert run["newton_steps"] > 0
+        # the largest relative difference of the versions' radii
+        assert row["radii_rel_diff"] == (None if row["J"] == 13 else 0.0)
     # the CLI rows: the golden problem and the 20k x 20 grid row, designed
     # by both versions with byte-identical outputs
     assert [r["problem"] for r in result["cli_rows"]] == [

@@ -428,22 +428,29 @@ def test_golden_problem(tmp_path, regen_golden):
 
 
 def test_design_tallies_tied_rows_only(tmp_path, monkeypatch):
-    # design reports the sweep's masses: each tally it makes sees the tied
-    # rows only; verify prices the plan of one full tally
+    # design reports its solve's masses, read from the winners of the
+    # best/second-best state: each tally it makes sees the tied rows only
+    # (the golden design ties none); verify prices the plan of one full
+    # tally
     from refractor import kernels
 
-    rows = []
-    tally = kernels.tally
+    rows, evaluations = [], []
+    tally, masses = kernels.tally, kernels.masses
 
     def recording(denom, b, w):
         rows.append(denom.shape[0])
         return tally(denom, b, w)
 
+    def counting(*args):
+        evaluations.append(1)
+        return masses(*args)
+
     monkeypatch.setattr(kernels, "tally", recording)
+    monkeypatch.setattr(kernels, "masses", counting)
     J = load_problem(GOLDEN_PROBLEM).build()[1].count
     assert main(["design", str(GOLDEN_PROBLEM), "-o",
                  str(tmp_path / "sol.json")]) == 0
-    assert rows and max(rows) < J
+    assert evaluations and all(r < J for r in rows)
     rows.clear()
     assert main(["verify", str(GOLDEN_PROBLEM), "-o",
                  str(tmp_path / "verify.json")]) == 0

@@ -6,7 +6,8 @@ import pytest
 from refractor.errors import ValidationError
 from refractor.geometry import (cap_triangulation, fibonacci_cap,
                                 fibonacci_sphere, format_float,
-                                node_area_weights, tangent_basis, write_obj)
+                                node_area_weights, short_matmul,
+                                tangent_basis, write_obj)
 
 
 def test_tangent_basis_orthonormal():
@@ -146,3 +147,22 @@ def test_format_float_17g():
 def test_write_obj_rejects_2d(tmp_path):
     with pytest.raises(ValidationError):
         write_obj(tmp_path / "x.obj", np.zeros((3, 2)), np.zeros((1, 2), int))
+
+
+@pytest.mark.parametrize("xshape, mshape", [
+    ((50, 3), (3, 7)), ((3,), (3, 4)), ((50, 3), (3,)), ((3,), (3,)),
+    ((40, 2), (2, 5)), ((4, 6, 3), (3, 2)),
+])
+def test_short_matmul_matches_matmul(xshape, mshape):
+    # the n products summed in order, as a loop sums them; within rounding
+    # of the BLAS product
+    rng = np.random.default_rng(0)
+    x, m = rng.standard_normal(xshape), rng.standard_normal(mshape)
+    got = short_matmul(x, m)
+    col = (lambda j: x[..., j]) if m.ndim == 1 else (lambda j: x[..., j, None])
+    loop = sum(col(j) * m[j] for j in range(m.shape[0]))
+    assert np.shape(got) == np.shape(x @ m)
+    assert np.array_equal(got, loop)
+    bound = 4 * np.finfo(float).eps * m.shape[0] * np.abs(x).max() \
+        * np.abs(m).max()
+    assert np.allclose(got, x @ m, rtol=0, atol=bound)

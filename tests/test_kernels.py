@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,16 +202,101 @@ def test_masses_match_tally_bit_for_bit(run):
 
 def test_masses_match_tally_at_scale():
     # numpy adds a long single column pairwise and the columns of a wider
-    # plan in node order; both must come out the same bits
+    # plan in node order; both must come out the same bits, with tied rows
+    # and without any
     rng = np.random.default_rng(3)
-    for N in (1, 2, 7):
+    for ties, N in itertools.product((True, False), (1, 2, 7)):
         denom = 1.0 - rng.uniform(-0.6, 0.6, (20_000, N))
-        # the last target ties the first on every other row, so tied rows
-        # sit in among untied ones
-        denom[::2, -1] = denom[::2, 0]
         b = rng.uniform(0.5, 2.0, N)
-        b[-1] = b[0]
+        if ties:
+            # the last target ties the first on every other row, so tied
+            # rows sit in among untied ones
+            denom[::2, -1] = denom[::2, 0]
+            b[-1] = b[0]
         w = rng.uniform(0.1, 1.0, 20_000)
         top = kernels.Top2.of(denom, b)
         assert np.array_equal(kernels.masses(top, denom, b, w),
                               kernels.tally(denom, b, w)[0].sum(axis=0))
+
+
+# ------------------------------------------------ simplex-soup Jacobian
+
+
+def soup_masses(denom, b, nodes, tris, f):
+    """Cell masses of the simplex soup, clipped exactly: each flat triangle
+    holds its area times the mean vertex density, uniformly, and cell i is
+    where phi_i = denom_i / b_i is largest.  Each triangle is clipped by the
+    half-planes phi_i >= phi_l one at a time (Sutherland-Hodgman) in
+    barycentric coordinates, where its area is 1/2."""
+    N = denom.shape[1]
+    out = np.zeros(N)
+    for tri in tris:
+        x = nodes[tri]
+        m_T = 0.5 * np.linalg.norm(np.cross(x[1] - x[0], x[2] - x[0])) \
+            * f[tri].mean()
+        phi = denom[tri] / b  # (3, N): vertex values, affine in between
+        for i in range(N):
+            poly = list(np.eye(3))
+            for l in range(N):
+                if l == i or not poly:
+                    continue
+                gap = phi[:, i] - phi[:, l]
+                clipped = []
+                for P, Q in zip(poly, poly[1:] + poly[:1]):
+                    gp, gq = P @ gap, Q @ gap
+                    if gp >= 0.0:
+                        clipped.append(P)
+                    if (gp >= 0.0) != (gq >= 0.0):
+                        clipped.append(P + gp / (gp - gq) * (Q - P))
+                poly = clipped
+            if len(poly) >= 3:
+                u, v = np.array(poly)[:, 1], np.array(poly)[:, 2]
+                area = 0.5 * abs(np.dot(u, np.roll(v, -1))
+                                 - np.dot(v, np.roll(u, -1)))
+                out[i] += 2.0 * m_T * area
+    return out
+
+
+def soup_instance(media, case2, count, seed):
+    """A 3D cap of 300 nodes, `count` admissible targets and radii near
+    balance: the sweep's at a coarse tolerance, jittered."""
+    from conftest import admissible_instance, media_pairs
+    from refractor.solver import TargetMeasure, _sweep
+
+    rng = np.random.default_rng(seed)
+    pair, src, dirs = admissible_instance(media_pairs(media, case2, 3, rng),
+                                          rng, 0.2, 300, count, 0.1)
+    g = rng.uniform(0.5, 1.5, count)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    b = _sweep(pair, src, tgt, 1.0, tol=0.05).radii
+    b[1:] *= np.exp(1e-6 * rng.standard_normal(count - 1))
+    return pair.denominators(src.nodes, tgt.directions), b, src
+
+
+@pytest.mark.parametrize("media, case2, count, seed", [
+    ("isotropic", False, 4, 0), ("isotropic", True, 3, 1),
+    ("ellipsoidal", False, 5, 2), ("ellipsoidal", True, 4, 3),
+    ("lq", False, 4, 4), ("lq", True, 3, 5),
+])
+def test_soup_jacobian_matches_clipped_masses(media, case2, count, seed):
+    # the Jacobian is symmetric, its rows sum to zero, its off-diagonal
+    # entries are >= 0, and it is the derivative of the exactly clipped
+    # soup masses in log b (central differences)
+    denom, b, src = soup_instance(media, case2, count, seed)
+    win = kernels.Top2.of(np.asfortranarray(denom), b).win
+    H = kernels.soup_jacobian(np.asfortranarray(denom), b, win, src.nodes,
+                              src.tris, src.f)
+    scale = np.abs(H).max()
+    assert np.array_equal(H, H.T)
+    assert np.all(np.abs(H.sum(axis=1)) <= 1e-12 * scale)
+    assert np.all(H[~np.eye(count, dtype=bool)] >= 0.0)
+    assert np.all(np.diag(H) < 0.0)  # every cell has a boundary
+    M = soup_masses(denom, b, src.nodes, src.tris, src.f)
+    assert M.sum() == pytest.approx(src.total, rel=1e-12)
+    h = 1e-6
+    for k in range(count):
+        step = np.where(np.arange(count) == k, h, 0.0)
+        fd = (soup_masses(denom, b * np.exp(step), src.nodes, src.tris, src.f)
+              - soup_masses(denom, b * np.exp(-step), src.nodes, src.tris,
+                            src.f)) / (2.0 * h)
+        assert np.allclose(fd, H[:, k], rtol=0, atol=1e-6 * scale)

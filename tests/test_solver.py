@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (admissible_instance, admissible_targets,
-                      random_ellipsoidal_pair)
+from conftest import admissible_instance, admissible_targets, media_pairs
 from refractor import kernels, solver
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
@@ -553,12 +552,12 @@ def instance_2d(nodes=2000, count=6, seed=3):
 ], ids=["case1_3d", "case2_3d", "case1_2d"])
 def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     # the partial sort and the bands change no radius, sweep or residual of
-    # a solve
+    # the sweep
     pair, src, tgt = make()
-    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    r = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
     monkeypatch.setattr(solver, "_fill_radius", fill_radius_oracle)
-    o = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    o = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
     assert r.info.residual_history == o.info.residual_history
@@ -575,11 +574,11 @@ def full_pass_only(fill_radius):
 
 
 def solve_outcome(pair, src, tgt, tol, max_sweeps):
-    """A solve's radii bytes, sweeps, residuals and counters, or the type
+    """The sweep's radii bytes, sweeps, residuals and counters, or the type
     and message of the error it stops with."""
     try:
-        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol,
-                           max_sweeps=max_sweeps)
+        r = solver._sweep(pair, src, tgt, b1=1.0, tol=tol,
+                          max_sweeps=max_sweeps)
     except (NonConvergence, InfeasibleTarget) as exc:
         return type(exc), str(exc)
     return (r.radii.tobytes(), r.info.sweeps, r.info.residual_history,
@@ -607,14 +606,7 @@ def test_band_matches_full_pass(seed, case2, dim, media, nodes, count,
     # below the quadrature resolution stop some solves with NonConvergence,
     # wide spreads with InfeasibleTarget
     rng = np.random.default_rng(seed)
-    n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
-    if media == "lq":
-        lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
-        pair = MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
-    elif media == "ellipsoidal":
-        pair = random_ellipsoidal_pair(rng, dim, n1, n2)
-    else:
-        pair = MediumPair.isotropic(n1, n2, dim)
+    pair = media_pairs(media, case2, dim, rng)()
     src = SourceDensity.from_cap(pair.n1, np.eye(dim)[-1], 0.2, nodes)
     # the best-aligned direction, admissible or not: its spread draws both
     m0 = admissible_targets(pair, src, 1, 0.0, rng, margin=-np.inf)[0]
@@ -685,7 +677,7 @@ def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
 
     monkeypatch.setattr(solver, "_band", checked)
     tol = 1.3 * (count - 1) * np.max(src.weights) / src.total
-    solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
     assert any(partial)  # some band's target misses some nodes
 
 
@@ -715,20 +707,126 @@ def test_invalid_solve_arguments(kwargs, message):
 @pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5)],
                          ids=["case1", "case2"])
 def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
-    # the sweep reads its masses from the maintained winners: a tally call
-    # inside the solve sees the tied rows, never all J
+    # the sweep and the Newton finish read their masses from the winners of
+    # a best/second-best state: a mass evaluation tallies only the tied
+    # rows, never all J
     pair, src, tgt = small_instance(n1, n2, nodes=3000, count=8)
-    rows = []
-    tally = kernels.tally
+    rows, evaluations = [], []
+    tally, masses = kernels.tally, kernels.masses
 
     def recording(denom, b, w):
         rows.append(denom.shape[0])
         return tally(denom, b, w)
 
+    def counting(*args):
+        evaluations.append(1)
+        return masses(*args)
+
     monkeypatch.setattr(kernels, "tally", recording)
+    monkeypatch.setattr(kernels, "masses", counting)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
-    assert len(rows) == r.info.sweeps + 1
+    assert r.info.newton_steps > 0
+    assert len(evaluations) > r.info.sweeps + 1
+    # an evaluation with no tied row makes no tally call
+    assert 0 < len(rows) <= len(evaluations)
     assert max(rows) < src.count
+
+
+def newton_instance(media, case2, seed, nodes=3000, count=8):
+    """A 3D instance of `media` with admissible targets; the tolerance is
+    1.3 node weights per target above the quadrature resolution."""
+    rng = np.random.default_rng(seed)
+    pair, src, dirs = admissible_instance(media_pairs(media, case2, 3, rng),
+                                          rng, 0.2, nodes, count, 0.1)
+    g = rng.uniform(0.5, 1.5, count)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    tol = max(1e-3, 1.3 * (count - 1) * np.max(src.weights) / src.total)
+    return pair, src, tgt, tol
+
+
+@pytest.mark.parametrize("media", ["isotropic", "ellipsoidal", "lq"])
+@pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
+def test_newton_finish_agrees_with_sweep(media, case2):
+    # in 3D the Newton finish designs what the sweep alone designs, within
+    # the quadrature scale, with the node residual <= tol; radii[0] is b1,
+    # and its residuals extend the sweep's and never rise
+    pair, src, tgt, tol = newton_instance(media, case2, seed=7)
+    r = solve_discrete(pair, src, tgt, b1=1.3, tol=tol)
+    o = solver._sweep(pair, src, tgt, b1=1.3, tol=tol)
+    assert r.info.newton_steps > 0 and o.info.newton_steps == 0
+    assert r.radii[0] == 1.3
+    assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
+    rep = refractor_measure(r, src)
+    assert np.array_equal(r.info.masses, rep.masses)
+    assert rep.residual == r.info.residual <= tol
+    hist = r.info.residual_history
+    assert len(hist) == r.info.sweeps + r.info.newton_steps + 1
+    assert hist[:r.info.sweeps + 1] == o.info.residual_history[
+        :r.info.sweeps + 1]
+    newton = hist[r.info.sweeps:]
+    assert all(b < a for a, b in zip(newton, newton[1:]))
+    # the pause: the first sweep whose every cell holds half its mass
+    assert r.info.sweeps < o.info.sweeps
+
+
+def test_newton_designs_where_the_sweep_stalls():
+    # the sweep stops up to a node short of each target when its band
+    # half-width, delta_c / 2, is below one node weight, and the anchor
+    # collects the shortfalls: it stagnates.  The Newton finish moves every
+    # radius at once and designs the same problem
+    pair = MediumPair.isotropic(1.5, 1.0)
+    src = SourceDensity.from_cap(pair.n1, Z, 0.25, 2000)
+    rng = np.random.default_rng(1)
+    dirs = np.vstack([Z, Z + 0.1 * rng.standard_normal((19, 3))])
+    g = rng.uniform(0.5, 1.5, 20)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    tol = 2e-3
+    assert 0.45 * tol * src.total / 19 < np.min(src.weights)
+    with pytest.raises(NonConvergence, match="the sweep stagnated"):
+        solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.info.newton_steps > 0
+    assert refractor_measure(r, src).residual <= tol
+
+
+def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
+    # a singular Jacobian stops the Newton finish, and the sweep goes on
+    # from where it paused: the same bits, counters, stops and messages as
+    # the sweep alone
+    pair, src, tgt = small_instance(nodes=2000, count=6, seed=3)
+    monkeypatch.setattr(kernels, "soup_jacobian",
+                        lambda denom, *args: np.zeros((denom.shape[1],) * 2))
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
+    o = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3)
+    assert r.info.newton_steps == 0
+    assert r.radii.tobytes() == o.radii.tobytes()
+    assert (r.info.sweeps, r.info.residual_history, r.info.updates,
+            r.info.band_misses) == (o.info.sweeps, o.info.residual_history,
+                                    o.info.updates, o.info.band_misses)
+    monkeypatch.undo()
+    # below the quadrature resolution the Newton finish runs out of steps
+    # or of damping, and the sweep's own stop is raised
+    calls, jacobian = [], kernels.soup_jacobian
+    monkeypatch.setattr(kernels, "soup_jacobian",
+                        lambda *args: calls.append(1) or jacobian(*args))
+    messages = []
+    for solve in (solve_discrete, solver._sweep):
+        with pytest.raises(NonConvergence) as err:
+            solve(pair, src, tgt, b1=1.0, tol=1e-6, max_sweeps=200)
+        messages.append(str(err.value))
+    assert calls
+    assert messages[0] == messages[1]
+    assert "the sweep stagnated" in messages[0]
+
+
+def test_2d_solve_is_the_sweep():
+    # 2D keeps the sweep alone
+    pair, src, tgt = instance_2d()
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
+    o = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3)
+    assert r.info.newton_steps == 0
+    assert r.radii.tobytes() == o.radii.tobytes()
+    assert r.info.residual_history == o.info.residual_history
 
 
 def test_convergence_log_monotone_after_warmup():
@@ -781,15 +879,8 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     # certificate's tie band (the update ties a node only on a weight jump);
     # in Case I also the Lipschitz bound
     rng = np.random.default_rng(seed)
-    n1, n2 = (1.0, 1.5) if case2 else (1.5, 1.0)
-    if media == "lq":  # lq(3) -> isotropic(0.5) in Case I, and back
-        lq, iso = Norm.lq(3.0, dim), Norm.isotropic(0.5, dim)
-        pairs = lambda: MediumPair(iso, lq) if case2 else MediumPair(lq, iso)
-    elif media == "ellipsoidal":
-        pairs = lambda: random_ellipsoidal_pair(rng, dim, n1, n2)
-    else:
-        pairs = lambda: MediumPair.isotropic(n1, n2, dim)
-    pair, src, dirs = admissible_instance(pairs, rng, 0.2, nodes, count, 0.1)
+    pair, src, dirs = admissible_instance(media_pairs(media, case2, dim, rng),
+                                          rng, 0.2, nodes, count, 0.1)
     assert (pair.regime is Regime.CASE_II) == case2
     g = rng.uniform(0.5, 1.5, count)
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
