@@ -4,10 +4,12 @@ and ``refractor design`` end to end.
     python benchmarks/bench_solve.py --out results.json \
         --baseline OTHER_CHECKOUT/src --baseline-label parent
 
-Each grid row is an isotropic Case I problem: media 1.5 -> 1.0, a 0.25 rad
-cap of J nodes, tol 1e-3 and b1 = 1.  Its targets come from
-``numpy.random.default_rng(1)``: the cap axis, then N - 1 directions at
-axis + 0.1 N(0, I), with masses U(0.5, 1.5) scaled to the source total.
+Each grid row ``JxN`` is an isotropic Case I problem: media 1.5 -> 1.0, a
+0.25 rad cap of J nodes, tol 1e-3 and b1 = 1.  ``JxN:case2`` swaps the
+media (isotropic Case II, 1.0 -> 1.5) and ``JxN:lq`` refracts from an
+isotropic 0.5 medium into an lq(3) one (Case II).  A row's targets come
+from ``numpy.random.default_rng(1)``: the cap axis, then N - 1 directions
+at axis + 0.1 N(0, I), with masses U(0.5, 1.5) scaled to the source total.
 
 Every timed solve runs in a fresh interpreter with OPENBLAS_NUM_THREADS=1
 that builds the quadrature (timed apart) and then times one
@@ -16,12 +18,16 @@ also solved by the ``refractor`` package in that source directory, and the
 two alternate run by run, so both see the same drift in machine speed.
 Each row reports the median solve time and every run, the sweeps, the
 Newton steps, the target-radius updates, the updates that read all J nodes
-(``band_misses``; null for a version that does not count them) and a digest
-of the radii and residual history.  With a baseline it also reports the
+(``band_misses``; null for a version that does not count them), the
+residual, why the solve stopped (``stop``: "converged", or the
+``NonConvergence`` reason, "stagnated" or "budget") and a digest of the
+radii and residual history.  With a baseline it also reports the
 largest relative difference between the versions' radii, which shows how far
 apart two results are when their digests differ.  A solve that raises is a
 row too: its ``error`` holds the exception's type and message, its times
-the seconds until the raise, and the run goes on.
+the seconds until the raise, its ``stop``, ``sweeps`` and ``residual``
+what the exception carries (null where it carries none), and the run goes
+on.
 
 The CLI rows run ``python -m refractor.cli design PROBLEM -o OUT`` in fresh
 interpreters, as the perfbench harness does (one BLAS thread per core), on
@@ -57,13 +63,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-GRID = "20000x5,20000x20,20000x50,80000x5"
+GRID = ("20000x5,20000x20,20000x50,80000x5,80000x100,20000x50:case2,"
+        "20000x100:lq")
 CLI_GRID_ROW = (20000, 20)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI_THREADS = str(len(os.sched_getaffinity(0)))
-PROBLEM = ("isotropic Case I, 1.5 -> 1.0, 0.25 rad cap, tol 1e-3, b1 = 1; "
+PROBLEM = ("isotropic Case I, 1.5 -> 1.0 (case2: 1.0 -> 1.5; lq: "
+           "isotropic 0.5 -> lq(3)), 0.25 rad cap, tol 1e-3, b1 = 1; "
            "targets: the axis plus N - 1 at axis + 0.1 N(0, I) and masses "
            "U(0.5, 1.5), from default_rng(1)")
+MEDIA = ("iso", "case2", "lq")
+
+
+def media_pair(media: str):
+    """The MediumPair of a row's media name."""
+    from refractor.norms import MediumPair, Norm
+
+    if media == "lq":
+        return MediumPair(Norm.isotropic(0.5), Norm.lq(3.0))
+    return MediumPair.isotropic(*((1.0, 1.5) if media == "case2"
+                                  else (1.5, 1.0)))
 
 
 def draw_targets(N: int):
@@ -76,16 +95,16 @@ def draw_targets(N: int):
     return axis, m, rng.uniform(0.5, 1.5, N)
 
 
-def solve_once(J: int, N: int) -> dict:
-    """Build row (J, N), solve it once and time both steps (child side)."""
-    from numpy import array
+def solve_once(J: int, N: int, media: str) -> dict:
+    """Build row (J, N, media), solve it once and time both steps (child
+    side)."""
+    import numpy as np
 
     from refractor.errors import RefractorError
-    from refractor.norms import MediumPair
     from refractor.solver import SourceDensity, TargetMeasure, solve_discrete
 
     axis, m, g = draw_targets(N)
-    pair = MediumPair.isotropic(1.5, 1.0)
+    pair = media_pair(media)
     t = time.perf_counter()
     src = SourceDensity.from_cap(pair.n1, axis, 0.25, J)
     quadrature = time.perf_counter() - t
@@ -94,17 +113,23 @@ def solve_once(J: int, N: int) -> dict:
     try:
         r = solve_discrete(pair, src, tgt, 1.0, tol=1e-3)
     except RefractorError as exc:
+        deficit = getattr(exc, "deficit", None)
         return {"solve_s": time.perf_counter() - t,
                 "quadrature_s": quadrature,
+                "stop": getattr(exc, "stop", None),
+                "sweeps": getattr(exc, "sweeps", None),
+                "residual": (None if deficit is None
+                             else float(np.abs(deficit).max())),
                 "error": {"type": type(exc).__name__, "message": str(exc)}}
     solve = time.perf_counter() - t
-    digest = hashlib.sha256(r.radii.tobytes() + array(
+    digest = hashlib.sha256(r.radii.tobytes() + np.array(
         r.info.residual_history).tobytes()).hexdigest()[:16]
     return {"solve_s": solve, "quadrature_s": quadrature,
             "sweeps": r.info.sweeps,
             "newton_steps": getattr(r.info, "newton_steps", None),
             "updates": getattr(r.info, "updates", None),
             "band_misses": getattr(r.info, "band_misses", None),
+            "residual": r.info.residual, "stop": "converged",
             "digest": digest, "radii": r.radii.tolist()}
 
 
@@ -195,19 +220,20 @@ def import_row(versions: dict, repeats: int) -> dict:
             for k, r in runs.items()}
 
 
-def run_child(src: Path, J: int, N: int) -> dict:
+def run_child(src: Path, J: int, N: int, media: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src),
                **dict.fromkeys(THREAD_VARS, "1"))
     out = subprocess.run([sys.executable, __file__, "--child", str(J),
-                          str(N)], env=env, capture_output=True, text=True)
+                          str(N), media], env=env, capture_output=True,
+                         text=True)
     if out.returncode != 0:
-        raise SystemExit(f"solve of {J}x{N} with {src} failed:\n"
+        raise SystemExit(f"solve of {J}x{N}:{media} with {src} failed:\n"
                          f"{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
 
 
-RUN_KEYS = ("sweeps", "newton_steps", "updates", "band_misses", "digest",
-            "error")
+RUN_KEYS = ("sweeps", "newton_steps", "updates", "band_misses", "residual",
+            "stop", "digest", "error")
 
 
 def summary(runs: list[dict]) -> dict:
@@ -230,13 +256,16 @@ def radii_rel_diff(a: dict, b: dict) -> float | None:
     return max(abs(x / y - 1.0) for x, y in zip(a["radii"], b["radii"]))
 
 
-def parse_grid(text: str) -> list[tuple[int, int]]:
+def parse_grid(text: str) -> list[tuple[int, int, str]]:
     rows = []
     for item in text.split(","):
-        J, N = (int(v) for v in item.lower().split("x"))
-        if J < 12 or N < 1:
-            raise SystemExit(f"bad grid row {item!r}: need J >= 12, N >= 1")
-        rows.append((J, N))
+        size, _, media = item.lower().partition(":")
+        J, N = (int(v) for v in size.split("x"))
+        media = media or "iso"
+        if J < 12 or N < 1 or media not in MEDIA:
+            raise SystemExit(f"bad grid row {item!r}: need J >= 12, N >= 1 "
+                             f"and media in {MEDIA}")
+        rows.append((J, N, media))
     return rows
 
 
@@ -244,7 +273,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="JSON file to write")
     ap.add_argument("--grid", default=GRID,
-                    help=f"comma-separated JxN rows (default {GRID})")
+                    help="comma-separated JxN or JxN:MEDIA rows, MEDIA in "
+                    f"{MEDIA} (default {GRID})")
     ap.add_argument("--repeats", type=int, default=3,
                     help="timed runs per row and version (default 3)")
     ap.add_argument("--label", default="current",
@@ -252,10 +282,11 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path,
                     help="source directory of a version to compare with")
     ap.add_argument("--baseline-label", default="baseline")
-    ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(solve_once(*args.child)))
+        J, N, media = args.child
+        print(json.dumps(solve_once(int(J), int(N), media)))
         return 0
     if args.out is None:
         ap.error("--out is required")
@@ -265,12 +296,12 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         versions[args.baseline_label] = args.baseline
     rows = []
-    for J, N in parse_grid(args.grid):
+    for J, N, media in parse_grid(args.grid):
         runs = {name: [] for name in versions}
         for _ in range(args.repeats):
             for name, src in versions.items():
-                runs[name].append(run_child(src, J, N))
-        row = {"J": J, "N": N,
+                runs[name].append(run_child(src, J, N, media))
+        row = {"J": J, "N": N, "media": media,
                **{name: summary(r) for name, r in runs.items()}}
         if args.baseline is not None:
             mine, base = row[args.label], row[args.baseline_label]

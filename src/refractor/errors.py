@@ -27,7 +27,18 @@ class OutOfDomain(RefractorError):
 
 class NonConvergence(RefractorError):
     """An iterative method (the radius sweep, a Newton iteration) did not
-    reach its tolerance within its cap."""
+    reach its tolerance within its cap.
+
+    The design sweep also says why it stopped: stop is "stagnated" (a sweep
+    moved no radius) or "budget" (max_sweeps ran out), sweeps the sweeps it
+    ran and deficit the per-target (g - M) / total at its last masses, whose
+    largest magnitude is the residual.  Other raisers leave them None."""
+
+    def __init__(self, message, stop=None, sweeps=None, deficit=None):
+        super().__init__(message)
+        self.stop = stop
+        self.sweeps = sweeps
+        self.deficit = deficit
 
 
 class InfeasibleTarget(RefractorError):

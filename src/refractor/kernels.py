@@ -32,7 +32,7 @@ update can read and write only the rows its new radius can reach (the
 solver's bands).
 
 ``soup_jacobian`` is the derivative of the cell masses in log b for the
-simplex-soup measure on the cap mesh, which the 3D Newton finish steps
+simplex-soup measure on the cap mesh, which the 3D Newton solve steps
 with; it reads only the triangles whose vertices have different winners.
 """
 
@@ -194,13 +194,18 @@ def _mixed(win, nodes, tris, f):
                  * (f[tri[0]] + f[tri[1]] + f[tri[2]]) / 6.0)
 
 
-def _candidates(phi):
-    """(triangle, target) entries, grouped by triangle, of the targets whose
-    largest vertex phi reaches max_l min_v phi_l; phi is (N, 3, T)."""
-    ext = np.minimum(phi[:, 0], phi[:, 1])
-    floor = np.minimum(ext, phi[:, 2], out=ext).max(axis=0)
-    np.maximum(phi[:, 0], phi[:, 1], out=ext)
-    return np.nonzero((np.maximum(ext, phi[:, 2], out=ext) >= floor).T)
+def _candidates(phi, win):
+    """(triangle, target) entries, grouped by triangle, of the targets k
+    with phi_k >= phi_w at some vertex for each vertex winner w; phi is
+    (N, 3, T) and win (3, T).  Cell k needs phi_k >= phi_w somewhere on
+    the triangle, and an affine function >= 0 somewhere on a triangle is
+    >= 0 at one of its vertices.  The winners are always kept."""
+    cols = np.arange(phi.shape[2])
+    keep = np.ones((phi.shape[0], phi.shape[2]), bool)
+    for w in win:
+        # phi_w at the three vertices, (3, T)
+        keep &= (phi >= phi[w, :, cols].T).any(axis=1)
+    return np.nonzero(keep.T)
 
 
 def soup_jacobian(denom, b, win, nodes, tris, f):
@@ -217,8 +222,9 @@ def soup_jacobian(denom, b, win, nodes, tris, f):
     cell k by phi_k / |grad(phi_i - phi_k)|.  In barycentric coordinates,
     where the triangle has area 1/2, dM_i / dlog b_k is 2 m_T times the
     integral of phi_k / |grad(phi_i - phi_k)| along the part of the chord
-    where phi_i = phi_k is the largest.  Only targets whose largest vertex
-    phi reaches max_l min_v phi_l can be largest anywhere on a triangle.
+    where phi_i = phi_k is the largest.  Only targets whose phi reaches each
+    vertex winner's at some vertex can be largest anywhere on a triangle,
+    and every other target lies below a winner on all of it.
     The matrix is symmetric with nonnegative off-diagonal entries, and its
     diagonal is minus the row sums.
     """
@@ -228,7 +234,7 @@ def soup_jacobian(denom, b, win, nodes, tris, f):
     # phi at the vertices, (N, 3, T): a gather from each target's column
     phi = np.take(denom.T, tri, axis=1)
     phi /= b[:, None, None]
-    t, k = _candidates(phi)
+    t, k = _candidates(phi, win[tri])
     size = np.bincount(t, minlength=T)  # candidates, by triangle
     start = np.cumsum(size) - size
     # an entry's vertex values, (3, entries): phi[at[entries] + vert]

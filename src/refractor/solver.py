@@ -8,12 +8,14 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
                                        h = b / (x.p2(m) - 1)   (Case II)
 
 pushes the source energy onto the targets: M_i = g_i up to the requested
-residual.  b_1 pins the scale (solutions are unique up to dilations).  The
-sweep is monotone: start with every surface except the first inactive, then
-repeatedly shrink the radius of each under-filled target, which can only
-grow its cell and shrink the others'.  In 3D, once every cell holds half its
-mass, damped Newton steps on the simplex-soup Jacobian try to finish the
-design; the sweep goes on where it paused if they fail.
+residual.  b_1 pins the scale (solutions are unique up to dilations).  In
+3D, damped Newton steps on the simplex-soup Jacobian design from a closed-form
+start, checked for empty cells.  Where that start fails, and in 2D, the
+monotone sweep designs: start with every surface except the first inactive,
+then repeatedly shrink the radius of each under-filled target, which can
+only grow its cell and shrink the others'.  In 3D the sweep pauses once
+every cell holds mass for one more Newton attempt, and goes on where it
+paused if that fails too.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class SourceDensity:
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
     positive weights w_j, plus the triangulation of the Euclidean directions
     the nodes were built from (for meshes, edge difference quotients and
-    the simplex soup of the 3D Newton finish)."""
+    the simplex soup of the 3D Newton steps)."""
 
     nodes: np.ndarray      # (J, n) on Sigma1
     weights: np.ndarray    # (J,) positive
@@ -145,10 +147,10 @@ class TargetDensity:
 @dataclass
 class SolveInfo:
     sweeps: int = 0
-    newton_steps: int = 0  # accepted steps of the 3D Newton finish
+    newton_steps: int = 0  # accepted steps of the 3D Newton solve
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
-    updates: int = 0      # target-radius updates
+    updates: int = 0      # target-radius updates (and start repairs)
     band_misses: int = 0  # updates that took the full pass over all J nodes
     masses: np.ndarray | None = None  # the cell masses at the radii
 
@@ -334,27 +336,33 @@ def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
     return floor, rows, w[rows], den_i[rows]
 
 
-NEWTON_STEPS = 8        # the Newton finish's budget of steps
-NEWTON_MIN_TAU = 0.125  # its smallest damping factor
+NEWTON_STEPS = 30           # a Newton run's budget of steps
+NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
 
 
 def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
-    """Newton steps on the node residual from a paused sweep's radii b,
-    state top and masses: (radii, masses, residuals) once max|M - g| <=
-    delta, or None.  The sweep's arrays are left as they are.
+    """Damped Newton steps on the node residual from radii b, their state
+    top and their masses, every one positive: (radii, masses, residuals)
+    once max|M - g| <= delta, or None.  The arrays given are left as they
+    are; the residuals are those of the accepted steps.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
     over targets 2..N, H being `kernels.soup_jacobian`, and halves tau from
-    1 until the node residual falls to (1 - tau / 2) times its last value,
-    so it never rises.  A singular system, tau < NEWTON_MIN_TAU or
-    NEWTON_STEPS steps without convergence give None.
+    1 until, at eta + tau d, every cell holds at least eps0, half the least
+    of the start's masses and of g, and the node residual falls to
+    (1 - tau / 2) times its last value (Kitagawa, Merigot and Thibert's
+    damping), so it falls strictly.  A singular system, tau <
+    NEWTON_MIN_TAU or NEWTON_STEPS steps without convergence give None.
     """
     b1 = b[0]
     eta = np.log(b / b1)
     err = float(np.max(np.abs(masses - g)))
+    eps0 = 0.5 * min(float(masses.min()), float(g.min()))
     residuals = []
     for _ in range(NEWTON_STEPS):
+        if err <= delta:
+            return b, masses, residuals
         H = kernels.soup_jacobian(denom, b, top.win, src.nodes, src.tris,
                                   src.f)
         try:
@@ -370,43 +378,115 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
                 top_t = kernels.Top2.of(denom, b_t)
                 m_t = kernels.masses(top_t, denom, b_t, src.weights)
             err_t = float(np.max(np.abs(m_t - g)))
-            if err_t <= (1.0 - 0.5 * tau) * err:
+            if m_t.min() >= eps0 and err_t <= (1.0 - 0.5 * tau) * err:
                 break
             tau *= 0.5
         else:
             return None
         eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
         residuals.append(err / src.total)
-        if err <= delta:
-            return b, masses, residuals
-    return None
+    return (b, masses, residuals) if err <= delta else None
+
+
+def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
+           b1: float) -> np.ndarray:
+    """The closed-form radii that the 3D Newton solve starts from, with
+    b[0] = b1 exactly.
+
+    With x^ the Euclidean direction of a node and q^_k that of p2(m_k),
+    -log denom_k(x) is const + 2 s beta0 x^.q^_k to second order in the
+    angle between them, beta0 = kappa / (2 |1 - kappa|) and s the pair's
+    sign.  So log b_k = -2 beta0 q^_k.v makes the cells the spherical
+    Voronoi cells of the q^_k over the points c - s (R / theta)(x^ - a):
+    a is the cap's axis and theta its half-angle, c the normalised mean of
+    the q^_k and R = 1.5 max_k |q^_k - c|, so the cap's image covers every
+    target.  v is (theta / R) c + s a."""
+    q = norm_gradient(pair.n2, tgt.directions)
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    x = src.nodes / np.linalg.norm(src.nodes, axis=1)[:, None]
+    a = x.sum(axis=0)
+    a /= np.linalg.norm(a)
+    theta = float(np.arccos(np.clip(short_matmul(x, a).min(), -1.0, 1.0)))
+    c = q.sum(axis=0)
+    c /= np.linalg.norm(c)
+    R = 1.5 * float(np.linalg.norm(q - c, axis=1).max())
+    v = (theta / R if R > 0.0 else 0.0) * c + pair.sign * a
+    beta0 = pair.kappa / (2.0 * abs(1.0 - pair.kappa))
+    with np.errstate(over="ignore"):
+        return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
+
+
+def _newton_start(pair: MediumPair, src: SourceDensity,
+                  tgt: TargetMeasure, denom, b1: float, delta: float):
+    """Newton from `_start`'s radii: a Refractor, or None where the start
+    leaves a cell empty or Newton fails.
+
+    A cell k >= 2 the start leaves empty is repaired once, by the sweep's
+    update (`_fill_radius` on `kernels.win_thresholds`) aimed at half its
+    mass; radii only shrink there, so the state stays exact.  An empty
+    anchor cell, an empty cell after the repair or a target that cannot
+    absorb that mass give None."""
+    g, w = tgt.masses, src.weights
+    b = _start(pair, src, tgt, b1)
+    if not np.all(np.isfinite(b) & (b > 0.0)):
+        return None
+    top = kernels.Top2.of(denom, b)
+    masses = kernels.masses(top, denom, b, w)
+    if masses[0] <= 0.0:
+        return None
+    empty = np.flatnonzero(masses <= 0.0)
+    for k in empty:
+        s = kernels.win_thresholds(denom, top, k)
+        try:
+            b[k] = _fill_radius(s, w, b[k], 0.5 * g[k], 0.25 * g[k], k,
+                                w.mean())
+        except InfeasibleTarget:
+            return None
+        kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
+    if empty.size:
+        masses = kernels.masses(top, denom, b, w)
+        if masses.min() <= 0.0:
+            return None
+    start = float(np.max(np.abs(masses - g))) / src.total
+    done = _newton(denom, src, g, b, top, masses, delta)
+    if done is None:
+        return None
+    radii, masses, residuals = done
+    history = [start] + residuals
+    info = SolveInfo(newton_steps=len(residuals), residual=history[-1],
+                     residual_history=history, updates=empty.size,
+                     band_misses=empty.size, masses=masses)
+    return Refractor(pair, tgt, radii, info=info)
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-                   b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
-                   init_factor: float = 1.0) -> Refractor:
+                   b1: float, tol: float = 1e-3,
+                   max_sweeps: int = 10_000) -> Refractor:
     """Design in either regime: unique radii (b_1 fixed) with residual
     <= tol * total.
 
-    The sweep (`_sweep`) designs 2D problems alone.  In 3D it pauses the
-    first time every cell holds at least half its mass and tries the Newton
-    finish (`_newton`); if that fails, the sweep resumes from where it
-    paused, so its stops, messages and errors are the sweep's own.
-
-    init_factor >= 1 scales the inactive-surface initialization; any value
-    keeps the construction admissible, so re-solving with a different factor
-    probes uniqueness at the quadrature scale.
+    In 3D, damped Newton steps (`_newton`) start from a closed-form start,
+    checked for empty cells (`_newton_start`).  If that fails, the sweep
+    (`_sweep`) runs from its own start, pauses the first time every cell
+    holds mass and tries Newton once more; if that fails too, the sweep
+    resumes from where it paused, so its stops, messages and errors are the
+    sweep's own.  2D problems are designed by the sweep alone.
     """
-    return _sweep(pair, src, tgt, b1, tol, max_sweeps, init_factor,
-                  newton=pair.dim == 3)
+    return _sweep(pair, src, tgt, b1, tol, max_sweeps, newton=pair.dim == 3)
 
 
 def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
            b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
            init_factor: float = 1.0, newton: bool = False) -> Refractor:
-    """The monotone radius sweep of `solve_discrete`; with newton, it tries
-    the Newton finish once, the first time every cell holds at least half
-    its mass."""
+    """The monotone radius sweep of `solve_discrete`.  With newton it first
+    tries Newton from the closed-form start, and then, from the sweep's
+    own start, tries the Newton finish once, the first time every cell
+    holds mass.
+
+    init_factor >= 1 scales the inactive-surface initialization; any value
+    keeps the construction admissible, so re-solving with a different factor
+    probes uniqueness at the quadrature scale.
+    """
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -425,7 +505,6 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     # column-major: the sweep reads one target's column at a time
     denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
 
-    # every other surface starts above the anchor's at every node, inactive
     bad = np.flatnonzero(denom[:, 0] <= 0.0)
     if bad.size:
         unreached = int(np.sum(np.all(denom[bad] <= 0.0, axis=1)))
@@ -433,6 +512,20 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             f"{bad.size} nodes (first: {int(bad[0])}) are outside the anchor "
             f"target's domain, {unreached} of them outside every target's; "
             "the construction needs the anchor m_1 to reach every node")
+    # the anchor's surface is the envelope at the sweep's start; an extreme
+    # b1 overflows b1 / denom, which this check names
+    with np.errstate(over="ignore"):
+        first = b1 / denom[:, 0]
+    if not np.all((first >= np.finfo(float).tiny) & (first < np.inf)):
+        raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
+                              "outside the normal float range")
+    delta = tol * src.total
+    if newton:
+        done = _newton_start(pair, src, tgt, denom, b1, delta)
+        if done is not None:
+            return done
+
+    # every other surface starts above the anchor's at every node, inactive
     b = np.empty(N)
     b[0] = b1
     for i in range(1, N):
@@ -442,18 +535,13 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
         b[i] = b1 * ratio * (1.0 + 1e-6) * init_factor
 
-    delta = tol * src.total
     delta_c = 0.9 * delta / max(1, N - 1)
     half_band = 0.5 * delta_c
     w_mean = w.mean()
     info = SolveInfo()
-    # radii only shrink from here on, which keeps this state exact; an
-    # extreme b1 overflows b / denom, which the check below names
+    # radii only shrink from here on, which keeps this state exact
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
-    if not np.all((top.first >= np.finfo(float).tiny) & (top.first < np.inf)):
-        raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
-                              "outside the normal float range")
     bands = [None] * N  # per target: `_band` of its last full pass
 
     for sweep in range(max_sweeps):
@@ -465,7 +553,7 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         if resid <= delta:
             info.masses = masses
             return Refractor(pair, tgt, b, info=info)
-        if newton and np.all(masses >= 0.5 * g):
+        if newton and np.all(masses > 0.0):
             newton = False  # tried once
             done = _newton(denom, src, g, b, top, masses, delta)
             if done is not None:
@@ -505,17 +593,20 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                 moved = True
         if not moved:
             # no radius moved, so every later sweep would repeat this one
-            stop = f"the sweep stagnated after {sweep + 1} sweeps"
+            stop, sweeps = "stagnated", sweep + 1
+            why = f"the sweep stagnated after {sweeps} sweeps"
             break
     else:
-        stop = f"after {max_sweeps} sweeps"
+        stop, sweeps = "budget", max_sweeps
+        why = f"after {max_sweeps} sweeps"
     deficit = (g - masses) / src.total
     under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
     raise NonConvergence(
-        f"residual {info.residual:.3e} > tol {tol:.3e}: {stop}; most "
+        f"residual {info.residual:.3e} > tol {tol:.3e}: {why}; most "
         f"under-filled: target {under} (deficit {deficit[under]:+.3e} of the "
         f"total), most over-filled: target {over} ({deficit[over]:+.3e}) "
-        "(tolerance is below the quadrature resolution?)")
+        "(tolerance is below the quadrature resolution?)",
+        stop=stop, sweeps=sweeps, deficit=deficit)
 
 
 # perfbench/spans.py looks this name up on the module

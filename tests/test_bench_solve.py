@@ -1,6 +1,6 @@
 """The solve benchmark runs end to end on a tiny grid, with a row whose
-solve raises, its CLI rows and its import row, and writes the documented
-keys."""
+solve raises and a row of other media, its CLI rows and its import row, and
+writes the documented keys."""
 
 import json
 import subprocess
@@ -15,7 +15,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_solve.py"
 def test_bench_solve_smoke(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
-                    "--grid", "2000x3,13x5,2000x8", "--repeats", "1",
+                    "--grid", "2000x3,13x5,2000x8:case2", "--repeats", "1",
                     "--baseline", str(SRC), "--baseline-label", "same"],
                    env=src_env(), check=True, capture_output=True,
                    timeout=120)
@@ -23,25 +23,35 @@ def test_bench_solve_smoke(tmp_path):
     assert {"benchmark", "problem", "environment", "repeats", "versions",
             "rows", "cli_rows", "import_row"} <= set(result)
     assert result["versions"] == ["current", "same"]
-    assert [(r["J"], r["N"]) for r in result["rows"]] == [
-        (2000, 3), (13, 5), (2000, 8)]
+    assert [(r["J"], r["N"], r["media"]) for r in result["rows"]] == [
+        (2000, 3, "iso"), (13, 5, "iso"), (2000, 8, "case2")]
     for row in result["rows"]:
         assert row["same_result"] is True
         for name in result["versions"]:
             run = row[name]
             assert set(run) == {"solve_s", "solve_s_runs", "quadrature_s",
                                 "sweeps", "newton_steps", "updates",
-                                "band_misses", "digest", "error"}
+                                "band_misses", "residual", "stop", "digest",
+                                "error"}
             assert len(run["solve_s_runs"]) == 1
             assert run["solve_s"] > 0
             if row["J"] == 13:  # 13 nodes cannot balance 5 targets
                 assert run["error"]["type"] == "NonConvergence"
-                assert "the sweep stagnated" in run["error"]["message"]
-                assert run["digest"] is run["sweeps"] is None
+                message = run["error"]["message"]
+                assert "the sweep stagnated" in message
+                # the stop reason, sweeps and residual as fields
+                assert run["stop"] == "stagnated"
+                assert f"after {run['sweeps']} sweeps" in message
+                assert f"residual {run['residual']:.3e} >" in message
+                assert run["digest"] is run["newton_steps"] is None
                 continue
-            assert run["error"] is None
-            assert 0 < run["band_misses"] <= run["updates"]
+            assert run["error"] is None and run["stop"] == "converged"
+            assert 0 < run["residual"] <= 1e-3
             assert run["newton_steps"] > 0
+            if run["sweeps"] == 0:  # Newton from the closed-form start
+                assert run["band_misses"] == run["updates"] == 0
+            else:
+                assert 0 < run["band_misses"] <= run["updates"]
         # the largest relative difference of the versions' radii
         assert row["radii_rel_diff"] == (None if row["J"] == 13 else 0.0)
     # the CLI rows: the golden problem and the 20k x 20 grid row, designed

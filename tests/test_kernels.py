@@ -273,11 +273,14 @@ def soup_instance(media, case2, count, seed):
     return pair.denominators(src.nodes, tgt.directions), b, src
 
 
-@pytest.mark.parametrize("media, case2, count, seed", [
+SOUP_CASES = [
     ("isotropic", False, 4, 0), ("isotropic", True, 3, 1),
     ("ellipsoidal", False, 5, 2), ("ellipsoidal", True, 4, 3),
     ("lq", False, 4, 4), ("lq", True, 3, 5),
-])
+]
+
+
+@pytest.mark.parametrize("media, case2, count, seed", SOUP_CASES)
 def test_soup_jacobian_matches_clipped_masses(media, case2, count, seed):
     # the Jacobian is symmetric, its rows sum to zero, its off-diagonal
     # entries are >= 0, and it is the derivative of the exactly clipped
@@ -300,3 +303,55 @@ def test_soup_jacobian_matches_clipped_masses(media, case2, count, seed):
               - soup_masses(denom, b * np.exp(-step), src.nodes, src.tris,
                             src.f)) / (2.0 * h)
         assert np.allclose(fd, H[:, k], rtol=0, atol=1e-6 * scale)
+
+
+def floor_candidates(phi, win):
+    """The looser candidate bound: targets whose largest vertex phi reaches
+    max_l min_v phi_l (win is not read)."""
+    floor = phi.min(axis=1).max(axis=0)
+    return np.nonzero((phi.max(axis=1) >= floor).T)
+
+
+def lq_instance_50():
+    """iso(0.5) -> lq(3) on a 3000-node cap with 50 targets, at radii
+    designed to a coarse tolerance."""
+    from conftest import admissible_instance, media_pairs
+    from refractor.solver import TargetMeasure, solve_discrete
+
+    rng = np.random.default_rng(6)
+    pair, src, dirs = admissible_instance(media_pairs("lq", True, 3, rng),
+                                          rng, 0.2, 3000, 50, 0.1)
+    g = rng.uniform(0.5, 1.5, 50)
+    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+    b = solve_discrete(pair, src, tgt, 1.0, tol=0.05).radii
+    return pair.denominators(src.nodes, tgt.directions), b, src
+
+
+@pytest.mark.parametrize("case", SOUP_CASES + ["lq_50"])
+def test_soup_jacobian_candidates_match_the_floor_bound(monkeypatch, case):
+    # keeping only targets that reach every vertex winner's phi at some
+    # vertex drops no boundary: the matrix is the looser bound's within
+    # 1e-12 of its largest entry, from fewer candidates
+    denom, b, src = lq_instance_50() if case == "lq_50" else \
+        soup_instance(*case)
+    denom = np.asfortranarray(denom)
+    win = kernels.Top2.of(denom, b).win
+    counts, candidates = [], kernels._candidates
+
+    def counting(bound):
+        def count(phi, win):
+            t, k = bound(phi, win)
+            counts.append(t.size)
+            return t, k
+        return count
+
+    H = {}
+    for name, bound in (("vertex", candidates), ("floor", floor_candidates)):
+        monkeypatch.setattr(kernels, "_candidates", counting(bound))
+        H[name] = kernels.soup_jacobian(denom, b, win, src.nodes, src.tris,
+                                        src.f)
+    scale = np.abs(H["floor"]).max()
+    assert np.all(np.abs(H["vertex"] - H["floor"]) <= 1e-12 * scale)
+    assert counts[0] <= counts[1]
+    if denom.shape[1] == 50:
+        assert counts[0] < counts[1] / 2

@@ -157,6 +157,10 @@ def test_solve_single_target():
     r = solve_discrete(pair, src, tgt, b1=0.8, tol=1e-3)
     assert r.radii[0] == 0.8
     assert refractor_measure(r, src).masses[0] == pytest.approx(src.total)
+    # the start is the design: no sweep and no Newton step
+    assert (r.info.sweeps, r.info.newton_steps, r.info.updates) == (0, 0, 0)
+    assert r.info.residual_history == [r.info.residual]
+    assert r.info.residual <= 1e-12
 
 
 def bisection_oracle_two_targets(pair, src, tgt, b1, tol=1e-10):
@@ -200,6 +204,7 @@ def test_solve_caseII_single_target():
     r = solve_discrete(pair, src, tgt, b1=0.6, tol=1e-3)
     assert r.radii[0] == 0.6
     assert refractor_measure(r, src).masses[0] == pytest.approx(src.total)
+    assert (r.info.sweeps, r.info.newton_steps) == (0, 0)
 
 
 def test_solve_caseII_two_targets_matches_oracle():
@@ -226,9 +231,10 @@ def test_solve_residual_and_refinement():
 
 
 def test_solve_other_initialization_agrees():
+    # the sweep alone, from another admissible start, designs the same radii
     pair, src, tgt = small_instance(nodes=2500, count=5, seed=5)
     r1 = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    r2 = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3, init_factor=2.0)
+    r2 = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3, init_factor=2.0)
     assert np.max(np.abs(r2.radii - r1.radii) / r1.radii) <= 1e-2
 
 
@@ -699,15 +705,17 @@ def test_balance_required():
     ({"b1": 1e-310}, "b1 = 1e-310 puts start heights b1 / denom outside"),
 ])
 def test_invalid_solve_arguments(kwargs, message):
+    # init_factor is the sweep's alone: solve_discrete takes none
     pair, src, tgt = small_instance(nodes=300)
+    solve = solver._sweep if "init_factor" in kwargs else solve_discrete
     with pytest.raises(ValidationError, match=message):
-        solve_discrete(pair, src, tgt, **{"b1": 1.0, **kwargs})
+        solve(pair, src, tgt, **{"b1": 1.0, **kwargs})
 
 
 @pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5)],
                          ids=["case1", "case2"])
 def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
-    # the sweep and the Newton finish read their masses from the winners of
+    # the sweep and the Newton steps read their masses from the winners of
     # a best/second-best state: a mass evaluation tallies only the tied
     # rows, never all J
     pair, src, tgt = small_instance(n1, n2, nodes=3000, count=8)
@@ -724,12 +732,19 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
 
     monkeypatch.setattr(kernels, "tally", recording)
     monkeypatch.setattr(kernels, "masses", counting)
-    r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
-    assert r.info.newton_steps > 0
-    assert len(evaluations) > r.info.sweeps + 1
-    # an evaluation with no tied row makes no tally call
+    r = solver._sweep(pair, src, tgt, b1=1.0, tol=2e-3)
+    assert len(evaluations) == r.info.sweeps + 1
+    # an evaluation with no tied row makes no tally call; the sweep's jump
+    # updates tie a node now and then
     assert 0 < len(rows) <= len(evaluations)
     assert max(rows) < src.count
+    rows.clear()
+    evaluations.clear()
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
+    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert len(evaluations) > r.info.newton_steps
+    assert len(rows) <= len(evaluations)
+    assert all(n < src.count for n in rows)
 
 
 def newton_instance(media, case2, seed, nodes=3000, count=8):
@@ -747,9 +762,10 @@ def newton_instance(media, case2, seed, nodes=3000, count=8):
 @pytest.mark.parametrize("media", ["isotropic", "ellipsoidal", "lq"])
 @pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
 def test_newton_finish_agrees_with_sweep(media, case2):
-    # in 3D the Newton finish designs what the sweep alone designs, within
-    # the quadrature scale, with the node residual <= tol; radii[0] is b1,
-    # and its residuals extend the sweep's and never rise
+    # in 3D Newton designs what the sweep alone designs, within the
+    # quadrature scale, with the node residual <= tol; radii[0] is b1, and
+    # the residuals fall strictly, from the closed-form start's or, where
+    # that start falls back to the sweep, from where the sweep paused
     pair, src, tgt, tol = newton_instance(media, case2, seed=7)
     r = solve_discrete(pair, src, tgt, b1=1.3, tol=tol)
     o = solver._sweep(pair, src, tgt, b1=1.3, tol=tol)
@@ -761,12 +777,14 @@ def test_newton_finish_agrees_with_sweep(media, case2):
     assert rep.residual == r.info.residual <= tol
     hist = r.info.residual_history
     assert len(hist) == r.info.sweeps + r.info.newton_steps + 1
-    assert hist[:r.info.sweeps + 1] == o.info.residual_history[
-        :r.info.sweeps + 1]
     newton = hist[r.info.sweeps:]
     assert all(b < a for a, b in zip(newton, newton[1:]))
-    # the pause: the first sweep whose every cell holds half its mass
-    assert r.info.sweeps < o.info.sweeps
+    if r.info.sweeps:
+        # the fallback: the sweep's own residuals up to the first sweep
+        # whose every cell holds mass
+        assert hist[:r.info.sweeps + 1] == o.info.residual_history[
+            :r.info.sweeps + 1]
+        assert r.info.sweeps < o.info.sweeps
 
 
 def test_newton_designs_where_the_sweep_stalls():
@@ -827,6 +845,102 @@ def test_2d_solve_is_the_sweep():
     assert r.info.newton_steps == 0
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.residual_history == o.info.residual_history
+
+
+def start_masses(pair, src, tgt):
+    """The node masses at `_start`'s radii, before any repair."""
+    denom = pair.denominators(src.nodes, tgt.directions)
+    b = solver._start(pair, src, tgt, 1.0)
+    return kernels.masses(kernels.Top2.of(denom, b), denom, b, src.weights)
+
+
+DIAGONAL = (Norm.ellipsoidal(np.diag([1.7, 1.55, 1.6])),
+            Norm.ellipsoidal(np.diag([1.0, 0.95, 1.05])))
+
+
+@pytest.mark.parametrize("off_axis", [False, True], ids=["axis", "off_axis"])
+@pytest.mark.parametrize("media", ["isotropic", "ellipsoidal", "lq"])
+@pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
+def test_start_leaves_no_cell_empty(monkeypatch, case2, media, off_axis):
+    # after the check and repair every cell of the closed-form start holds
+    # mass, and Newton designs from it with no sweep.  The ellipsoidal pair
+    # is the diagonal one of `aniso_case1` (reversed in Case II); the
+    # anchor is the best-aligned target, or the one farthest from the mean
+    # direction
+    starts, newton = [], solver._newton
+
+    def recording(denom, src, g, b, top, masses, delta):
+        starts.append(masses.copy())
+        return newton(denom, src, g, b, top, masses, delta)
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        if media == "ellipsoidal":
+            n1, n2 = DIAGONAL[::-1] if case2 else DIAGONAL
+            draw = lambda: MediumPair(n1, n2)
+        else:
+            draw = media_pairs(media, case2, 3, rng)
+        pair, src, dirs = admissible_instance(draw, rng, 0.2, 3000, 12, 0.1)
+        if off_axis:
+            far = int(np.argmax(np.linalg.norm(dirs - dirs.mean(0), axis=1)))
+            dirs[[0, far]] = dirs[[far, 0]]
+        g = rng.uniform(0.5, 1.5, 12)
+        tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+        tol = max(1e-3, 1.3 * 11 * np.max(src.weights) / src.total)
+        starts.clear()
+        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+        assert r.info.sweeps == 0 and r.info.newton_steps > 0
+        assert len(starts) == 1 and starts[0].min() > 0.0
+        assert refractor_measure(r, src).residual <= tol
+
+
+def test_repaired_start_designs():
+    # the start leaves a cell empty; the repair lowers its radius to half
+    # its mass, counted as one full-pass update, and Newton designs from
+    # there with no sweep
+    pair, src, tgt, tol = newton_instance("lq", False, seed=0, count=20)
+    empty = np.flatnonzero(start_masses(pair, src, tgt) <= 0.0)
+    assert empty.size and 0 not in empty
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert r.info.updates == r.info.band_misses == empty.size
+    assert refractor_measure(r, src).residual <= tol
+
+
+def test_unrepairable_start_falls_back():
+    # strongly anisotropic random pairs can defeat the closed-form start:
+    # here cells 3 and 7 are empty and repairing them empties cells 2 and
+    # 6, and there the anchor's cell is empty, which no repair of another
+    # radius fills.  Both design through the sweep's fallback, and Newton
+    # finishes once every cell holds mass
+    for seed, count, anchor_empty in ((2, 8, False), (7, 8, True)):
+        pair, src, tgt, tol = newton_instance("ellipsoidal", False, seed,
+                                              count=count)
+        masses = start_masses(pair, src, tgt)
+        assert (masses[0] <= 0.0) == anchor_empty and masses.min() <= 0.0
+        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+        o = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+        assert 0 < r.info.sweeps < o.info.sweeps
+        assert r.info.newton_steps > 0
+        assert r.info.residual_history[:r.info.sweeps + 1] == \
+            o.info.residual_history[:r.info.sweeps + 1]
+        assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
+        assert refractor_measure(r, src).residual <= tol
+
+
+def test_start_residuals_fall_strictly():
+    # the history starts at the start's residual and falls strictly, step
+    # by step, to the tolerance
+    pair, src, tgt = small_instance(nodes=4000, count=12, seed=2)
+    masses = start_masses(pair, src, tgt)
+    assert masses.min() > 0.0
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
+    hist = r.info.residual_history
+    assert r.info.sweeps == 0 and len(hist) == r.info.newton_steps + 1 > 2
+    assert hist[0] == float(np.max(np.abs(masses - tgt.masses))) / src.total
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert hist[-1] == r.info.residual <= 1e-3
 
 
 def test_convergence_log_monotone_after_warmup():
