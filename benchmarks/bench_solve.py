@@ -17,7 +17,8 @@ that builds the quadrature (timed apart) and then times one
 also solved by the ``refractor`` package in that source directory, and the
 two alternate run by run, so both see the same drift in machine speed.
 Each row reports the median solve time and every run, the sweeps, the
-Newton steps, the target-radius updates, the updates that read all J nodes
+Newton steps and trial steps (accepted or rejected; null for a version
+that does not count them), the target-radius updates, the updates that read all J nodes
 (``band_misses``; null for a version that does not count them), the
 residual, why the solve stopped (``stop``: "converged", or the
 ``NonConvergence`` reason, "stagnated" or "budget") and a digest of the
@@ -127,6 +128,7 @@ def solve_once(J: int, N: int, media: str) -> dict:
     return {"solve_s": solve, "quadrature_s": quadrature,
             "sweeps": r.info.sweeps,
             "newton_steps": getattr(r.info, "newton_steps", None),
+            "newton_trials": getattr(r.info, "newton_trials", None),
             "updates": getattr(r.info, "updates", None),
             "band_misses": getattr(r.info, "band_misses", None),
             "residual": r.info.residual, "stop": "converged",
@@ -232,8 +234,8 @@ def run_child(src: Path, J: int, N: int, media: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-RUN_KEYS = ("sweeps", "newton_steps", "updates", "band_misses", "residual",
-            "stop", "digest", "error")
+RUN_KEYS = ("sweeps", "newton_steps", "newton_trials", "updates",
+            "band_misses", "residual", "stop", "digest", "error")
 
 
 def summary(runs: list[dict]) -> dict:

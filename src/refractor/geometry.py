@@ -6,7 +6,9 @@ counts around the axis, with the outermost ring on the rim; the mesh between
 consecutive rings is written down directly from the ring structure, and is
 positively oriented in the gnomonic chart.  Node weights are one third of
 the area of the incident triangles measured after mapping the vertices onto
-the wave-front sphere, so the chart Jacobian is picked up automatically.
+the wave-front sphere, so the chart Jacobian is picked up automatically;
+the doubled triangle areas they come from are returned with them, for the
+triangle masses of the simplex soup.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+AREA_BLOCK = 8192  # triangles per block of `node_area_weights`
 
 
 def short_matmul(x, m) -> np.ndarray:
@@ -117,19 +120,21 @@ def fibonacci_cap(axis, angle: float, count: int) -> np.ndarray:
     if axis.shape[0] == 2:
         theta = np.linspace(-angle, angle, count) if count > 1 \
             else np.zeros(1)
-        pts = np.stack([np.sin(theta), np.cos(theta)], axis=-1)
-        return short_matmul(pts, R.T)
+        return short_matmul(np.stack([np.sin(theta), np.cos(theta)]).T, R.T)
     theta, n = _rings(angle, count)
-    start = np.cumsum(n) - n
-    i = np.arange(count - 1) - np.repeat(start, n)
-    phi = 2.0 * np.pi * (i + 0.5) / np.repeat(n, n)
-    t = np.repeat(theta, n)
-    pts = np.empty((count, 3))
-    pts[0] = (0.0, 0.0, 1.0)
-    pts[1:, 0] = np.sin(t) * np.cos(phi)
-    pts[1:, 1] = np.sin(t) * np.sin(phi)
-    pts[1:, 2] = np.cos(t)
-    return short_matmul(pts, R.T)
+    # the rows x, y, z of the nodes before the rotation; each ring's sine
+    # and cosine of its polar angle are taken once and repeated
+    pts = np.empty((3, count))
+    pts[:, 0] = (0.0, 0.0, 1.0)
+    phi = np.arange(count - 1) - np.repeat(np.cumsum(n) - n, n) + 0.5
+    phi *= 2.0 * np.pi
+    phi /= np.repeat(n, n)
+    np.cos(phi, out=pts[0, 1:])
+    np.sin(phi, out=pts[1, 1:])
+    del phi  # before the rotation allocates its result
+    pts[:2, 1:] *= np.repeat(np.sin(theta), n)
+    pts[2, 1:] = np.repeat(np.cos(theta), n)
+    return short_matmul(pts.T, R.T)
 
 
 def cap_triangulation(angle: float, count: int, dim: int) -> np.ndarray:
@@ -155,33 +160,90 @@ def cap_triangulation(angle: float, count: int, dim: int) -> np.ndarray:
     # ring 1 gets the fan) and node ceil(e n_out / n_k) - 1 of the ring
     # outside.
     start = np.cumsum(n) - n
+    m = count - 1             # inward triangles: one per edge of rings 1..K
+    o = m - n[-1]             # outward ones: one per edge of rings 1..K-1
+    tris = np.empty((m + o, 3), np.intp)
     node = np.arange(1, count)
-    k = np.repeat(np.arange(1, n.size), n[1:])
-    e = node - start[k]
-    prev = start[k] + (e - 1) % n[k]
-    inward = np.stack([prev, node, start[k - 1] + e * n[k - 1] // n[k]],
-                      axis=-1)
-    o = k < n.size - 1
-    k, e = k[o], e[o]
-    outward = np.stack([prev[o],
-                        start[k + 1] + (e * n[k + 1] - 1) // n[k] % n[k + 1],
-                        node[o]], axis=-1)
-    return np.concatenate([inward, outward])
+    # an edge's first node is node - 1, except at a ring's first edge
+    prev = node - 1
+    prev[start[1:] - 1] += n[1:]
+    e = node - np.repeat(start[1:], n[1:])
+    n_k = np.repeat(n[1:], n[1:])
+    inner = e * np.repeat(n[:-1], n[1:])
+    inner //= n_k
+    inner += np.repeat(start[:-1], n[1:])
+    tris[:m, 0], tris[:m, 1], tris[:m, 2] = prev, node, inner
+    outer = e[:o] * np.repeat(n[2:], n[1:-1])
+    outer -= 1
+    outer //= n_k[:o]
+    outer += np.repeat(start[2:], n[1:-1])
+    # at e = 0 that is node -1 of the ring outside: its last node
+    outer[start[1:-1] - 1] += n[2:]
+    tris[m:, 0], tris[m:, 1], tris[m:, 2] = prev[:o], outer, node[:o]
+    return tris
 
 
-def node_area_weights(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Per-node share of surface area: one third (half in 2D) of each incident
-    triangle (segment) measured on the given embedded points."""
-    if points.shape[1] == 2:
-        share = 0.5 * np.linalg.norm(points[tris[:, 1]] - points[tris[:, 0]],
-                                     axis=-1)
+def _edge_vectors(cols, tris) -> list:
+    """The vectors from each simplex's vertex 0 to its other vertices, one
+    list of coordinate rows per vertex: 1-D gathers of each coordinate row
+    of the points at each vertex column of tris."""
+    v0, *vs = tris.T
+    edges = [[c[v] for c in cols] for v in vs]
+    for c, *d in zip(cols, *edges):
+        a = c[v0]
+        for x in d:
+            x -= a
+    return edges
+
+
+def _cross(e, h) -> tuple:
+    """e x h of coordinate rows, with np.cross's products and differences;
+    e and h are overwritten."""
+    e0, e1, e2 = e
+    h0, h1, h2 = h
+    c0 = e1 * h2
+    c0 -= e2 * h1
+    c1 = np.multiply(e2, h0, out=e2)
+    c1 -= np.multiply(e0, h2, out=h2)
+    c2 = np.multiply(e0, h1, out=e0)
+    c2 -= np.multiply(e1, h0, out=h0)
+    return c0, c1, c2
+
+
+def _length(d) -> np.ndarray:
+    """The Euclidean length of coordinate rows d, summed in np.linalg.norm's
+    order; d is overwritten."""
+    s = np.multiply(d[0], d[0], out=d[0])
+    for x in d[1:]:
+        s += np.multiply(x, x, out=x)
+    return np.sqrt(s, out=s)
+
+
+def node_area_weights(points: np.ndarray,
+                      tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node share of surface area, one third (half in 2D) of each
+    incident triangle (segment) measured on the given embedded points, and
+    the sizes it is taken from: each triangle's doubled area (each
+    segment's length), bit for bit those of a row-wise cross product and
+    norm."""
+    cols = [np.ascontiguousarray(c) for c in points.T]
+    k = tris.shape[1]
+    size = np.empty(tris.shape[0])
+    # block by block, so that the temporaries stay small and are reused
+    for lo in range(0, tris.shape[0], AREA_BLOCK):
+        edges = _edge_vectors(cols, tris[lo:lo + AREA_BLOCK])
+        size[lo:lo + AREA_BLOCK] = _length(_cross(*edges) if k == 3
+                                           else edges[0])
+    # each vertex's share, laid out as tris is: half a length, a sixth of a
+    # doubled area
+    share = np.empty(tris.shape)
+    if k == 2:
+        np.multiply(size[:, None], 0.5, out=share)
     else:
-        a = points[tris[:, 0]]
-        share = np.linalg.norm(
-            np.cross(points[tris[:, 1]] - a, points[tris[:, 2]] - a), axis=-1
-        ) / 6.0
-    return np.bincount(tris.ravel(), weights=np.repeat(share, tris.shape[1]),
-                       minlength=points.shape[0])
+        np.divide(size[:, None], 6.0, out=share)
+    weights = np.bincount(tris.ravel(), weights=share.ravel(),
+                          minlength=points.shape[0])
+    return weights, size
 
 
 def format_float(x: float) -> str:

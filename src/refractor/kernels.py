@@ -181,17 +181,12 @@ def _ranges(start, count):
                                                        - count, count)
 
 
-def _mixed(win, nodes, tris, f):
+def _mixed(win, tris, tri_masses):
     """The triangles whose vertices have different winners, (3, T), and
-    their masses: area times the mean vertex density."""
+    their masses."""
     first = win[tris[:, 0]]
-    tri = tris[np.flatnonzero((first != win[tris[:, 1]])
-                              | (first != win[tris[:, 2]]))].T
-    x = nodes[tri]
-    e, h = x[1] - x[0], x[2] - x[0]
-    cross = e[:, [1, 2, 0]] * h[:, [2, 0, 1]] - e[:, [2, 0, 1]] * h[:, [1, 2, 0]]
-    return tri, (np.sqrt(np.sum(cross * cross, axis=1))
-                 * (f[tri[0]] + f[tri[1]] + f[tri[2]]) / 6.0)
+    t = np.flatnonzero((first != win[tris[:, 1]]) | (first != win[tris[:, 2]]))
+    return tris[t].T, tri_masses[t]
 
 
 def _candidates(phi, win):
@@ -208,12 +203,12 @@ def _candidates(phi, win):
     return np.nonzero(keep.T)
 
 
-def soup_jacobian(denom, b, win, nodes, tris, f):
+def soup_jacobian(denom, b, win, tris, tri_masses):
     """dM_i / dlog b_k of the simplex-soup measure, (N, N): each flat
-    triangle of the mesh tris over the nodes holds the mass m_T = its area
-    times the mean of the density f at its vertices, spread uniformly.
-    denom: the nodes' (J, N) denominators; win: a winner of each node at
-    radii b.
+    triangle of the mesh tris over the nodes holds its mass m_T (its area
+    times the mean of the source density at its vertices,
+    `SourceDensity.tri_masses`), spread uniformly.  denom: the nodes' (J, N)
+    denominators; win: a winner of each node at radii b.
 
     phi_k = denom_k / b_k is affine on a flat triangle, and cell i is where
     phi_i is largest, so a triangle whose three vertices share a winner lies
@@ -229,7 +224,7 @@ def soup_jacobian(denom, b, win, nodes, tris, f):
     diagonal is minus the row sums.
     """
     N = denom.shape[1]
-    tri, m_T = _mixed(win, nodes, tris, f)
+    tri, m_T = _mixed(win, tris, tri_masses)
     T = tri.shape[1]
     # phi at the vertices, (N, 3, T): a gather from each target's column
     phi = np.take(denom.T, tri, axis=1)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import format_float
 from .norms import MediumPair, Norm
-from .solver import SourceDensity, TargetMeasure
+from .solver import _DENSITIES, SourceDensity, TargetMeasure
 
 __all__ = ["ProblemSpec", "load_problem", "parse_pair", "dumps17",
            "write_json", "write_csv"]
@@ -150,7 +150,8 @@ def load_json_object(path) -> dict:
 
 def load_problem(source) -> ProblemSpec:
     """Parse and validate a problem from a path or a dict, refusing
-    node_count x targets above MAX_ENTRIES."""
+    node_count x targets above MAX_ENTRIES and unknown source densities
+    before anything is built."""
     raw = source if isinstance(source, dict) else load_json_object(source)
 
     _integer(raw.get("seed", 0), "seed")
@@ -171,6 +172,10 @@ def load_problem(source) -> ProblemSpec:
     node_count = _integer(_require(s, "node_count", "source"),
                           "source node_count")
     density = str(s.get("density", "uniform"))
+    if density not in _DENSITIES:
+        raise ValidationError(f"source density must be one of "
+                              f"{', '.join(map(repr, _DENSITIES))}, got "
+                              f"{density!r}")
 
     targets = _require(raw, "targets", "problem")
     if not (isinstance(targets, list)

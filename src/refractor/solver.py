@@ -50,13 +50,15 @@ class SourceDensity:
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
     positive weights w_j, plus the triangulation of the Euclidean directions
     the nodes were built from (for meshes, edge difference quotients and
-    the simplex soup of the 3D Newton steps)."""
+    the simplex soup of the 3D Newton steps) and the soup's masses."""
 
     nodes: np.ndarray      # (J, n) on Sigma1
     weights: np.ndarray    # (J,) positive
     tris: np.ndarray       # node triangles (segments when n = 2)
     total: float
     f: np.ndarray          # (J,) the density at the nodes
+    tri_masses: np.ndarray  # per triangle: its area times the mean of f at
+    #                         its vertices (per segment: its length times it)
 
     @classmethod
     def from_cap(cls, norm1: Norm, axis, angle: float, node_count: int,
@@ -64,20 +66,30 @@ class SourceDensity:
         """Ring-lattice quadrature of the cap {y.axis >= cos(angle)}
         (`fibonacci_cap`, triangulated by `cap_triangulation`), mapped onto
         Sigma1 by x = y / N1(y); node weights are local mapped triangle
-        areas times the density."""
+        areas times the density, and the triangle masses come from the same
+        areas."""
+        if density not in _DENSITIES:
+            raise ValidationError(f"unknown density {density!r}")
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         dirs = fibonacci_cap(axis, angle, node_count)
         tris = cap_triangulation(angle, node_count, axis.shape[0])
-        nodes = dirs / norm_eval(norm1, dirs)[:, None]
-        if density not in _DENSITIES:
-            raise ValidationError(f"unknown density {density!r}")
         f = _DENSITIES[density](dirs, axis)
-        w = f * node_area_weights(nodes, tris)
+        # x = y / N1(y), written over the directions
+        nodes = np.divide(dirs, norm_eval(norm1, dirs)[:, None], out=dirs)
+        area, size = node_area_weights(nodes, tris)
+        w = f * area
         if np.any(w <= 0.0):
             raise ValidationError("source weights must be positive")
+        # a doubled area times the sum of three vertex values, over 6 (a
+        # length times the sum of two, over 2)
+        mass = f[tris[:, 0]]
+        for v in tris.T[1:]:
+            mass += f[v]
+        mass *= size
+        mass /= 6.0 if tris.shape[1] == 3 else 2.0
         return cls(nodes=nodes, weights=w, tris=tris,
-                   total=float(np.sum(w)), f=f)
+                   total=float(np.sum(w)), f=f, tri_masses=mass)
 
     @property
     def count(self) -> int:
@@ -148,6 +160,8 @@ class TargetDensity:
 class SolveInfo:
     sweeps: int = 0
     newton_steps: int = 0  # accepted steps of the 3D Newton solve
+    newton_trials: int = 0  # its trial steps, accepted or rejected, in every
+    #                         Newton run: each rebuilds the Top2 state
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
     updates: int = 0      # target-radius updates (and start repairs)
@@ -340,11 +354,13 @@ NEWTON_STEPS = 30           # a Newton run's budget of steps
 NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
 
 
-def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
+def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
+            info: SolveInfo):
     """Damped Newton steps on the node residual from radii b, their state
     top and their masses, every one positive: (radii, masses, residuals)
     once max|M - g| <= delta, or None.  The arrays given are left as they
-    are; the residuals are those of the accepted steps.
+    are; the residuals are those of the accepted steps.  Each trial step
+    adds one to info.newton_trials.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
@@ -363,8 +379,8 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
     for _ in range(NEWTON_STEPS):
         if err <= delta:
             return b, masses, residuals
-        H = kernels.soup_jacobian(denom, b, top.win, src.nodes, src.tris,
-                                  src.f)
+        H = kernels.soup_jacobian(denom, b, top.win, src.tris,
+                                  src.tri_masses)
         try:
             d = np.linalg.solve(H[1:, 1:], (g - masses)[1:])
         except np.linalg.LinAlgError:
@@ -375,6 +391,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta):
             with np.errstate(over="ignore", invalid="ignore"):
                 eta_t = np.r_[0.0, eta[1:] + tau * d]
                 b_t = b1 * np.exp(eta_t)
+                info.newton_trials += 1
                 top_t = kernels.Top2.of(denom, b_t)
                 m_t = kernels.masses(top_t, denom, b_t, src.weights)
             err_t = float(np.max(np.abs(m_t - g)))
@@ -417,9 +434,11 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
 
 
 def _newton_start(pair: MediumPair, src: SourceDensity,
-                  tgt: TargetMeasure, denom, b1: float, delta: float):
-    """Newton from `_start`'s radii: a Refractor, or None where the start
-    leaves a cell empty or Newton fails.
+                  tgt: TargetMeasure, denom, b1: float, delta: float,
+                  info: SolveInfo):
+    """Newton from `_start`'s radii: a Refractor that carries info, or None
+    where the start leaves a cell empty or Newton fails (info then counts
+    only the trial steps).
 
     A cell k >= 2 the start leaves empty is repaired once, by the sweep's
     update (`_fill_radius` on `kernels.win_thresholds`) aimed at half its
@@ -448,14 +467,14 @@ def _newton_start(pair: MediumPair, src: SourceDensity,
         if masses.min() <= 0.0:
             return None
     start = float(np.max(np.abs(masses - g))) / src.total
-    done = _newton(denom, src, g, b, top, masses, delta)
+    done = _newton(denom, src, g, b, top, masses, delta, info)
     if done is None:
         return None
-    radii, masses, residuals = done
-    history = [start] + residuals
-    info = SolveInfo(newton_steps=len(residuals), residual=history[-1],
-                     residual_history=history, updates=empty.size,
-                     band_misses=empty.size, masses=masses)
+    radii, info.masses, residuals = done
+    info.newton_steps = len(residuals)
+    info.residual_history = [start] + residuals
+    info.residual = info.residual_history[-1]
+    info.updates = info.band_misses = empty.size
     return Refractor(pair, tgt, radii, info=info)
 
 
@@ -520,8 +539,9 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
                               "outside the normal float range")
     delta = tol * src.total
+    info = SolveInfo()
     if newton:
-        done = _newton_start(pair, src, tgt, denom, b1, delta)
+        done = _newton_start(pair, src, tgt, denom, b1, delta, info)
         if done is not None:
             return done
 
@@ -538,7 +558,6 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     delta_c = 0.9 * delta / max(1, N - 1)
     half_band = 0.5 * delta_c
     w_mean = w.mean()
-    info = SolveInfo()
     # radii only shrink from here on, which keeps this state exact
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
@@ -555,7 +574,7 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             return Refractor(pair, tgt, b, info=info)
         if newton and np.all(masses > 0.0):
             newton = False  # tried once
-            done = _newton(denom, src, g, b, top, masses, delta)
+            done = _newton(denom, src, g, b, top, masses, delta, info)
             if done is not None:
                 radii, info.masses, residuals = done
                 info.newton_steps = len(residuals)

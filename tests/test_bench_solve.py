@@ -30,9 +30,9 @@ def test_bench_solve_smoke(tmp_path):
         for name in result["versions"]:
             run = row[name]
             assert set(run) == {"solve_s", "solve_s_runs", "quadrature_s",
-                                "sweeps", "newton_steps", "updates",
-                                "band_misses", "residual", "stop", "digest",
-                                "error"}
+                                "sweeps", "newton_steps", "newton_trials",
+                                "updates", "band_misses", "residual", "stop",
+                                "digest", "error"}
             assert len(run["solve_s_runs"]) == 1
             assert run["solve_s"] > 0
             if row["J"] == 13:  # 13 nodes cannot balance 5 targets
@@ -44,10 +44,13 @@ def test_bench_solve_smoke(tmp_path):
                 assert f"after {run['sweeps']} sweeps" in message
                 assert f"residual {run['residual']:.3e} >" in message
                 assert run["digest"] is run["newton_steps"] is None
+                assert run["newton_trials"] is None
                 continue
             assert run["error"] is None and run["stop"] == "converged"
             assert 0 < run["residual"] <= 1e-3
             assert run["newton_steps"] > 0
+            # every accepted step is a trial step, and rejected ones count
+            assert run["newton_trials"] >= run["newton_steps"]
             if run["sweeps"] == 0:  # Newton from the closed-form start
                 assert run["band_misses"] == run["updates"] == 0
             else:

@@ -269,6 +269,22 @@ def test_memory_guard_exit_code(tmp_path, capsys, command):
     assert "node_count 1000000000 times 3 targets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("density", ["gaussian", 3, None])
+def test_unknown_density_exit_code(tmp_path, capsys, monkeypatch, density):
+    # refused on load: no lattice, mesh or mapped nodes are built first
+    calls = []
+    monkeypatch.setattr("refractor.solver.fibonacci_cap",
+                        lambda *args: calls.append(args))
+    prob = json.loads(small_problem(tmp_path).read_text())
+    prob["source"]["density"] = density
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(prob))
+    assert main(["design", str(path)]) == 1
+    assert ("source density must be one of 'uniform', 'cosine', got "
+            f"{str(density)!r}") in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "nan"], "tol must be finite and positive, got nan"),
     (["--tol", "inf"], "tol must be finite and positive, got inf"),

@@ -71,7 +71,7 @@ def test_cap_triangulation_covers_nodes():
     pts = fibonacci_cap(axis, 0.3, 200)
     tris = cap_triangulation(0.3, 200, 3)
     assert set(tris.ravel()) == set(range(200))
-    w = node_area_weights(pts, tris)
+    w = node_area_weights(pts, tris)[0]
     assert np.all(w > 0)
     assert np.sum(w) == pytest.approx(2 * np.pi * (1 - np.cos(0.3)), rel=5e-3)
 
@@ -109,7 +109,7 @@ def test_cap_mesh_properties(count, angle):
     # at J = 12 the seven-node rim heptagon alone misses
     # 1 - 7 sin(2 pi / 7) / (2 pi) = 12.9 % of the cap, above 1/12
     area = 2.0 * np.pi * (1.0 - np.cos(angle))
-    total = np.sum(node_area_weights(dirs, tris))
+    total = np.sum(node_area_weights(dirs, tris)[0])
     assert total <= area
     assert area - total <= (2.0 if count == 12 else 1.0) / count * area
 
@@ -125,7 +125,7 @@ def test_node_area_weights_match_per_triangle_sum():
             size = np.linalg.norm(p[1] - p[0]) if len(t) == 2 else \
                 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))
             ref[t] += size / len(t)
-        assert np.allclose(node_area_weights(pts, tris), ref, rtol=1e-14,
+        assert np.allclose(node_area_weights(pts, tris)[0], ref, rtol=1e-14,
                            atol=0.0)
 
 
@@ -134,7 +134,7 @@ def test_cap_2d_ordering():
     pts = fibonacci_cap(axis, 0.5, 40)
     segs = cap_triangulation(0.5, 40, 2)
     assert segs.shape == (39, 2)
-    w = node_area_weights(pts, segs)
+    w = node_area_weights(pts, segs)[0]
     assert np.sum(w) == pytest.approx(2 * 0.5, rel=1e-3)
 
 

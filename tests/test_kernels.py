@@ -287,8 +287,8 @@ def test_soup_jacobian_matches_clipped_masses(media, case2, count, seed):
     # soup masses in log b (central differences)
     denom, b, src = soup_instance(media, case2, count, seed)
     win = kernels.Top2.of(np.asfortranarray(denom), b).win
-    H = kernels.soup_jacobian(np.asfortranarray(denom), b, win, src.nodes,
-                              src.tris, src.f)
+    H = kernels.soup_jacobian(np.asfortranarray(denom), b, win, src.tris,
+                              src.tri_masses)
     scale = np.abs(H).max()
     assert np.array_equal(H, H.T)
     assert np.all(np.abs(H.sum(axis=1)) <= 1e-12 * scale)
@@ -303,6 +303,37 @@ def test_soup_jacobian_matches_clipped_masses(media, case2, count, seed):
               - soup_masses(denom, b * np.exp(-step), src.nodes, src.tris,
                             src.f)) / (2.0 * h)
         assert np.allclose(fd, H[:, k], rtol=0, atol=1e-6 * scale)
+
+
+def recomputed_mixed(nodes, f):
+    """`kernels._mixed` with each mixed triangle's mass recomputed from its
+    vertices (cross product, then the mean vertex density) instead of
+    gathered from `SourceDensity.tri_masses`."""
+    def mixed(win, tris, tri_masses):
+        first = win[tris[:, 0]]
+        tri = tris[np.flatnonzero((first != win[tris[:, 1]])
+                                  | (first != win[tris[:, 2]]))].T
+        x = nodes[tri]
+        e, h = x[1] - x[0], x[2] - x[0]
+        cross = (e[:, [1, 2, 0]] * h[:, [2, 0, 1]]
+                 - e[:, [2, 0, 1]] * h[:, [1, 2, 0]])
+        return tri, (np.sqrt(np.sum(cross * cross, axis=1))
+                     * (f[tri[0]] + f[tri[1]] + f[tri[2]]) / 6.0)
+    return mixed
+
+
+@pytest.mark.parametrize("media, case2, count, seed", SOUP_CASES)
+def test_soup_jacobian_reads_the_recomputed_masses(monkeypatch, media, case2,
+                                                   count, seed):
+    # the masses the quadrature keeps are the ones the vertices give, so the
+    # Jacobian is bit for bit the one that recomputes them
+    denom, b, src = soup_instance(media, case2, count, seed)
+    denom = np.asfortranarray(denom)
+    win = kernels.Top2.of(denom, b).win
+    kept = kernels.soup_jacobian(denom, b, win, src.tris, src.tri_masses)
+    monkeypatch.setattr(kernels, "_mixed", recomputed_mixed(src.nodes, src.f))
+    assert np.array_equal(
+        kept, kernels.soup_jacobian(denom, b, win, src.tris, src.tri_masses))
 
 
 def floor_candidates(phi, win):
@@ -348,8 +379,8 @@ def test_soup_jacobian_candidates_match_the_floor_bound(monkeypatch, case):
     H = {}
     for name, bound in (("vertex", candidates), ("floor", floor_candidates)):
         monkeypatch.setattr(kernels, "_candidates", counting(bound))
-        H[name] = kernels.soup_jacobian(denom, b, win, src.nodes, src.tris,
-                                        src.f)
+        H[name] = kernels.soup_jacobian(denom, b, win, src.tris,
+                                        src.tri_masses)
     scale = np.abs(H["floor"]).max()
     assert np.all(np.abs(H["vertex"] - H["floor"]) <= 1e-12 * scale)
     assert counts[0] <= counts[1]

@@ -65,6 +65,10 @@ def test_validation_messages():
     prob["source"]["axis"] = [0.0, 1.0]
     with pytest.raises(ValidationError):
         load_problem(prob)
+    prob = base_problem()
+    prob["source"]["density"] = "gaussian"
+    with pytest.raises(ValidationError, match="source density must be one"):
+        load_problem(prob)
 
 
 def test_dumps17_round_trip():

@@ -742,7 +742,11 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
     evaluations.clear()
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
     assert r.info.sweeps == 0 and r.info.newton_steps > 0
-    assert len(evaluations) > r.info.newton_steps
+    # one evaluation at the start (and one after its repairs), then one per
+    # trial step, accepted or rejected
+    assert r.info.newton_trials >= r.info.newton_steps
+    assert len(evaluations) == (1 + (r.info.updates > 0)
+                                + r.info.newton_trials)
     assert len(rows) <= len(evaluations)
     assert all(n < src.count for n in rows)
 
@@ -869,9 +873,9 @@ def test_start_leaves_no_cell_empty(monkeypatch, case2, media, off_axis):
     # direction
     starts, newton = [], solver._newton
 
-    def recording(denom, src, g, b, top, masses, delta):
+    def recording(denom, src, g, b, top, masses, delta, info):
         starts.append(masses.copy())
-        return newton(denom, src, g, b, top, masses, delta)
+        return newton(denom, src, g, b, top, masses, delta, info)
 
     monkeypatch.setattr(solver, "_newton", recording)
     for seed in range(3):
