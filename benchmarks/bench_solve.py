@@ -6,10 +6,12 @@ and ``refractor design`` end to end.
 
 Each grid row ``JxN`` is an isotropic Case I problem: media 1.5 -> 1.0, a
 0.25 rad cap of J nodes, tol 1e-3 and b1 = 1.  ``JxN:case2`` swaps the
-media (isotropic Case II, 1.0 -> 1.5) and ``JxN:lq`` refracts from an
-isotropic 0.5 medium into an lq(3) one (Case II).  A row's targets come
-from ``numpy.random.default_rng(1)``: the cap axis, then N - 1 directions
-at axis + 0.1 N(0, I), with masses U(0.5, 1.5) scaled to the source total.
+media (isotropic Case II, 1.0 -> 1.5), ``JxN:lq`` refracts from an
+isotropic 0.5 medium into an lq(3) one (Case II) and ``JxN:2d`` is the
+isotropic 1.5 -> 1.0 row in the plane, on a 0.25 rad arc, which the sweep
+designs.  A row's targets come from ``numpy.random.default_rng(1)``: the
+cap axis, then N - 1 directions at axis + 0.1 N(0, I), with masses
+U(0.5, 1.5) scaled to the source total.
 
 Every timed solve runs in a fresh interpreter with OPENBLAS_NUM_THREADS=1
 that builds the quadrature (timed apart) and then times one
@@ -39,13 +41,19 @@ each run (it never reads below this script's own, about 27 MB with numpy
 imported), and compare the output files byte for byte across all runs and
 versions.
 
-The import row splits interpreter start and imports off those rows: it times
-``python -c "import numpy"`` and each version's ``python -c "import
-refractor.cli"`` in fresh interpreters, run by run, with the CLI rows' BLAS
-threads and PYTHONDONTWRITEBYTECODE=1, as perfbench's ops run.  So
-``refractor`` compiles from source on every import (unless a ``__pycache__``
-already sits in the source directory), and the row shows what the source
-size costs.
+The import rows split interpreter start and imports off those rows: they
+time ``python -c "import numpy"`` and each version's ``python -c "import
+refractor.cli"`` (``import_row``, what ``design`` loads before it solves)
+and ``python -c "import refractor.cli, refractor.transport"``
+(``verify_import_row``, what ``verify`` loads) in fresh interpreters, run
+by run, with the CLI rows' BLAS threads and PYTHONDONTWRITEBYTECODE=1, as
+perfbench's ops run.  So ``refractor`` compiles from source on every import
+(unless a ``__pycache__`` already sits in the source directory), and the
+rows show what the source size costs.  Each run reports its wall time
+(``wall_s``, interpreter start included) and the import statement's own
+seconds (``import_s``, timed inside the interpreter after ``import numpy``,
+as perfbench's ``refractor.import_s`` is); with a baseline, ``time_ratio``
+and ``import_ratio`` compare the medians.
 """
 
 from __future__ import annotations
@@ -70,10 +78,11 @@ CLI_GRID_ROW = (20000, 20)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI_THREADS = str(len(os.sched_getaffinity(0)))
 PROBLEM = ("isotropic Case I, 1.5 -> 1.0 (case2: 1.0 -> 1.5; lq: "
-           "isotropic 0.5 -> lq(3)), 0.25 rad cap, tol 1e-3, b1 = 1; "
-           "targets: the axis plus N - 1 at axis + 0.1 N(0, I) and masses "
-           "U(0.5, 1.5), from default_rng(1)")
-MEDIA = ("iso", "case2", "lq")
+           "isotropic 0.5 -> lq(3); 2d: 1.5 -> 1.0 in the plane), 0.25 rad "
+           "cap (2d: arc), tol 1e-3, b1 = 1; targets: the axis plus N - 1 at "
+           "axis + 0.1 N(0, I) and masses U(0.5, 1.5), from default_rng(1)")
+MEDIA = ("iso", "case2", "lq", "2d")
+VERIFY_IMPORT = "refractor.cli, refractor.transport"
 
 
 def media_pair(media: str):
@@ -82,17 +91,19 @@ def media_pair(media: str):
 
     if media == "lq":
         return MediumPair(Norm.isotropic(0.5), Norm.lq(3.0))
+    if media == "2d":
+        return MediumPair.isotropic(1.5, 1.0, dim=2)
     return MediumPair.isotropic(*((1.0, 1.5) if media == "case2"
                                   else (1.5, 1.0)))
 
 
-def draw_targets(N: int):
+def draw_targets(N: int, dim: int = 3):
     """The cap axis, and the directions and relative masses of N targets."""
     import numpy as np
 
-    axis = np.array([0.0, 0.0, 1.0])
+    axis = np.eye(dim)[-1]
     rng = np.random.default_rng(1)
-    m = np.vstack([axis, axis + 0.1 * rng.standard_normal((N - 1, 3))])
+    m = np.vstack([axis, axis + 0.1 * rng.standard_normal((N - 1, dim))])
     return axis, m, rng.uniform(0.5, 1.5, N)
 
 
@@ -104,8 +115,8 @@ def solve_once(J: int, N: int, media: str) -> dict:
     from refractor.errors import RefractorError
     from refractor.solver import SourceDensity, TargetMeasure, solve_discrete
 
-    axis, m, g = draw_targets(N)
     pair = media_pair(media)
+    axis, m, g = draw_targets(N, pair.dim)
     t = time.perf_counter()
     src = SourceDensity.from_cap(pair.n1, axis, 0.25, J)
     quadrature = time.perf_counter() - t
@@ -199,27 +210,44 @@ def cli_rows(versions: dict, repeats: int) -> list[dict]:
     return rows
 
 
-def run_import(src: Path, module: str) -> float:
-    """Wall seconds of ``python -c "import MODULE"`` in a fresh interpreter
-    that writes no bytecode."""
+def run_import(src: Path, module: str) -> tuple[float, float]:
+    """``python -c "import MODULE"`` in a fresh interpreter that writes no
+    bytecode: its wall seconds, and the seconds of the ``import MODULE``
+    statement inside it, timed after ``import numpy`` (for MODULE numpy,
+    numpy's own import)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                **dict.fromkeys(THREAD_VARS, CLI_THREADS))
+    first = "" if module == "numpy" else ", numpy"
+    code = (f"import time{first}; t = time.perf_counter(); import {module}; "
+            "print(time.perf_counter() - t)")
     t = time.perf_counter()
-    subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
-                   check=True)
-    return time.perf_counter() - t
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return time.perf_counter() - t, float(out)
 
 
-def import_row(versions: dict, repeats: int) -> dict:
-    """The import split: ``numpy`` times ``import numpy`` and each version
-    its ``import refractor.cli``, alternating run by run."""
+def import_rows(versions: dict, repeats: int) -> tuple[dict, dict]:
+    """The import split, alternating run by run: the import row's ``numpy``
+    times ``import numpy`` and each version its ``import refractor.cli``;
+    the verify import row each version's ``import refractor.cli,
+    refractor.transport``.  Each entry gives the interpreter's wall time
+    and the import statement's own time (``import_s``)."""
     runs = {"numpy": [], **{v: [] for v in versions}}
+    verify = {v: [] for v in versions}
     for _ in range(repeats):
         runs["numpy"].append(run_import(SRC, "numpy"))
         for v, src in versions.items():
             runs[v].append(run_import(src, "refractor.cli"))
-    return {k: {"wall_s": statistics.median(r), "wall_s_runs": r}
-            for k, r in runs.items()}
+            verify[v].append(run_import(src, VERIFY_IMPORT))
+    rows = []
+    for rs in (runs, verify):
+        row = {}
+        for k, r in rs.items():
+            walls, own = [w for w, _ in r], [s for _, s in r]
+            row[k] = {"wall_s": statistics.median(walls), "wall_s_runs": walls,
+                      "import_s": statistics.median(own), "import_s_runs": own}
+        rows.append(row)
+    return tuple(rows)
 
 
 def run_child(src: Path, J: int, N: int, media: str) -> dict:
@@ -320,11 +348,13 @@ def main(argv=None) -> int:
             row["time_ratio"] = (row[args.label]["wall_s"]
                                  / row[args.baseline_label]["wall_s"])
         print(json.dumps(row), file=sys.stderr)
-    imports = import_row(versions, args.repeats)
-    if args.baseline is not None:
-        imports["time_ratio"] = (imports[args.label]["wall_s"]
-                                 / imports[args.baseline_label]["wall_s"])
-    print(json.dumps(imports), file=sys.stderr)
+    imports, verify_imports = import_rows(versions, args.repeats)
+    for row in (imports, verify_imports):
+        if args.baseline is not None:
+            mine, base = row[args.label], row[args.baseline_label]
+            row["time_ratio"] = mine["wall_s"] / base["wall_s"]
+            row["import_ratio"] = mine["import_s"] / base["import_s"]
+        print(json.dumps(row), file=sys.stderr)
     import numpy
 
     result = {
@@ -341,6 +371,7 @@ def main(argv=None) -> int:
         "rows": rows,
         "cli_rows": cli,
         "import_row": imports,
+        "verify_import_row": verify_imports,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -7,6 +7,8 @@ modules, e.g. ``from refractor.snell import refract``):
 * ``snell``     vector Snell law and the Fermat least-path oracle
 * ``surfaces``  uniformly refracting surfaces S_I / S_II
 * ``solver``    semi-discrete refractor design (radii from target masses)
+* ``sweep``     the monotone radius sweep, loaded only when a design runs it
+* ``theory``    continuous targets, dilations and the Lipschitz bound
 * ``fresnel``   Fresnel sheet algebra and material-to-norm conversion
 * ``transport`` transport cost and the design's duality certificate
 * ``kernels``   numpy scoring, tally and threshold kernels

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def parse_pair(media: dict) -> MediumPair:
         "'media' must provide A1/A2, n1/n2, or material1/material2")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     pair: MediumPair
     axis: np.ndarray
     angle: float

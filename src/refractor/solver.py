@@ -11,32 +11,32 @@ pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).  In
 3D, damped Newton steps on the simplex-soup Jacobian design from a closed-form
 start, checked for empty cells.  Where that start fails, and in 2D, the
-monotone sweep designs: start with every surface except the first inactive,
-then repeatedly shrink the radius of each under-filled target, which can
-only grow its cell and shrink the others'.  In 3D the sweep pauses once
-every cell holds mass for one more Newton attempt, and goes on where it
-paused if that fails too.
+monotone sweep of `refractor.sweep` designs; it is imported only then, and
+to repair an empty cell of the start.  In 3D the sweep pauses once every
+cell holds mass for one more Newton attempt, and goes on where it paused if
+that fails too.
+
+The records are named tuples, and `SolveInfo` and `Refractor` slotted
+classes, so importing this module generates no code.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleTarget, NonConvergence, ValidationError
+from .errors import InfeasibleTarget, ValidationError
 from .geometry import (cap_triangulation, fibonacci_cap, node_area_weights,
-                       rotate_z_to, short_matmul, write_obj)
-from .norms import MediumPair, Norm, Regime, norm_eval, norm_gradient
+                       short_matmul, write_obj)
+from .norms import MediumPair, Norm, norm_eval, norm_gradient
 
 __all__ = [
-    "SourceDensity", "TargetMeasure", "TargetDensity", "Refractor",
-    "RefractorMeasureReport", "SolveInfo", "refractor_map",
-    "refractor_measure", "solve_discrete", "approximate_measure", "dilate",
-    "rho_values", "refractor_to_obj",
-    "lipschitz_bound", "max_difference_quotient", "check_admissibility",
+    "SourceDensity", "TargetMeasure", "Refractor", "RefractorMeasureReport",
+    "SolveInfo", "refractor_map", "refractor_measure", "solve_discrete",
+    "rho_values", "refractor_to_obj", "check_admissibility",
 ]
 
 _DENSITIES = {
@@ -45,8 +45,7 @@ _DENSITIES = {
 }
 
 
-@dataclass(frozen=True)
-class SourceDensity:
+class SourceDensity(NamedTuple):
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
     positive weights w_j, plus the triangulation of the Euclidean directions
     the nodes were built from (for meshes, edge difference quotients and
@@ -96,8 +95,7 @@ class SourceDensity:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
-class TargetMeasure:
+class TargetMeasure(NamedTuple):
     """Discrete target: distinct directions m_i on Sigma2 with positive
     masses g_i."""
 
@@ -140,33 +138,23 @@ class TargetMeasure:
         return self.directions.shape[0]
 
 
-@dataclass(frozen=True)
-class TargetDensity:
-    """Continuous target density on a cap of Sigma2, for discretization."""
-
-    norm2: Norm
-    axis: np.ndarray
-    angle: float
-    total_mass: float
-    density: str = "uniform"   # a name in _DENSITIES
-
-    def values(self, dirs: np.ndarray) -> np.ndarray:
-        axis = np.asarray(self.axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        return _DENSITIES[self.density](dirs, axis)
-
-
-@dataclass
 class SolveInfo:
-    sweeps: int = 0
-    newton_steps: int = 0  # accepted steps of the 3D Newton solve
-    newton_trials: int = 0  # its trial steps, accepted or rejected, in every
-    #                         Newton run: each rebuilds the Top2 state
-    residual: float = np.inf
-    residual_history: list = field(default_factory=list)
-    updates: int = 0      # target-radius updates (and start repairs)
-    band_misses: int = 0  # updates that took the full pass over all J nodes
-    masses: np.ndarray | None = None  # the cell masses at the radii
+    """A solve's counters, residuals and cell masses, filled in as it goes."""
+
+    __slots__ = ("sweeps", "newton_steps", "newton_trials", "residual",
+                 "residual_history", "updates", "band_misses", "masses")
+
+    def __init__(self):
+        self.sweeps = 0
+        self.newton_steps = 0   # accepted steps of the 3D Newton solve
+        # its trial steps, accepted or rejected, in every Newton run: each
+        # rebuilds the Top2 state
+        self.newton_trials = 0
+        self.residual = np.inf
+        self.residual_history = []
+        self.updates = 0      # target-radius updates (and start repairs)
+        self.band_misses = 0  # updates that took the full pass over all nodes
+        self.masses = None    # the cell masses at the radii
 
 
 class Refractor:
@@ -190,8 +178,7 @@ class Refractor:
         return self.pair.denominators(nodes, self.target.directions)
 
 
-@dataclass(frozen=True)
-class RefractorMeasureReport:
+class RefractorMeasureReport(NamedTuple):
     """Per-target masses of a refractor, max relative residual against the
     target masses, and the node-to-target assignment: the (J, N) plan from
     kernels.tally (tied nodes split their weight equally), whose column sums
@@ -243,19 +230,53 @@ def refractor_measure(r: Refractor, src: SourceDensity) -> RefractorMeasureRepor
                                   min_radii=hmin)
 
 
+ADMISSIBILITY_NODES = 4096  # nodes per block of `check_admissibility`
+ADMISSIBILITY_TARGETS = 4   # targets per block
+
+
 def check_admissibility(pair: MediumPair, src: SourceDensity,
                         tgt: TargetMeasure) -> None:
     """Validate nu.m >= 0 (`MediumPair.margins`) over every (node, target)
     pair, warning below 1e-6.  Only Case I can fail it, as m.p1(x) >= 1:
     Case II's margin is at least 1 - 1/kappa.  nu.x > 0, the sign of the
-    denominators, is checked by the solve."""
-    margins = pair.margins(src.nodes, tgt.directions)
-    low = float(margins.min())
+    denominators, is checked by the solve.
+
+    No (J, N) array is made: the dots m.p1(x) are summed term by term, as
+    `short_matmul` sums them, into one buffer, a block of
+    ADMISSIBILITY_TARGETS targets by ADMISSIBILITY_NODES nodes at a time.
+    The margin sign (d - 1) is monotone in the dot d, also in floating
+    point, so the least margin is the margin of the least dot in Case I
+    (the greatest in Case II), bit for bit.  A failure names the first
+    (node, target) at that margin in row-major order."""
+    dirs = np.asarray(tgt.directions, dtype=float)
+    J, N = src.count, dirs.shape[0]
+    buf = np.empty(min(J, ADMISSIBILITY_NODES)
+                   * min(N, ADMISSIBILITY_TARGETS))
+    term = np.empty_like(buf)
+    extreme = np.min if pair.sign > 0 else np.max
+    low = np.inf
+    for lo in range(0, J, ADMISSIBILITY_NODES):
+        nodes = src.nodes[lo:lo + ADMISSIBILITY_NODES]
+        cols = np.ascontiguousarray(norm_gradient(pair.n1, nodes).T)
+        for t in range(0, N, ADMISSIBILITY_TARGETS):
+            m = dirs[t:t + ADMISSIBILITY_TARGETS, :, None]  # (k, n, 1)
+            shape = (m.shape[0], cols.shape[1])
+            dot = buf[:shape[0] * shape[1]].reshape(shape)
+            tmp = term[:dot.size].reshape(shape)
+            np.multiply(cols[0], m[:, 0], out=dot)
+            for c in range(1, cols.shape[0]):
+                dot += np.multiply(cols[c], m[:, c], out=tmp)
+            low = min(low, (float(extreme(dot)) - 1.0) * pair.sign)
     if low < -1e-12:
-        j, i = np.unravel_index(np.argmin(margins), margins.shape)
-        raise InfeasibleTarget(
-            f"admissibility m.p1(x) >= 1 fails: node {j}, target {i}, "
-            f"value {1.0 + low:.12g}")
+        for lo in range(0, J, ADMISSIBILITY_NODES):
+            margins = pair.margins(src.nodes[lo:lo + ADMISSIBILITY_NODES],
+                                   dirs)
+            hit = np.flatnonzero(margins == low)  # row-major
+            if hit.size:
+                j, i = divmod(int(hit[0]), N)
+                raise InfeasibleTarget(
+                    f"admissibility m.p1(x) >= 1 fails: node {lo + j}, "
+                    f"target {i}, value {1.0 + low:.12g}")
     if low < 1e-6:
         warnings.warn("admissibility is within 1e-6 of grazing; the "
                       "discrete problem may be ill-conditioned",
@@ -267,87 +288,6 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
         raise ValidationError(
             f"mass balance violated: sum g = {np.sum(tgt.masses)!r}, "
             f"source total = {src.total!r}")
-
-
-BAND_RANK = 3      # a band's floor: the threshold ranked 3x the cell's nodes
-BAND_SHARE = 0.25  # the largest share of the nodes a band is kept for
-
-
-def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
-                 half_band: float, i: int, w_mean: float,
-                 floor: float = -np.inf) -> float | None:
-    """Target i's new radius, read off its node thresholds s and weights w:
-    node j is in the cell iff b_i <= s_j, so with s sorted downward the cell
-    holds fill[k] for b_i in (s[k+1], s[k]].  At the first k with fill[k] >=
-    g_i - half_band, b_i goes mid-gap, where no node ties, or, if node k
-    jumps past g_i + half_band, just above s[k], leaving the cell
-    under-filled: overfilling cannot be undone.  b_i never grows; the
-    solve's state is exact only while radii shrink.
-
-    Only the top of the profile is sorted: one partition cuts it at the
-    m-th largest threshold, m being the nodes already in the cell plus
-    twice the deficit in mean node weights w_mean, and m grows 4-fold until
-    k's group of equal thresholds ends above the cut.
-
-    s and w may hold only a band of the nodes, in node order: a superset
-    of those whose threshold reaches floor <= b_i.  The answer is then
-    exact while the cut stays at or above floor; below it, None (a miss)
-    is returned.  With floor = -inf they hold every node."""
-    inside = s >= b_i
-    deficit = g_i - half_band - float(w[inside].sum())
-    m = np.count_nonzero(inside) + 2 + int(2.0 * max(deficit, 0.0) / w_mean)
-    while True:
-        # the cut takes every threshold equal to it: no group is split
-        cut = np.partition(s, -m)[-m] if m < s.size else -np.inf
-        if cut < floor:
-            return None
-        cand = np.flatnonzero(s >= cut)
-        order = cand[np.argsort(s[cand])[::-1]]
-        top = s[order]
-        fill = np.cumsum(w[order])
-        k = int(np.searchsorted(fill, g_i - half_band))
-        # done once k's group ends above the cut, so the gap below is known
-        if cand.size == s.size or (k < cand.size and top[k] > top[-1]):
-            break
-        m *= 4
-    # the nodes i cannot reach (-inf) sort last, so they never count for k
-    if k == s.size or top[k] == -np.inf:
-        raise InfeasibleTarget(
-            f"target {i} cannot absorb its mass: the nodes it reaches carry "
-            f"{np.sum(w[s > -np.inf]):.6g} < {g_i - half_band:.6g}")
-    # equal thresholds join together: the cell at s_k holds all s >= s_k
-    k = int(np.count_nonzero(top >= top[k])) - 1
-    if fill[k] > g_i + half_band:
-        return min(b_i, float(top[k]) * (1.0 + 1e-15))
-    below = top[k + 1] if k + 1 < top.size else -np.inf
-    return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
-
-
-def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
-          b_i: float, w: np.ndarray):
-    """Target i's band after a full pass: (floor, rows, w[rows],
-    den_i[rows]), or None where it would hold over BAND_SHARE of the
-    nodes, which the full pass reads about as fast.
-
-    The floor is the threshold ranked BAND_RANK times the cell's node count
-    at b_i, so b_i > floor > 0; rows are the nodes with second * den_i >=
-    floor (a relative 1e-12 below it, for the rounding of b_i / den_i), so
-    den_i > 0 on every row.  Heights only fall, so second * den_i, a bound
-    above node j's threshold, only falls: rows keep every node whose
-    threshold reaches the floor and every node ``kernels.lower`` changes at
-    a radius >= floor.  A cut below it misses; the full pass rebuilds it."""
-    rank = BAND_RANK * (np.count_nonzero(s >= b_i) + 1)
-    if rank > BAND_SHARE * s.size:
-        return None
-    floor = float(np.partition(s, -rank)[-rank])
-    if floor == -np.inf:  # fewer than rank nodes are reached
-        return None
-    c = np.multiply(second, den_i, where=den_i > 0.0,
-                    out=np.full(s.size, -np.inf))
-    rows = np.flatnonzero(c >= floor * (1.0 - 1e-12))
-    if rows.size > BAND_SHARE * s.size:
-        return None
-    return floor, rows, w[rows], den_i[rows]
 
 
 NEWTON_STEPS = 30           # a Newton run's budget of steps
@@ -441,8 +381,8 @@ def _newton_start(pair: MediumPair, src: SourceDensity,
     only the trial steps).
 
     A cell k >= 2 the start leaves empty is repaired once, by the sweep's
-    update (`_fill_radius` on `kernels.win_thresholds`) aimed at half its
-    mass; radii only shrink there, so the state stays exact.  An empty
+    update (`sweep._fill_radius` on `kernels.win_thresholds`) aimed at half
+    its mass; radii only shrink there, so the state stays exact.  An empty
     anchor cell, an empty cell after the repair or a target that cannot
     absorb that mass give None."""
     g, w = tgt.masses, src.weights
@@ -454,6 +394,8 @@ def _newton_start(pair: MediumPair, src: SourceDensity,
     if masses[0] <= 0.0:
         return None
     empty = np.flatnonzero(masses <= 0.0)
+    if empty.size:
+        from .sweep import _fill_radius
     for k in empty:
         s = kernels.win_thresholds(denom, top, k)
         try:
@@ -486,23 +428,23 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
 
     In 3D, damped Newton steps (`_newton`) start from a closed-form start,
     checked for empty cells (`_newton_start`).  If that fails, the sweep
-    (`_sweep`) runs from its own start, pauses the first time every cell
-    holds mass and tries Newton once more; if that fails too, the sweep
-    resumes from where it paused, so its stops, messages and errors are the
-    sweep's own.  2D problems are designed by the sweep alone.
+    (`sweep.run`) runs from its own start, pauses the first time every
+    cell holds mass and tries Newton once more; if that fails too, the
+    sweep resumes from where it paused, so its stops, messages and errors
+    are the sweep's own.  2D problems are designed by the sweep alone.
     """
-    return _sweep(pair, src, tgt, b1, tol, max_sweeps, newton=pair.dim == 3)
+    return _design(pair, src, tgt, b1, tol, max_sweeps, newton=pair.dim == 3)
 
 
-def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-           b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
-           init_factor: float = 1.0, newton: bool = False) -> Refractor:
-    """The monotone radius sweep of `solve_discrete`.  With newton it first
-    tries Newton from the closed-form start, and then, from the sweep's
-    own start, tries the Newton finish once, the first time every cell
-    holds mass.
+def _design(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
+            b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
+            init_factor: float = 1.0, newton: bool = False) -> Refractor:
+    """`solve_discrete` with the Newton attempts optional: it checks the
+    problem and builds the denominators, then with newton tries Newton from
+    the closed-form start, and otherwise, or where that fails, runs the
+    monotone sweep (`sweep.run`).  Without newton it is the sweep alone.
 
-    init_factor >= 1 scales the inactive-surface initialization; any value
+    init_factor >= 1 scales the sweep's inactive-surface start; any value
     keeps the construction admissible, so re-solving with a different factor
     probes uniqueness at the quadrature scale.
     """
@@ -518,9 +460,6 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     _check_balance(src, tgt)
     check_admissibility(pair, src, tgt)
 
-    g = tgt.masses
-    w = src.weights
-    N = tgt.count
     # column-major: the sweep reads one target's column at a time
     denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
 
@@ -538,204 +477,20 @@ def _sweep(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     if not np.all((first >= np.finfo(float).tiny) & (first < np.inf)):
         raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
                               "outside the normal float range")
-    delta = tol * src.total
     info = SolveInfo()
     if newton:
-        done = _newton_start(pair, src, tgt, denom, b1, delta, info)
+        done = _newton_start(pair, src, tgt, denom, b1, tol * src.total,
+                             info)
         if done is not None:
             return done
+    from . import sweep
 
-    # every other surface starts above the anchor's at every node, inactive
-    b = np.empty(N)
-    b[0] = b1
-    for i in range(1, N):
-        feas = denom[:, i] > 0.0
-        if not np.any(feas):
-            raise InfeasibleTarget(f"target {i} is feasible for no node")
-        ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
-        b[i] = b1 * ratio * (1.0 + 1e-6) * init_factor
-
-    delta_c = 0.9 * delta / max(1, N - 1)
-    half_band = 0.5 * delta_c
-    w_mean = w.mean()
-    # radii only shrink from here on, which keeps this state exact
-    with np.errstate(over="ignore"):
-        top = kernels.Top2.of(denom, b)
-    bands = [None] * N  # per target: `_band` of its last full pass
-
-    for sweep in range(max_sweeps):
-        masses = kernels.masses(top, denom, b, w)
-        resid = float(np.max(np.abs(masses - g)))
-        info.sweeps = sweep
-        info.residual = resid / src.total
-        info.residual_history.append(resid / src.total)
-        if resid <= delta:
-            info.masses = masses
-            return Refractor(pair, tgt, b, info=info)
-        if newton and np.all(masses > 0.0):
-            newton = False  # tried once
-            done = _newton(denom, src, g, b, top, masses, delta, info)
-            if done is not None:
-                radii, info.masses, residuals = done
-                info.newton_steps = len(residuals)
-                info.residual = residuals[-1]
-                info.residual_history += residuals
-                return Refractor(pair, tgt, radii, info=info)
-        moved = False
-        for i in range(1, N):
-            if masses[i] >= g[i] - delta_c:
-                continue
-            info.updates += 1
-            # the band's pass, or the full pass on a miss, which rebuilds it
-            new_b = part = None
-            if bands[i] is not None:
-                floor, rows, w_b, den_b = bands[i]
-                part = top.take(rows)
-                # win_thresholds on the part; den_b > 0 on every band row
-                s = np.where(part.win == i, part.second, part.first) * den_b
-                new_b = _fill_radius(s, w_b, b[i], g[i], half_band, i,
-                                     w_mean, floor)
-            if new_b is None:
-                info.band_misses += 1
-                s = kernels.win_thresholds(denom, top, i)
-                new_b = _fill_radius(s, w, b[i], g[i], half_band, i, w_mean)
-                bands[i] = _band(s, top.second, denom[:, i], new_b, w)
-                part = None
-            if new_b < b[i]:
-                b[i] = new_b
-                if part is None:
-                    kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
-                else:
-                    # new_b > floor: the band holds every node lower changes
-                    kernels.lower(part, new_b / den_b, i)
-                    top.put(rows, part)
-                moved = True
-        if not moved:
-            # no radius moved, so every later sweep would repeat this one
-            stop, sweeps = "stagnated", sweep + 1
-            why = f"the sweep stagnated after {sweeps} sweeps"
-            break
-    else:
-        stop, sweeps = "budget", max_sweeps
-        why = f"after {max_sweeps} sweeps"
-    deficit = (g - masses) / src.total
-    under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
-    raise NonConvergence(
-        f"residual {info.residual:.3e} > tol {tol:.3e}: {why}; most "
-        f"under-filled: target {under} (deficit {deficit[under]:+.3e} of the "
-        f"total), most over-filled: target {over} ({deficit[over]:+.3e}) "
-        "(tolerance is below the quadrature resolution?)",
-        stop=stop, sweeps=sweeps, deficit=deficit)
+    return sweep.run(pair, src, tgt, denom, b1, tol, max_sweeps, init_factor,
+                     newton, info)
 
 
 # perfbench/spans.py looks this name up on the module
 solve_discrete_caseII = solve_discrete
-
-
-def approximate_measure(density_spec: TargetDensity,
-                        count: int) -> TargetMeasure:
-    """Discretize a continuous cap density into `count` weighted directions.
-
-    The cap chart (z = cos angle-from-axis, azimuth phi) is stratified into
-    equal-area cells (rings of equal z-height, split into sectors); each cell
-    contributes its local density integral as mass, placed at its density
-    centroid mapped onto Sigma2.  Masses are rescaled to total_mass exactly.
-    """
-    if count < 1:
-        raise ValidationError("count must be positive")
-    spec = density_spec
-    subgrid = 8  # samples per cell side
-    axis = np.asarray(spec.axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    dim = axis.shape[0]
-    R = rotate_z_to(axis)
-
-    if dim == 2:
-        edges = np.linspace(-spec.angle, spec.angle, count + 1)
-        dirs_of = lambda th: np.stack([np.sin(th), np.cos(th)], axis=-1) @ R.T
-        pts, ms = [], []
-        for k in range(count):
-            th = np.linspace(edges[k], edges[k + 1], subgrid * subgrid + 1)
-            th = 0.5 * (th[:-1] + th[1:])
-            d = dirs_of(th)
-            f = spec.values(d)
-            ms.append(float(np.sum(f)) * (edges[k + 1] - edges[k]) / th.size)
-            y = (f[:, None] * d).sum(axis=0)
-            pts.append(y / np.linalg.norm(y))
-    else:
-        z_lo = np.cos(spec.angle)
-        if count == 1:
-            rings, sectors = 1, [1]
-        else:
-            rings = max(1, int(round(np.sqrt(count / 4.0))))
-            base = count // rings
-            sectors = [base + (1 if k < count % rings else 0)
-                       for k in range(rings)]
-        z_edges = np.linspace(z_lo, 1.0, rings + 1)
-        pts, ms = [], []
-        for k in range(rings):
-            nk = sectors[k]
-            phi_edges = np.linspace(0.0, 2.0 * np.pi, nk + 1)
-            zg = np.linspace(z_edges[k], z_edges[k + 1], subgrid + 1)
-            zg = 0.5 * (zg[:-1] + zg[1:])
-            for sct in range(nk):
-                pg = np.linspace(phi_edges[sct], phi_edges[sct + 1], subgrid + 1)
-                pg = 0.5 * (pg[:-1] + pg[1:])
-                Z, P = np.meshgrid(zg, pg, indexing="ij")
-                rr = np.sqrt(np.maximum(0.0, 1.0 - Z * Z))
-                d = np.stack([rr * np.cos(P), rr * np.sin(P), Z], axis=-1)
-                d = d.reshape(-1, 3) @ R.T
-                f = spec.values(d)
-                cell_area = (z_edges[k + 1] - z_edges[k]) * \
-                    (phi_edges[sct + 1] - phi_edges[sct])
-                ms.append(float(np.sum(f)) * cell_area / f.size)
-                y = (f[:, None] * d).sum(axis=0)
-                pts.append(y / np.linalg.norm(y))
-    ms = np.asarray(ms)
-    ms = ms * (spec.total_mass / float(np.sum(ms)))
-    return TargetMeasure.of(spec.norm2, np.asarray(pts), ms)
-
-
-def dilate(r: Refractor, C: float) -> Refractor:
-    """Scale every radius by C > 0; the refractor map is unchanged."""
-    if C <= 0.0:
-        raise ValidationError("dilation factor must be positive")
-    return Refractor(r.pair, r.target, r.radii * C, info=r.info)
-
-
-def lipschitz_bound(r: Refractor, src: SourceDensity) -> float:
-    """(max rho) (max_i |p2(m_i)|) / (1 - kappa), the Case I Lipschitz bound."""
-    if r.pair.regime is not Regime.CASE_I:
-        raise ValidationError("the Lipschitz bound formula is Case I only")
-    rho = rho_values(r, src.nodes)
-    p2m = norm_gradient(r.pair.n2, r.target.directions)
-    return float(np.max(rho)) * float(
-        np.max(np.linalg.norm(p2m, axis=-1))) / (1.0 - r.pair.kappa)
-
-
-def max_difference_quotient(r: Refractor, src: SourceDensity,
-                            pairs: int = 200_000, seed: int = 0) -> float:
-    """Max sampled |rho(x) - rho(x')| / |x - x'| over node pairs (all
-    triangulation edges plus random pairs)."""
-    rho = rho_values(r, src.nodes)
-    nodes = src.nodes
-    quot = 0.0
-    if src.tris.size:
-        if src.tris.shape[1] == 3:
-            e = np.vstack([src.tris[:, [0, 1]], src.tris[:, [1, 2]],
-                           src.tris[:, [0, 2]]])
-        else:
-            e = src.tris
-        d = np.linalg.norm(nodes[e[:, 0]] - nodes[e[:, 1]], axis=-1)
-        dv = np.abs(rho[e[:, 0]] - rho[e[:, 1]])
-        quot = float(np.max(dv / np.maximum(d, 1e-300)))
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, src.count, size=pairs)
-    jj = rng.integers(0, src.count, size=pairs)
-    keep = ii != jj
-    d = np.linalg.norm(nodes[ii[keep]] - nodes[jj[keep]], axis=-1)
-    dv = np.abs(rho[ii[keep]] - rho[jj[keep]])
-    return max(quot, float(np.max(dv / np.maximum(d, 1e-300))))
 
 
 def refractor_to_obj(r: Refractor, src: SourceDensity, path) -> None:

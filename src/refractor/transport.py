@@ -16,7 +16,7 @@ in the tie band) is an independent oracle for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ MAX_NODES = 2000
 MAX_TARGETS = 50
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(NamedTuple):
     """Dense node-by-target costs; +inf marks excluded (infeasible) arcs."""
 
     entries: np.ndarray

@@ -20,10 +20,11 @@ from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
                              norm_gradient)
 from refractor.snell import fermat_path, refract
-from refractor.solver import (SourceDensity, TargetMeasure, dilate,
-                              lipschitz_bound, max_difference_quotient,
+from refractor.solver import (SourceDensity, TargetMeasure,
                               refractor_measure, solve_discrete)
 from refractor.surfaces import UniformSurface, surface_normal
+from refractor.theory import (dilate, lipschitz_bound,
+                              max_difference_quotient)
 from refractor.transport import (assignment_agreement, build_cost,
                                  plan_objective, solve_ot_exact)
 
@@ -218,7 +219,7 @@ def test_criterion_5_energy_balance(desk_scale_solutions):
         assert rep.residual <= 1e-3
         assert refr.info.sweeps <= 10_000
         # the sweep alone, from another admissible start
-        refr2 = solver._sweep(pair, src, tgt, 1.0, 1e-3, init_factor=2.0)
+        refr2 = solver._design(pair, src, tgt, 1.0, 1e-3, init_factor=2.0)
         rel = float(np.max(np.abs(refr2.radii - refr.radii) / refr.radii))
         assert rel <= 1e-2
     elapsed = desk_scale_solutions["solve_seconds"] + time.perf_counter() - t0

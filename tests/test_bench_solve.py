@@ -1,6 +1,6 @@
 """The solve benchmark runs end to end on a tiny grid, with a row whose
-solve raises and a row of other media, its CLI rows and its import row, and
-writes the documented keys."""
+solve raises, a row of other media and a 2D row, its CLI rows and its
+import rows, and writes the documented keys."""
 
 import json
 import subprocess
@@ -15,16 +15,19 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_solve.py"
 def test_bench_solve_smoke(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(SCRIPT), "--out", str(out),
-                    "--grid", "2000x3,13x5,2000x8:case2", "--repeats", "1",
+                    "--grid", "2000x3,13x5,2000x8:case2,2000x4:2d",
+                    "--repeats", "1",
                     "--baseline", str(SRC), "--baseline-label", "same"],
                    env=src_env(), check=True, capture_output=True,
                    timeout=120)
     result = json.loads(out.read_text())
     assert {"benchmark", "problem", "environment", "repeats", "versions",
-            "rows", "cli_rows", "import_row"} <= set(result)
+            "rows", "cli_rows", "import_row",
+            "verify_import_row"} <= set(result)
     assert result["versions"] == ["current", "same"]
     assert [(r["J"], r["N"], r["media"]) for r in result["rows"]] == [
-        (2000, 3, "iso"), (13, 5, "iso"), (2000, 8, "case2")]
+        (2000, 3, "iso"), (13, 5, "iso"), (2000, 8, "case2"),
+        (2000, 4, "2d")]
     for row in result["rows"]:
         assert row["same_result"] is True
         for name in result["versions"]:
@@ -48,7 +51,8 @@ def test_bench_solve_smoke(tmp_path):
                 continue
             assert run["error"] is None and run["stop"] == "converged"
             assert 0 < run["residual"] <= 1e-3
-            assert run["newton_steps"] > 0
+            # the sweep alone designs in 2D
+            assert (run["newton_steps"] > 0) == (row["media"] != "2d")
             # every accepted step is a trial step, and rejected ones count
             assert run["newton_trials"] >= run["newton_steps"]
             if run["sweeps"] == 0:  # Newton from the closed-form start
@@ -71,11 +75,20 @@ def test_bench_solve_smoke(tmp_path):
             assert len(run["wall_s_runs"]) == 1
             assert run["peak_rss_mb"] > 0
     # the import row: `import numpy`, and each version's `import
-    # refractor.cli`
+    # refractor.cli`; the verify import row: each version's `import
+    # refractor.cli, refractor.transport`
     imports = result["import_row"]
-    assert set(imports) == {"numpy", *result["versions"], "time_ratio"}
-    assert imports["time_ratio"] > 0
-    for name in ["numpy", *result["versions"]]:
-        assert set(imports[name]) == {"wall_s", "wall_s_runs"}
-        assert len(imports[name]["wall_s_runs"]) == 1
-        assert imports[name]["wall_s"] > 0
+    assert set(imports) == {"numpy", *result["versions"], "time_ratio",
+                            "import_ratio"}
+    verify = result["verify_import_row"]
+    assert set(verify) == {*result["versions"], "time_ratio", "import_ratio"}
+    for row, names in ((imports, ["numpy", *result["versions"]]),
+                       (verify, result["versions"])):
+        assert row["time_ratio"] > 0 and row["import_ratio"] > 0
+        for name in names:
+            assert set(row[name]) == {"wall_s", "wall_s_runs", "import_s",
+                                      "import_s_runs"}
+            assert len(row[name]["wall_s_runs"]) == 1
+            assert len(row[name]["import_s_runs"]) == 1
+            # the import statement runs inside the interpreter's wall time
+            assert 0 < row[name]["import_s"] < row[name]["wall_s"]

@@ -155,6 +155,38 @@ def test_cli_import_surface():
     loaded = set(ast.literal_eval(out))
     assert not loaded & {"refractor.snell", "refractor.surfaces",
                          "refractor.fresnel", "refractor.transport", "scipy"}
+    # the records are named tuples, not dataclasses; the sweep loads only
+    # where a design runs it, and the theory module never
+    assert not loaded & {"dataclasses", "refractor.sweep", "refractor.theory"}
+
+
+def loaded_by_design(problem, out):
+    """The modules loaded by the end of a subprocess `design` of problem."""
+    code = ("import sys; from refractor.cli import main; main(sys.argv[1:]); "
+            "print(sorted(sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code, "design", str(problem),
+                          "-o", str(out)], env=src_env(), capture_output=True,
+                         text=True, check=True)
+    return set(ast.literal_eval(run.stdout))
+
+
+def test_design_loads_the_sweep_only_to_run_it(tmp_path):
+    # the golden 3D design is Newton's from its start: no sweep; a 2D
+    # design is the sweep's
+    loaded = loaded_by_design(GOLDEN_PROBLEM, tmp_path / "golden.json")
+    assert "refractor.solver" in loaded
+    assert not loaded & {"refractor.sweep", "refractor.theory",
+                         "dataclasses"}
+    prob = json.loads(small_problem(tmp_path).read_text())
+    prob["media"] = {"A1": [[1.5, 0.0], [0.0, 1.5]],
+                     "A2": [[1.0, 0.0], [0.0, 1.0]]}
+    prob["source"]["axis"] = [0.0, 1.0]
+    prob["targets"] = [{"m": [0.0, 1.0], "g": 1.0},
+                       {"m": [0.1, 0.995], "g": 0.7},
+                       {"m": [-0.1, 0.995], "g": 1.3}]
+    path = tmp_path / "problem_2d.json"
+    path.write_text(json.dumps(prob))
+    assert "refractor.sweep" in loaded_by_design(path, tmp_path / "2d.json")
 
 
 NON_FINITE_EDITS = {

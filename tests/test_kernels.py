@@ -261,14 +261,14 @@ def soup_instance(media, case2, count, seed):
     """A 3D cap of 300 nodes, `count` admissible targets and radii near
     balance: the sweep's at a coarse tolerance, jittered."""
     from conftest import admissible_instance, media_pairs
-    from refractor.solver import TargetMeasure, _sweep
+    from refractor.solver import TargetMeasure, _design
 
     rng = np.random.default_rng(seed)
     pair, src, dirs = admissible_instance(media_pairs(media, case2, 3, rng),
                                           rng, 0.2, 300, count, 0.1)
     g = rng.uniform(0.5, 1.5, count)
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
-    b = _sweep(pair, src, tgt, 1.0, tol=0.05).radii
+    b = _design(pair, src, tgt, 1.0, tol=0.05).radii
     b[1:] *= np.exp(1e-6 * rng.standard_normal(count - 1))
     return pair.denominators(src.nodes, tgt.directions), b, src
 

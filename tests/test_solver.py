@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,19 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_instance, admissible_targets, media_pairs
-from refractor import kernels, solver
+from refractor import kernels, solver, sweep
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
                              norm_gradient)
 from refractor.snell import fermat_path, refract
-from refractor.solver import (Refractor, SourceDensity, TargetDensity,
-                              TargetMeasure, approximate_measure, dilate,
-                              lipschitz_bound, max_difference_quotient,
+from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
                               refractor_map, refractor_measure, rho_values,
                               solve_discrete, check_admissibility)
-from refractor.solver import _fill_radius
+from refractor.sweep import _fill_radius
 from refractor.surfaces import UniformSurface, surface_normal
+from refractor.theory import (TargetDensity, approximate_measure, dilate,
+                              lipschitz_bound, max_difference_quotient)
 from refractor.transport import certificate
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -234,7 +235,7 @@ def test_solve_other_initialization_agrees():
     # the sweep alone, from another admissible start, designs the same radii
     pair, src, tgt = small_instance(nodes=2500, count=5, seed=5)
     r1 = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    r2 = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3, init_factor=2.0)
+    r2 = solver._design(pair, src, tgt, b1=1.0, tol=1e-3, init_factor=2.0)
     assert np.max(np.abs(r2.radii - r1.radii) / r1.radii) <= 1e-2
 
 
@@ -470,6 +471,15 @@ def test_fill_radius_misses_below_its_floor():
     # a cut past the band's end is a miss too: the band cannot see below it
     assert _fill_radius(s[:15], w[:15], 100.5, 10.0, 0.4, 1, 1.0,
                         86.0) is None
+    # so is a band whose every row the cut takes that cannot fill the cell,
+    # or whose last group k is: the threshold below it lies past the floor
+    tied, light = np.full(10, 5.0), np.full(10, 0.1)
+    assert _fill_radius(tied, light, 5.05, 5.0, 0.5, 1, 10.0, 5.0) is None
+    with pytest.raises(InfeasibleTarget):
+        _fill_radius(tied, light, 5.05, 5.0, 0.5, 1, 10.0)
+    heavy = np.ones(10)
+    assert _fill_radius(tied, heavy, 5.05, 10.0, 0.5, 1, 10.0, 5.0) is None
+    assert _fill_radius(tied, heavy, 5.05, 10.0, 0.5, 1, 10.0) == 2.5
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,6 +487,10 @@ def test_fill_radius_misses_below_its_floor():
        distinct=st.integers(2, 2000), log_g=st.floats(-2.0, -0.1),
        band=st.floats(1e-4, 0.45), depth=st.floats(0.0, 1.0),
        extra=st.floats(0.0, 1.0))
+# the cut takes every band row and k's group is the band's last: the mid-gap
+# radius needs the threshold below the floor (1.61 read, 2.32 exact)
+@example(seed=0, size=50, distinct=2, log_g=-0.5, band=0.4375, depth=0.0,
+         extra=0.0)
 def test_fill_radius_band_is_exact_or_misses(seed, size, distinct, log_g,
                                              band, depth, extra):
     # a band holds every node whose threshold reaches its floor, plus any
@@ -560,10 +574,10 @@ def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     # the partial sort and the bands change no radius, sweep or residual of
     # the sweep
     pair, src, tgt = make()
-    r = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+    r = solver._design(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
-    monkeypatch.setattr(solver, "_fill_radius", fill_radius_oracle)
-    o = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+    monkeypatch.setattr(sweep, "_fill_radius", fill_radius_oracle)
+    o = solver._design(pair, src, tgt, b1=1.0, tol=tol)
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
     assert r.info.residual_history == o.info.residual_history
@@ -583,8 +597,8 @@ def solve_outcome(pair, src, tgt, tol, max_sweeps):
     """The sweep's radii bytes, sweeps, residuals and counters, or the type
     and message of the error it stops with."""
     try:
-        r = solver._sweep(pair, src, tgt, b1=1.0, tol=tol,
-                          max_sweeps=max_sweeps)
+        r = solver._design(pair, src, tgt, b1=1.0, tol=tol,
+                           max_sweeps=max_sweeps)
     except (NonConvergence, InfeasibleTarget) as exc:
         return type(exc), str(exc)
     return (r.radii.tobytes(), r.info.sweeps, r.info.residual_history,
@@ -593,8 +607,8 @@ def solve_outcome(pair, src, tgt, tol, max_sweeps):
 
 def full_pass_outcome(pair, src, tgt, tol, max_sweeps):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_fill_radius",
-                   full_pass_only(solver._fill_radius))
+        mp.setattr(sweep, "_fill_radius",
+                   full_pass_only(sweep._fill_radius))
         return solve_outcome(pair, src, tgt, tol, max_sweeps)
 
 
@@ -642,7 +656,7 @@ def test_band_miss_rebuilds_the_band(monkeypatch):
     # cell, below every later cut, so every band update misses.)
     pair, src, tgt = small_instance(nodes=2000, count=20, seed=1)
     banded = solve_outcome(pair, src, tgt, 5e-3, 10_000)
-    monkeypatch.setattr(solver, "BAND_RANK", 2)
+    monkeypatch.setattr(sweep, "BAND_RANK", 2)
     tight = solve_outcome(pair, src, tgt, 5e-3, 10_000)
     full = full_pass_outcome(pair, src, tgt, 5e-3, 10_000)
     assert banded[:4] == tight[:4] == full[:4]
@@ -667,7 +681,7 @@ def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
     g = rng.uniform(0.5, 1.5, count)
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
     denom = pair.denominators(src.nodes, tgt.directions)
-    band, partial = solver._band, []
+    band, partial = sweep._band, []
 
     def checked(s, second, den_i, b_i, w):
         got = band(s, second, den_i, b_i, w)
@@ -681,9 +695,9 @@ def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
             partial.append(bool(np.any(denom[:, i] <= 0.0)))
         return got
 
-    monkeypatch.setattr(solver, "_band", checked)
+    monkeypatch.setattr(sweep, "_band", checked)
     tol = 1.3 * (count - 1) * np.max(src.weights) / src.total
-    solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+    solver._design(pair, src, tgt, b1=1.0, tol=tol)
     assert any(partial)  # some band's target misses some nodes
 
 
@@ -707,7 +721,7 @@ def test_balance_required():
 def test_invalid_solve_arguments(kwargs, message):
     # init_factor is the sweep's alone: solve_discrete takes none
     pair, src, tgt = small_instance(nodes=300)
-    solve = solver._sweep if "init_factor" in kwargs else solve_discrete
+    solve = solver._design if "init_factor" in kwargs else solve_discrete
     with pytest.raises(ValidationError, match=message):
         solve(pair, src, tgt, **{"b1": 1.0, **kwargs})
 
@@ -732,7 +746,7 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
 
     monkeypatch.setattr(kernels, "tally", recording)
     monkeypatch.setattr(kernels, "masses", counting)
-    r = solver._sweep(pair, src, tgt, b1=1.0, tol=2e-3)
+    r = solver._design(pair, src, tgt, b1=1.0, tol=2e-3)
     assert len(evaluations) == r.info.sweeps + 1
     # an evaluation with no tied row makes no tally call; the sweep's jump
     # updates tie a node now and then
@@ -772,7 +786,7 @@ def test_newton_finish_agrees_with_sweep(media, case2):
     # that start falls back to the sweep, from where the sweep paused
     pair, src, tgt, tol = newton_instance(media, case2, seed=7)
     r = solve_discrete(pair, src, tgt, b1=1.3, tol=tol)
-    o = solver._sweep(pair, src, tgt, b1=1.3, tol=tol)
+    o = solver._design(pair, src, tgt, b1=1.3, tol=tol)
     assert r.info.newton_steps > 0 and o.info.newton_steps == 0
     assert r.radii[0] == 1.3
     assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
@@ -805,7 +819,7 @@ def test_newton_designs_where_the_sweep_stalls():
     tol = 2e-3
     assert 0.45 * tol * src.total / 19 < np.min(src.weights)
     with pytest.raises(NonConvergence, match="the sweep stagnated"):
-        solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+        solver._design(pair, src, tgt, b1=1.0, tol=tol)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     assert r.info.newton_steps > 0
     assert refractor_measure(r, src).residual <= tol
@@ -819,7 +833,7 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     monkeypatch.setattr(kernels, "soup_jacobian",
                         lambda denom, *args: np.zeros((denom.shape[1],) * 2))
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    o = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3)
+    o = solver._design(pair, src, tgt, b1=1.0, tol=1e-3)
     assert r.info.newton_steps == 0
     assert r.radii.tobytes() == o.radii.tobytes()
     assert (r.info.sweeps, r.info.residual_history, r.info.updates,
@@ -832,7 +846,7 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     monkeypatch.setattr(kernels, "soup_jacobian",
                         lambda *args: calls.append(1) or jacobian(*args))
     messages = []
-    for solve in (solve_discrete, solver._sweep):
+    for solve in (solve_discrete, solver._design):
         with pytest.raises(NonConvergence) as err:
             solve(pair, src, tgt, b1=1.0, tol=1e-6, max_sweeps=200)
         messages.append(str(err.value))
@@ -845,7 +859,7 @@ def test_2d_solve_is_the_sweep():
     # 2D keeps the sweep alone
     pair, src, tgt = instance_2d()
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    o = solver._sweep(pair, src, tgt, b1=1.0, tol=1e-3)
+    o = solver._design(pair, src, tgt, b1=1.0, tol=1e-3)
     assert r.info.newton_steps == 0
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.residual_history == o.info.residual_history
@@ -924,7 +938,7 @@ def test_unrepairable_start_falls_back():
         masses = start_masses(pair, src, tgt)
         assert (masses[0] <= 0.0) == anchor_empty and masses.min() <= 0.0
         r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
-        o = solver._sweep(pair, src, tgt, b1=1.0, tol=tol)
+        o = solver._design(pair, src, tgt, b1=1.0, tol=tol)
         assert 0 < r.info.sweeps < o.info.sweeps
         assert r.info.newton_steps > 0
         assert r.info.residual_history[:r.info.sweeps + 1] == \
@@ -1091,6 +1105,83 @@ def test_target_distinct_check_in_linear_memory(dim):
                 TargetMeasure.of(norm2, near, g)
         else:
             assert TargetMeasure.of(norm2, near, g).count == 2000
+
+
+def dense_admissibility(pair, src, tgt):
+    """`check_admissibility` as it read the dense (J, N) margins."""
+    margins = pair.margins(src.nodes, tgt.directions)
+    low = float(margins.min())
+    if low < -1e-12:
+        j, i = np.unravel_index(np.argmin(margins), margins.shape)
+        raise InfeasibleTarget(
+            f"admissibility m.p1(x) >= 1 fails: node {j}, target {i}, "
+            f"value {1.0 + low:.12g}")
+    if low < 1e-6:
+        warnings.warn("admissibility is within 1e-6 of grazing; the "
+                      "discrete problem may be ill-conditioned")
+
+
+def admissibility_outcome(check, pair, src, tgt):
+    """The message check raises, or the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(pair, src, tgt)
+        except InfeasibleTarget as exc:
+            return str(exc)
+    return [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("media", ["ellipsoidal", "lq"])
+@pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
+def test_admissibility_matches_dense_margins(case2, media, dim):
+    # node blocks, one target at a time, give the dense margins' minimum,
+    # first failing (node, target) in row-major order, message and warning;
+    # the targets spread wide enough that the ellipsoidal Case I pairs fail
+    rng = np.random.default_rng(11)
+    pair = media_pairs(media, case2, dim, rng)()
+    src = SourceDensity.from_cap(pair.n1, np.eye(dim)[-1], 0.2, 10_000)
+    m0 = admissible_targets(pair, src, 1, 0.0, rng, margin=-np.inf)[0]
+    dirs = m0 + 0.6 * rng.standard_normal((8, dim))
+    dirs[0] = m0
+    tgt = TargetMeasure.of(pair.n2, dirs, np.ones(8))
+    got = admissibility_outcome(check_admissibility, pair, src, tgt)
+    assert got == admissibility_outcome(dense_admissibility, pair, src, tgt)
+    assert isinstance(got, str) == (media == "ellipsoidal" and not case2)
+
+
+@pytest.mark.parametrize("nodes, targets", [(2, 1), (4096, 4)])
+def test_admissibility_ties_go_row_major(monkeypatch, nodes, targets):
+    # mirror-image nodes and targets: target 1 fails at node 1 and target 0
+    # at node 4 by the same margin, so the pair named is (1, 1), the first
+    # minimum in row-major order, whether or not one block holds both
+    monkeypatch.setattr(solver, "ADMISSIBILITY_NODES", nodes)
+    monkeypatch.setattr(solver, "ADMISSIBILITY_TARGETS", targets)
+    pair = MediumPair.isotropic(1.5, 1.0)
+    s, c = np.sin(0.3), np.cos(0.3)
+    y = np.array([[0.0, 0.0, 1.0], [0.0, -s, c], [s, 0.0, c],
+                  [-s, 0.0, c], [0.0, s, c]])
+    src = SourceDensity.from_cap(pair.n1, Z, 0.3, 40)._replace(nodes=y / 1.5)
+    t = np.array([[0.0, -np.sin(0.9), np.cos(0.9)],
+                  [0.0, np.sin(0.9), np.cos(0.9)]])
+    tgt = TargetMeasure(t, np.ones(2))
+    got = admissibility_outcome(check_admissibility, pair, src, tgt)
+    assert got.startswith("admissibility m.p1(x) >= 1 fails: node 1, target 1")
+    assert got == admissibility_outcome(dense_admissibility, pair, src, tgt)
+
+
+def test_admissibility_in_blocks_of_memory():
+    # 20k nodes x 20 targets: no dense (J, N) margins (3.2 MB), only node
+    # blocks and one buffer
+    pair, src, tgt = small_instance(nodes=20_000, count=20, seed=1)
+    tracemalloc.start()
+    try:
+        check_admissibility(pair, src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_approximate_measure_refinement_cauchy():

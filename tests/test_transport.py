@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,9 @@ from conftest import admissible_targets
 from refractor.errors import InfeasibleTarget, ValidationError
 from refractor.norms import MediumPair, norm_gradient
 from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
-                              dilate, refractor_map, refractor_measure,
-                              rho_values, solve_discrete)
+                              refractor_map, refractor_measure, rho_values,
+                              solve_discrete)
+from refractor.theory import dilate
 from refractor.transport import (CostMatrix, assignment_agreement, build_cost,
                                  certificate, plan_objective, solve_ot_exact)
 
@@ -110,7 +109,7 @@ def test_refractor_plan_is_optimal_case1():
     moved = rep.plan.copy()
     moved[j] = 0.0
     moved[j, k] = src.weights[j]
-    bad = replace(rep, plan=moved, masses=moved.sum(axis=0))
+    bad = rep._replace(plan=moved, masses=moved.sum(axis=0))
     cert = certificate(refr, src, bad)
     assert cert["agrees"] is False
     assert cert["duality_gap_rel"] > 1e-9
@@ -191,7 +190,7 @@ def test_c_concavity_corrupted_radius_still_min_structure():
     own = refractor_measure(refr, src)
     assert rep.residual > own.residual
     # the certificate of refr must not pass with u taken from other radii
-    cert = certificate(refr, src, replace(own, min_radii=rep.min_radii))
+    cert = certificate(refr, src, own._replace(min_radii=rep.min_radii))
     assert cert["agrees"] is False
     assert cert["min_slack"] < -1e-6
 
@@ -202,7 +201,7 @@ def test_c_concavity_random_profile_fails():
     own = refractor_measure(refr, src)
     rng = np.random.default_rng(0)
     raised = own.min_radii * np.exp(rng.uniform(0.0, 0.05, src.count))
-    cert = certificate(refr, src, replace(own, min_radii=raised))
+    cert = certificate(refr, src, own._replace(min_radii=raised))
     assert cert["agrees"] is False
     assert cert["min_slack"] < -1e-6
 
