@@ -8,10 +8,10 @@ Each grid row ``JxN`` is an isotropic Case I problem: media 1.5 -> 1.0, a
 0.25 rad cap of J nodes, tol 1e-3 and b1 = 1.  ``JxN:case2`` swaps the
 media (isotropic Case II, 1.0 -> 1.5), ``JxN:lq`` refracts from an
 isotropic 0.5 medium into an lq(3) one (Case II) and ``JxN:2d`` is the
-isotropic 1.5 -> 1.0 row in the plane, on a 0.25 rad arc, which the sweep
-designs.  A row's targets come from ``numpy.random.default_rng(1)``: the
-cap axis, then N - 1 directions at axis + 0.1 N(0, I), with masses
-U(0.5, 1.5) scaled to the source total.
+isotropic 1.5 -> 1.0 row in the plane, on a 0.25 rad arc.  A row's
+targets come from ``numpy.random.default_rng(1)``: the cap axis, then
+N - 1 directions at axis + 0.1 N(0, I), with masses U(0.5, 1.5) scaled to
+the source total.
 
 Every timed solve runs in a fresh interpreter with OPENBLAS_NUM_THREADS=1
 that builds the quadrature (timed apart) and then times one
@@ -73,7 +73,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 GRID = ("20000x5,20000x20,20000x50,80000x5,80000x100,20000x50:case2,"
-        "20000x100:lq")
+        "20000x100:lq,20000x20:2d,20000x50:2d")
 CLI_GRID_ROW = (20000, 20)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI_THREADS = str(len(os.sched_getaffinity(0)))

@@ -12,28 +12,23 @@ refractor's transport plan, whose column sums are the cell masses and which
 ``refractor_measure``; ``design`` reports its solve's own masses.
 Everything is vectorized numpy and deterministic.
 
-The design sweep also keeps, per node, the envelope's winner and its best
-and second-best heights (``Top2``).  Target i's cell threshold needs only
-the minimum over the other targets, which is the second-best height where
-i wins and the best height elsewhere, so ``win_thresholds`` is O(J) rather
-than a fresh (J, N) pass.  ``lower`` is the only code that computes the
-state: it folds one target's column of heights in, which is exact while no
-height grows.  ``Top2.of`` folds every column into the empty state, where
-every height is +inf, and after b_i shrinks the sweep folds in target i's
-new column, with the floating-point minima a rebuild would take, so
-thresholds are bit-identical to a rebuild's.  The sweep reads its cell
-masses from the same state (``masses``): an untied node sends its whole
-weight to its winner, and only the few tied rows go through ``tally``, so
-no sweep makes a (J, N) pass.
-
-``Top2.take`` and ``Top2.put`` copy out and write back the state of any
-subset of rows, and ``lower`` updates whatever state it is given, so an
-update can read and write only the rows its new radius can reach (the
-solver's bands).
+The design keeps, per node, the envelope's winner and its best and
+second-best heights (``Top2``), from which ``masses`` reads the cell masses
+without a (J, N) pass: an untied node sends its whole weight to its
+winner, and only the few tied rows go through ``tally``.  ``lower`` alone
+computes the state, folding in one target's column of heights, which is
+exact while no height grows: ``Top2.of`` folds every column into the empty
+state, and after b_i shrinks the sweep folds in target i's new column, with
+the minima a rebuild would take.  Target i's cell threshold is then the
+second-best height where i wins and the best elsewhere, so
+``win_thresholds`` is O(J).  ``Top2.take`` and ``Top2.put`` copy out and
+write back the state of any subset of rows, so a sweep update can read and
+write only the rows its new radius can reach (its bands).
 
 ``soup_jacobian`` is the derivative of the cell masses in log b for the
-simplex-soup measure on the cap mesh, which the 3D Newton solve steps
-with; it reads only the triangles whose vertices have different winners.
+simplex-soup measure on the cap mesh (triangles in 3D, arc segments in
+2D), which the Newton solve steps with; it reads only the simplices whose
+vertices have different winners.
 """
 
 from __future__ import annotations
@@ -43,9 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["heights", "tally", "Top2", "masses", "win_thresholds", "lower",
-           "soup_jacobian", "active_backend", "TIE_RTOL"]
+           "soup_jacobian", "active_backend", "TIE_RTOL", "CLOSE_RTOL"]
 
 TIE_RTOL = 1e-12  # surfaces within this relative height of the minimum tie
+CLOSE_RTOL = 16.0 * TIE_RTOL  # denominators this close make surfaces tie
 
 
 def active_backend() -> str:
@@ -182,87 +178,105 @@ def _ranges(start, count):
 
 
 def _mixed(win, tris, tri_masses):
-    """The triangles whose vertices have different winners, (3, T), and
-    their masses."""
+    """The simplices with vertices of different winners, and their masses."""
     first = win[tris[:, 0]]
-    t = np.flatnonzero((first != win[tris[:, 1]]) | (first != win[tris[:, 2]]))
+    mixed = np.logical_or.reduce([first != win[v] for v in tris.T[1:]])
+    t = np.flatnonzero(mixed)
     return tris[t].T, tri_masses[t]
 
 
 def _candidates(phi, win):
-    """(triangle, target) entries, grouped by triangle, of the targets k
+    """(simplex, target) entries, grouped by simplex, of the targets k
     with phi_k >= phi_w at some vertex for each vertex winner w; phi is
-    (N, 3, T) and win (3, T).  Cell k needs phi_k >= phi_w somewhere on
-    the triangle, and an affine function >= 0 somewhere on a triangle is
-    >= 0 at one of its vertices.  The winners are always kept."""
+    (N, vertices, T) and win (vertices, T).  Cell k needs phi_k >= phi_w
+    somewhere on the simplex, and an affine function >= 0 somewhere on a
+    simplex is >= 0 at one of its vertices.  The winners are always kept."""
     cols = np.arange(phi.shape[2])
     keep = np.ones((phi.shape[0], phi.shape[2]), bool)
     for w in win:
-        # phi_w at the three vertices, (3, T)
+        # phi_w at the vertices, (vertices, T)
         keep &= (phi >= phi[w, :, cols].T).any(axis=1)
     return np.nonzero(keep.T)
 
 
 def soup_jacobian(denom, b, win, tris, tri_masses):
     """dM_i / dlog b_k of the simplex-soup measure, (N, N): each flat
-    triangle of the mesh tris over the nodes holds its mass m_T (its area
-    times the mean of the source density at its vertices,
-    `SourceDensity.tri_masses`), spread uniformly.  denom: the nodes' (J, N)
-    denominators; win: a winner of each node at radii b.
+    simplex of the mesh tris, a triangle or (in 2D) a segment, holds its
+    mass m_T (`SourceDensity.tri_masses`) uniformly.  denom: the nodes'
+    (J, N) denominators; win: a winner of each node at radii b.
 
-    phi_k = denom_k / b_k is affine on a flat triangle, and cell i is where
-    phi_i is largest, so a triangle whose three vertices share a winner lies
-    in that cell and only mixed triangles hold cell boundaries.  Raising
-    log b_k lowers phi_k by phi_k, which moves the chord phi_i = phi_k into
-    cell k by phi_k / |grad(phi_i - phi_k)|.  In barycentric coordinates,
-    where the triangle has area 1/2, dM_i / dlog b_k is 2 m_T times the
-    integral of phi_k / |grad(phi_i - phi_k)| along the part of the chord
-    where phi_i = phi_k is the largest.  Only targets whose phi reaches each
-    vertex winner's at some vertex can be largest anywhere on a triangle,
-    and every other target lies below a winner on all of it.
-    The matrix is symmetric with nonnegative off-diagonal entries, and its
-    diagonal is minus the row sums.
-    """
+    phi_k = denom_k / b_k is affine on a flat simplex, and cell i is where
+    phi_i is largest, so only simplices whose vertices have different
+    winners hold cell boundaries.  Raising log b_k lowers phi_k by phi_k,
+    which moves the boundary phi_i = phi_k into cell k by
+    phi_k / |grad(phi_i - phi_k)|.  On a segment, of length 1 in its chart,
+    that boundary is a point s*, and dM_i / dlog b_k is
+    m_T phi_k(s*) / |psi_0 - psi_1|, psi = phi_i - phi_k at its ends.  On a
+    triangle, of area 1/2 in barycentric coordinates, it is a chord, and
+    dM_i / dlog b_k is 2 m_T times the integral of phi_k / |grad psi| along
+    it.  Either counts only where phi_i = phi_k is the largest, which only
+    targets whose phi reaches each vertex winner's at some vertex can be.
+    The matrix is symmetric, >= 0 off the diagonal, with zero row sums."""
     N = denom.shape[1]
     tri, m_T = _mixed(win, tris, tri_masses)
-    T = tri.shape[1]
-    # phi at the vertices, (N, 3, T): a gather from each target's column
+    V, T = tri.shape
+    # phi at the vertices, (N, V, T): a gather from each target's column
     phi = np.take(denom.T, tri, axis=1)
     phi /= b[:, None, None]
     t, k = _candidates(phi, win[tri])
-    size = np.bincount(t, minlength=T)  # candidates, by triangle
+    size = np.bincount(t, minlength=T)  # candidates, by simplex
     start = np.cumsum(size) - size
-    # an entry's vertex values, (3, entries): phi[at[entries] + vert]
-    at, vert = k * (3 * T) + t, np.arange(0, 3 * T, T)[:, None]
+    # an entry's vertex values, (V, entries): phi[at[entries] + vert]
+    at, vert = k * (V * T) + t, np.arange(0, V * T, T)[:, None]
     phi = phi.ravel()
-    # every pair of candidate entries a < c of one triangle: targets i, j
+    # every pair of candidate entries a < c of one simplex: targets i, j
     entry = np.arange(t.size)
     a, c = _ranges(entry + 1, start[t] + size[t] - entry - 1)
     psi = phi[at[a] + vert] - phi[at[c] + vert]
     npos = np.count_nonzero(psi > 0.0, axis=0)
-    chord = (npos == 1) | (npos == 2)
-    a, c, psi, npos = a[chord], c[chord], psi[:, chord], npos[chord]
+    cross = (npos > 0) & (npos < V)
+    a, c, psi, npos = a[cross], c[cross], psi[:, cross], npos[cross]
     tp, i, j = t[a], k[a], k[c]
-    # the chord runs from edge (o, o+1) to edge (o, o+2), o being the vertex
-    # alone on its side of it; p and q are its ends, in barycentric
-    # coordinates
-    rows = np.arange(a.size)
-    o = np.where(npos == 1, psi.argmax(axis=0), psi.argmin(axis=0))
-    po, pa, pc = (psi[(o + n) % 3, rows] for n in range(3))
-    ta, tc = po / (po - pa), po / (po - pc)
-    p, q = np.zeros((3, a.size)), np.zeros((3, a.size))
-    p[o, rows], p[(o + 1) % 3, rows] = 1.0 - ta, ta
-    q[o, rows], q[(o + 2) % 3, rows] = 1.0 - tc, tc
-    # clip it to where phi_i is largest: each other candidate l keeps the
-    # s in [0, 1] where (1 - s) d(p) + s d(q) >= 0, d = phi_i - phi_l
+    # each other candidate l of the pair's simplex: d = phi_i - phi_l
     pair, l = _ranges(start[tp], size[tp])
     keep = (l != a[pair]) & (l != c[pair])
     pair, l = pair[keep], l[keep]
     d = phi[at[a[pair]] + vert] - phi[at[l] + vert]
+    phij = phi[at[c] + vert]
+    if V == 2:
+        # s* counts where no other candidate lies above phi_i
+        s = psi[0] / (psi[0] - psi[1])
+        above = (1.0 - s[pair]) * d[0] + s[pair] * d[1] < 0.0
+        top = np.bincount(pair[above], minlength=a.size) == 0
+        val = (m_T[tp] * top * ((1.0 - s) * phij[0] + s * phij[1])
+               / np.abs(psi[0] - psi[1]))
+    else:
+        val = _chord_values(psi, npos, d, pair, phij, m_T[tp])
+    H = np.bincount(i * N + j, val, N * N).reshape(N, N)
+    H += H.T
+    H[np.diag_indices(N)] = -H.sum(axis=1)
+    return H
+
+
+def _chord_values(psi, npos, d, pair, phij, m_T):
+    """`soup_jacobian`'s values on triangles, from its pairs' vertex
+    values."""
+    # the chord runs from edge (o, o+1) to edge (o, o+2), o being the vertex
+    # alone on its side of it; p and q are its ends, in barycentric
+    # coordinates
+    rows = np.arange(npos.size)
+    o = np.where(npos == 1, psi.argmax(axis=0), psi.argmin(axis=0))
+    po, pa, pc = (psi[(o + n) % 3, rows] for n in range(3))
+    ta, tc = po / (po - pa), po / (po - pc)
+    p, q = np.zeros((3, rows.size)), np.zeros((3, rows.size))
+    p[o, rows], p[(o + 1) % 3, rows] = 1.0 - ta, ta
+    q[o, rows], q[(o + 2) % 3, rows] = 1.0 - tc, tc
+    # clip it to where phi_i is largest: each other candidate l keeps the
+    # s in [0, 1] where (1 - s) d(p) + s d(q) >= 0
     dp, dq = np.sum(d * p[:, pair], axis=0), np.sum(d * q[:, pair], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = dp / (dp - dq)
-    lo, hi = np.zeros(a.size), np.ones(a.size)
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
     np.maximum.at(lo, pair, np.where(dp < 0.0, np.where(dq >= 0.0, root,
                                                         1.0), 0.0))
     np.minimum.at(hi, pair, np.where(dq < 0.0, np.where(dp >= 0.0, root,
@@ -270,12 +284,7 @@ def soup_jacobian(denom, b, win, tris, tri_masses):
     # |q - p| / |grad psi| in the chart (lambda_(o+1), lambda_(o+2)) is
     # |psi_o| / ((psi_o - psi_(o+1)) (psi_o - psi_(o+2))); times the clipped
     # length and phi_j at its midpoint
-    phij = phi[at[c] + vert]
     fp, fq = np.sum(phij * p, axis=0), np.sum(phij * q, axis=0)
     mid = 0.5 * (lo + hi)
-    val = (2.0 * m_T[tp] * np.abs(po) / ((po - pa) * (po - pc))
-           * np.maximum(hi - lo, 0.0) * (fp + mid * (fq - fp)))
-    H = np.bincount(i * N + j, val, N * N).reshape(N, N)
-    H += H.T
-    H[np.diag_indices(N)] = -H.sum(axis=1)
-    return H
+    return (2.0 * m_T * np.abs(po) / ((po - pa) * (po - pc))
+            * np.maximum(hi - lo, 0.0) * (fp + mid * (fq - fp)))

@@ -9,12 +9,12 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
 
 pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).  In
-3D, damped Newton steps on the simplex-soup Jacobian design from a closed-form
-start, checked for empty cells.  Where that start fails, and in 2D, the
-monotone sweep of `refractor.sweep` designs; it is imported only then, and
-to repair an empty cell of the start.  In 3D the sweep pauses once every
-cell holds mass for one more Newton attempt, and goes on where it paused if
-that fails too.
+2D and 3D alike, damped Newton steps on the simplex-soup Jacobian design
+from a closed-form start, checked for empty cells.  Where that start fails,
+the monotone sweep of `refractor.sweep` designs; it is imported only then,
+and to repair an empty cell of the start.  The sweep pauses once every cell
+holds mass for one more Newton attempt, and goes on where it paused if that
+fails too.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -49,7 +49,7 @@ class SourceDensity(NamedTuple):
     """Quadrature of f dx on a cap of Sigma1: nodes x_j (N1(x_j) = 1),
     positive weights w_j, plus the triangulation of the Euclidean directions
     the nodes were built from (for meshes, edge difference quotients and
-    the simplex soup of the 3D Newton steps) and the soup's masses."""
+    the simplex soup of the Newton steps) and the soup's masses."""
 
     nodes: np.ndarray      # (J, n) on Sigma1
     weights: np.ndarray    # (J,) positive
@@ -95,6 +95,21 @@ class SourceDensity(NamedTuple):
         return self.nodes.shape[0]
 
 
+def _near_pairs(points, reach):
+    """Index arrays (a, c) per neighbour offset, whose row pairs hold every
+    pair of points closer than reach, in O(N) memory: on a unit axis v,
+    |(p_a - p_c).v| <= |p_a - p_c|, so only neighbours by projection can."""
+    v = np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
+    proj = points @ (v / np.linalg.norm(v))
+    order = np.argsort(proj)
+    proj = proj[order]
+    for k in range(1, proj.size):
+        pairs = np.flatnonzero(proj[k:] - proj[:-k] < reach)
+        if not pairs.size:
+            return
+        yield order[pairs], order[pairs + k]
+
+
 class TargetMeasure(NamedTuple):
     """Discrete target: distinct directions m_i on Sigma2 with positive
     masses g_i."""
@@ -116,20 +131,10 @@ class TargetMeasure(NamedTuple):
             raise ValidationError("target masses must be positive")
         if dirs.shape[0] != masses.shape[0]:
             raise ValidationError("directions/masses length mismatch")
-        # no two directions within 1e-12, in O(N) memory: on a unit axis v,
-        # |(m_a - m_b).v| <= |m_a - m_b|, so sorted by projection only
-        # neighbours closer than 1e-12 (plus rounding) can be that close
-        v = np.sqrt(np.arange(2.0, dirs.shape[1] + 2.0))
-        proj = dirs @ (v / np.linalg.norm(v))
-        order = np.argsort(proj)
-        proj, ranked = proj[order], dirs[order]
+        # no two directions within 1e-12, in O(N) memory
         reach = 1e-12 + 1e-14 * float(np.abs(dirs).max(initial=0.0))
-        for k in range(1, proj.size):
-            pairs = np.flatnonzero(proj[k:] - proj[:-k] < reach)
-            if not pairs.size:
-                break
-            dist = np.linalg.norm(ranked[pairs + k] - ranked[pairs], axis=-1)
-            if float(dist.min()) < 1e-12:
+        for a, c in _near_pairs(dirs, reach):
+            if np.linalg.norm(dirs[c] - dirs[a], axis=-1).min() < 1e-12:
                 raise ValidationError("target directions must be distinct")
         return cls(directions=dirs, masses=masses)
 
@@ -146,7 +151,7 @@ class SolveInfo:
 
     def __init__(self):
         self.sweeps = 0
-        self.newton_steps = 0   # accepted steps of the 3D Newton solve
+        self.newton_steps = 0   # accepted steps of the Newton solve
         # its trial steps, accepted or rejected, in every Newton run: each
         # rebuilds the Top2 state
         self.newton_trials = 0
@@ -295,12 +300,13 @@ NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
 
 
 def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
-            info: SolveInfo):
+            info: SolveInfo, history=()):
     """Damped Newton steps on the node residual from radii b, their state
-    top and their masses, every one positive: (radii, masses, residuals)
-    once max|M - g| <= delta, or None.  The arrays given are left as they
-    are; the residuals are those of the accepted steps.  Each trial step
-    adds one to info.newton_trials.
+    top and their masses, every one positive: the radii once max|M - g| <=
+    delta, or None.  The arrays given are left as they are.  Each trial
+    step adds one to info.newton_trials; on success info also takes the
+    masses and the steps, and its residual_history history and the
+    accepted steps' residuals.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
@@ -315,10 +321,10 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     eta = np.log(b / b1)
     err = float(np.max(np.abs(masses - g)))
     eps0 = 0.5 * min(float(masses.min()), float(g.min()))
-    residuals = []
+    residuals = list(history)
     for _ in range(NEWTON_STEPS):
         if err <= delta:
-            return b, masses, residuals
+            break
         H = kernels.soup_jacobian(denom, b, top.win, src.tris,
                                   src.tri_masses)
         try:
@@ -342,13 +348,18 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
             return None
         eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
         residuals.append(err / src.total)
-    return (b, masses, residuals) if err <= delta else None
+    if err > delta:
+        return None
+    info.masses, info.newton_steps = masses, len(residuals) - len(history)
+    info.residual_history += residuals
+    info.residual = info.residual_history[-1]
+    return b
 
 
 def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
            b1: float) -> np.ndarray:
-    """The closed-form radii that the 3D Newton solve starts from, with
-    b[0] = b1 exactly.
+    """The closed-form radii that the Newton solve starts from, with
+    b[0] = b1 exactly, in 2D and 3D.
 
     With x^ the Euclidean direction of a node and q^_k that of p2(m_k),
     -log denom_k(x) is const + 2 s beta0 x^.q^_k to second order in the
@@ -377,14 +388,11 @@ def _newton_start(pair: MediumPair, src: SourceDensity,
                   tgt: TargetMeasure, denom, b1: float, delta: float,
                   info: SolveInfo):
     """Newton from `_start`'s radii: a Refractor that carries info, or None
-    where the start leaves a cell empty or Newton fails (info then counts
-    only the trial steps).
-
-    A cell k >= 2 the start leaves empty is repaired once, by the sweep's
-    update (`sweep._fill_radius` on `kernels.win_thresholds`) aimed at half
-    its mass; radii only shrink there, so the state stays exact.  An empty
-    anchor cell, an empty cell after the repair or a target that cannot
-    absorb that mass give None."""
+    (info then counts only the trial steps).  A cell k >= 2 the start
+    leaves empty is repaired once, by the sweep's update (`_fill_radius`)
+    aimed at half its mass; radii only shrink there, so the state stays
+    exact.  An empty anchor cell, a cell still empty after the repair, a
+    target that cannot absorb that mass or a failed Newton give None."""
     g, w = tgt.masses, src.weights
     b = _start(pair, src, tgt, b1)
     if not np.all(np.isfinite(b) & (b > 0.0)):
@@ -409,54 +417,47 @@ def _newton_start(pair: MediumPair, src: SourceDensity,
         if masses.min() <= 0.0:
             return None
     start = float(np.max(np.abs(masses - g))) / src.total
-    done = _newton(denom, src, g, b, top, masses, delta, info)
-    if done is None:
+    radii = _newton(denom, src, g, b, top, masses, delta, info, [start])
+    if radii is None:
         return None
-    radii, info.masses, residuals = done
-    info.newton_steps = len(residuals)
-    info.residual_history = [start] + residuals
-    info.residual = info.residual_history[-1]
     info.updates = info.band_misses = empty.size
     return Refractor(pair, tgt, radii, info=info)
+
+
+def _check_separated(pair: MediumPair, src: SourceDensity,
+                     tgt: TargetMeasure, denom) -> None:
+    """Refuse two targets whose denominators agree within CLOSE_RTOL
+    relative at every node either reaches, so that their surfaces tie
+    wherever they win (`kernels.CLOSE_RTOL`).  They differ by
+    x.(p2(m_a) - p2(m_b)), at most |p2(m_a) - p2(m_b)| max|x|, and
+    |denom| <= 1 + |x| |p2(m)|."""
+    rtol, p = kernels.CLOSE_RTOL, norm_gradient(pair.n2, tgt.directions)
+    xmax = float(np.linalg.norm(src.nodes, axis=1).max())
+    reach = rtol * (1.0 / xmax + float(np.linalg.norm(p, axis=1).max()))
+    for near in _near_pairs(p, reach):
+        for a, c in zip(*np.sort(near, axis=0).tolist()):
+            d = denom[:, [a, c]]
+            reached = d[d > 0.0]
+            gap = float(np.linalg.norm(p[a] - p[c])) * xmax
+            if reached.size and gap <= rtol * float(reached.min()):
+                raise ValidationError(
+                    f"targets {a} and {c} cannot be told apart: their "
+                    f"denominators agree within {rtol:.2g} relative at "
+                    "every node")
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3,
                    max_sweeps: int = 10_000) -> Refractor:
-    """Design in either regime: unique radii (b_1 fixed) with residual
-    <= tol * total.
-
-    In 3D, damped Newton steps (`_newton`) start from a closed-form start,
-    checked for empty cells (`_newton_start`).  If that fails, the sweep
-    (`sweep.run`) runs from its own start, pauses the first time every
-    cell holds mass and tries Newton once more; if that fails too, the
-    sweep resumes from where it paused, so its stops, messages and errors
-    are the sweep's own.  2D problems are designed by the sweep alone.
-    """
-    return _design(pair, src, tgt, b1, tol, max_sweeps, newton=pair.dim == 3)
-
-
-def _design(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-            b1: float, tol: float = 1e-3, max_sweeps: int = 10_000,
-            init_factor: float = 1.0, newton: bool = False) -> Refractor:
-    """`solve_discrete` with the Newton attempts optional: it checks the
-    problem and builds the denominators, then with newton tries Newton from
-    the closed-form start, and otherwise, or where that fails, runs the
-    monotone sweep (`sweep.run`).  Without newton it is the sweep alone.
-
-    init_factor >= 1 scales the sweep's inactive-surface start; any value
-    keeps the construction admissible, so re-solving with a different factor
-    probes uniqueness at the quadrature scale.
-    """
+    """Design in either regime and dimension: unique radii (b_1 fixed) with
+    residual <= tol * total, by `_newton_start`, or where that fails by
+    `sweep.run`, whose stops, messages and errors are the sweep's own."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     if max_sweeps < 1:
         raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
-    if not (np.isfinite(init_factor) and init_factor >= 1.0):
-        raise ValidationError("init_factor must be finite and >= 1 to start "
-                              f"admissibly, got {init_factor!r}")
     _check_balance(src, tgt)
     check_admissibility(pair, src, tgt)
 
@@ -477,16 +478,14 @@ def _design(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     if not np.all((first >= np.finfo(float).tiny) & (first < np.inf)):
         raise ValidationError(f"b1 = {b1!r} puts start heights b1 / denom "
                               "outside the normal float range")
+    _check_separated(pair, src, tgt, denom)
     info = SolveInfo()
-    if newton:
-        done = _newton_start(pair, src, tgt, denom, b1, tol * src.total,
-                             info)
-        if done is not None:
-            return done
+    done = _newton_start(pair, src, tgt, denom, b1, tol * src.total, info)
+    if done is not None:
+        return done
     from . import sweep
 
-    return sweep.run(pair, src, tgt, denom, b1, tol, max_sweeps, init_factor,
-                     newton, info)
+    return sweep.run(pair, src, tgt, denom, b1, tol, max_sweeps, info)
 
 
 # perfbench/spans.py looks this name up on the module

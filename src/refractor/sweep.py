@@ -1,5 +1,5 @@
-"""The monotone radius sweep: the design of 2D problems, and of 3D ones
-whose Newton start fails.
+"""The monotone radius sweep: the fallback of designs whose Newton start
+fails.
 
 Every surface except the first starts inactive, above the anchor's at every
 node; then each sweep shrinks the radius of each under-filled target, which
@@ -107,17 +107,12 @@ def _band(s: np.ndarray, second: np.ndarray, den_i: np.ndarray,
 
 
 def run(pair, src, tgt, denom, b1: float, tol: float, max_sweeps: int,
-        init_factor: float, newton: bool, info) -> Refractor:
+        info) -> Refractor:
     """The sweep from its own start on the checked problem and its
     column-major denominators: a Refractor carrying info, or
-    NonConvergence.  With newton it tries `solver._newton` once, the first
-    time every cell holds mass; if that fails it goes on where it paused.
-
-    init_factor >= 1 scales the inactive-surface start; any value keeps
-    the construction admissible."""
-    g = tgt.masses
-    w = src.weights
-    N = tgt.count
+    NonConvergence.  It tries `solver._newton` once, the first time every
+    cell holds mass; if that fails it goes on where it paused."""
+    g, w, N = tgt.masses, src.weights, tgt.count
     delta = tol * src.total
     # every other surface starts above the anchor's at every node, inactive
     b = np.empty(N)
@@ -127,7 +122,7 @@ def run(pair, src, tgt, denom, b1: float, tol: float, max_sweeps: int,
         if not np.any(feas):
             raise InfeasibleTarget(f"target {i} is feasible for no node")
         ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
-        b[i] = b1 * ratio * (1.0 + 1e-6) * init_factor
+        b[i] = b1 * ratio * (1.0 + 1e-6)
 
     delta_c = 0.9 * delta / max(1, N - 1)
     half_band = 0.5 * delta_c
@@ -136,6 +131,7 @@ def run(pair, src, tgt, denom, b1: float, tol: float, max_sweeps: int,
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
     bands = [None] * N  # per target: `_band` of its last full pass
+    newton = True  # until tried once
 
     for sweep in range(max_sweeps):
         masses = kernels.masses(top, denom, b, w)
@@ -147,13 +143,9 @@ def run(pair, src, tgt, denom, b1: float, tol: float, max_sweeps: int,
             info.masses = masses
             return Refractor(pair, tgt, b, info=info)
         if newton and np.all(masses > 0.0):
-            newton = False  # tried once
-            done = _newton(denom, src, g, b, top, masses, delta, info)
-            if done is not None:
-                radii, info.masses, residuals = done
-                info.newton_steps = len(residuals)
-                info.residual = residuals[-1]
-                info.residual_history += residuals
+            newton = False
+            radii = _newton(denom, src, g, b, top, masses, delta, info)
+            if radii is not None:
                 return Refractor(pair, tgt, radii, info=info)
         moved = False
         for i in range(1, N):

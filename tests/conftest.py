@@ -120,3 +120,15 @@ def admissible_instance(draw_pair, rng, angle, nodes, count, spread):
         except AssertionError:
             continue
     raise AssertionError("no admissible instance in 10 draws")
+
+
+def sweep_alone(*args, **kwargs):
+    """`solve_discrete` with both Newton attempts switched off (the start's
+    and the sweep's pause): the monotone sweep alone, an oracle for what
+    Newton designs."""
+    from refractor import solver, sweep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_start", lambda *_: None)
+        mp.setattr(sweep, "_newton", lambda *_: None)
+        return solver.solve_discrete(*args, **kwargs)

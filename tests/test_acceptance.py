@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import admissible_targets, random_ellipsoidal_pair, src_env
+from conftest import (admissible_targets, random_ellipsoidal_pair, src_env,
+                      sweep_alone)
 from refractor.errors import NoRefraction
-from refractor import solver
 from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
                                sheet_radii, single_sheet_check)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
@@ -218,8 +218,8 @@ def test_criterion_5_energy_balance(desk_scale_solutions):
         rep = refractor_measure(refr, src)
         assert rep.residual <= 1e-3
         assert refr.info.sweeps <= 10_000
-        # the sweep alone, from another admissible start
-        refr2 = solver._design(pair, src, tgt, 1.0, 1e-3, init_factor=2.0)
+        # the sweep alone, from its own start, designs what Newton designs
+        refr2 = sweep_alone(pair, src, tgt, 1.0, 1e-3)
         rel = float(np.max(np.abs(refr2.radii - refr.radii) / refr.radii))
         assert rel <= 1e-2
     elapsed = desk_scale_solutions["solve_seconds"] + time.perf_counter() - t0

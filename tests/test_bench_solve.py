@@ -51,8 +51,8 @@ def test_bench_solve_smoke(tmp_path):
                 continue
             assert run["error"] is None and run["stop"] == "converged"
             assert 0 < run["residual"] <= 1e-3
-            # the sweep alone designs in 2D
-            assert (run["newton_steps"] > 0) == (row["media"] != "2d")
+            # Newton designs in 2D as in 3D
+            assert run["newton_steps"] > 0
             # every accepted step is a trial step, and rejected ones count
             assert run["newton_trials"] >= run["newton_steps"]
             if run["sweeps"] == 0:  # Newton from the closed-form start

@@ -171,8 +171,8 @@ def loaded_by_design(problem, out):
 
 
 def test_design_loads_the_sweep_only_to_run_it(tmp_path):
-    # the golden 3D design is Newton's from its start: no sweep; a 2D
-    # design is the sweep's
+    # the golden 3D design and a 2D one are Newton's from the closed-form
+    # start: no sweep
     loaded = loaded_by_design(GOLDEN_PROBLEM, tmp_path / "golden.json")
     assert "refractor.solver" in loaded
     assert not loaded & {"refractor.sweep", "refractor.theory",
@@ -186,7 +186,8 @@ def test_design_loads_the_sweep_only_to_run_it(tmp_path):
                        {"m": [-0.1, 0.995], "g": 1.3}]
     path = tmp_path / "problem_2d.json"
     path.write_text(json.dumps(prob))
-    assert "refractor.sweep" in loaded_by_design(path, tmp_path / "2d.json")
+    assert "refractor.sweep" not in loaded_by_design(path,
+                                                     tmp_path / "2d.json")
 
 
 NON_FINITE_EDITS = {
@@ -427,6 +428,25 @@ def test_design_stagnation_stops_early(tmp_path):
     assert found, error
     assert int(found.group(1)) <= 30
     assert "most under-filled: target" in error
+
+
+def test_design_refuses_targets_it_cannot_tell_apart(tmp_path, capsys):
+    # targets 1 and 3 lie 5e-12 apart: distinct directions, but their
+    # denominators agree within 16 TIE_RTOL at every node, so design and
+    # verify exit 1 and name both; 1e-9 apart they design
+    for gap, code in ((5e-12, 1), (1e-9, 0)):
+        prob = json.loads(small_problem(tmp_path).read_text())
+        m = np.array(prob["targets"][1]["m"]) + [0.0, gap, 0.0]
+        prob["targets"].append({"m": m.tolist(), "g": 0.5})
+        prob["targets"][2]["g"] = 0.8
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(prob))
+        capsys.readouterr()
+        for cmd in ("design", "verify"):
+            assert main([cmd, str(path)]) == code
+            if code:
+                assert ("targets 1 and 3 cannot be told apart"
+                        in capsys.readouterr().err)
 
 
 def test_design_infeasible_exit_code(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import admissible_instance, admissible_targets, media_pairs
+from conftest import (admissible_instance, admissible_targets, media_pairs,
+                      sweep_alone)
 from refractor import kernels, solver, sweep
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
@@ -232,10 +233,11 @@ def test_solve_residual_and_refinement():
 
 
 def test_solve_other_initialization_agrees():
-    # the sweep alone, from another admissible start, designs the same radii
+    # the sweep alone, from its own start, designs the radii Newton designs
     pair, src, tgt = small_instance(nodes=2500, count=5, seed=5)
     r1 = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    r2 = solver._design(pair, src, tgt, b1=1.0, tol=1e-3, init_factor=2.0)
+    r2 = sweep_alone(pair, src, tgt, b1=1.0, tol=1e-3)
+    assert r1.info.newton_steps > 0 and r2.info.newton_steps == 0
     assert np.max(np.abs(r2.radii - r1.radii) / r1.radii) <= 1e-2
 
 
@@ -574,10 +576,10 @@ def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     # the partial sort and the bands change no radius, sweep or residual of
     # the sweep
     pair, src, tgt = make()
-    r = solver._design(pair, src, tgt, b1=1.0, tol=tol)
+    r = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
     monkeypatch.setattr(sweep, "_fill_radius", fill_radius_oracle)
-    o = solver._design(pair, src, tgt, b1=1.0, tol=tol)
+    o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
     assert r.info.residual_history == o.info.residual_history
@@ -597,8 +599,8 @@ def solve_outcome(pair, src, tgt, tol, max_sweeps):
     """The sweep's radii bytes, sweeps, residuals and counters, or the type
     and message of the error it stops with."""
     try:
-        r = solver._design(pair, src, tgt, b1=1.0, tol=tol,
-                           max_sweeps=max_sweeps)
+        r = sweep_alone(pair, src, tgt, b1=1.0, tol=tol,
+                        max_sweeps=max_sweeps)
     except (NonConvergence, InfeasibleTarget) as exc:
         return type(exc), str(exc)
     return (r.radii.tobytes(), r.info.sweeps, r.info.residual_history,
@@ -697,7 +699,7 @@ def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
 
     monkeypatch.setattr(sweep, "_band", checked)
     tol = 1.3 * (count - 1) * np.max(src.weights) / src.total
-    solver._design(pair, src, tgt, b1=1.0, tol=tol)
+    sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert any(partial)  # some band's target misses some nodes
 
 
@@ -709,9 +711,9 @@ def test_balance_required():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"init_factor": float("nan")}, "init_factor must be finite"),
-    ({"init_factor": float("inf")}, "init_factor must be finite"),
-    ({"init_factor": 0.5}, "init_factor must be finite and >= 1"),
+    ({"tol": float("inf")}, "tol must be finite and positive, got inf"),
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    ({"b1": 0.0}, "b1 must be finite and positive, got 0.0"),
     ({"tol": float("nan")}, "tol must be finite and positive"),
     ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
     ({"b1": float("nan")}, "b1 must be finite and positive, got nan"),
@@ -719,11 +721,9 @@ def test_balance_required():
     ({"b1": 1e-310}, "b1 = 1e-310 puts start heights b1 / denom outside"),
 ])
 def test_invalid_solve_arguments(kwargs, message):
-    # init_factor is the sweep's alone: solve_discrete takes none
     pair, src, tgt = small_instance(nodes=300)
-    solve = solver._design if "init_factor" in kwargs else solve_discrete
     with pytest.raises(ValidationError, match=message):
-        solve(pair, src, tgt, **{"b1": 1.0, **kwargs})
+        solve_discrete(pair, src, tgt, **{"b1": 1.0, **kwargs})
 
 
 @pytest.mark.parametrize("n1, n2", [(1.5, 1.0), (1.0, 1.5)],
@@ -746,7 +746,7 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
 
     monkeypatch.setattr(kernels, "tally", recording)
     monkeypatch.setattr(kernels, "masses", counting)
-    r = solver._design(pair, src, tgt, b1=1.0, tol=2e-3)
+    r = sweep_alone(pair, src, tgt, b1=1.0, tol=2e-3)
     assert len(evaluations) == r.info.sweeps + 1
     # an evaluation with no tied row makes no tally call; the sweep's jump
     # updates tie a node now and then
@@ -765,11 +765,11 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
     assert all(n < src.count for n in rows)
 
 
-def newton_instance(media, case2, seed, nodes=3000, count=8):
-    """A 3D instance of `media` with admissible targets; the tolerance is
+def newton_instance(media, case2, seed, nodes=3000, count=8, dim=3):
+    """An instance of `media` with admissible targets; the tolerance is
     1.3 node weights per target above the quadrature resolution."""
     rng = np.random.default_rng(seed)
-    pair, src, dirs = admissible_instance(media_pairs(media, case2, 3, rng),
+    pair, src, dirs = admissible_instance(media_pairs(media, case2, dim, rng),
                                           rng, 0.2, nodes, count, 0.1)
     g = rng.uniform(0.5, 1.5, count)
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
@@ -777,16 +777,22 @@ def newton_instance(media, case2, seed, nodes=3000, count=8):
     return pair, src, tgt, tol
 
 
-@pytest.mark.parametrize("media", ["isotropic", "ellipsoidal", "lq"])
+MEDIA_DIMS = [(media, dim) for dim in (3, 2)
+              for media in ("isotropic", "ellipsoidal", "lq")]
+MEDIA_DIM_IDS = [media + ("" if dim == 3 else "_2d")
+                 for media, dim in MEDIA_DIMS]
+
+
+@pytest.mark.parametrize("media, dim", MEDIA_DIMS, ids=MEDIA_DIM_IDS)
 @pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
-def test_newton_finish_agrees_with_sweep(media, case2):
-    # in 3D Newton designs what the sweep alone designs, within the
+def test_newton_finish_agrees_with_sweep(media, dim, case2):
+    # in 2D and 3D Newton designs what the sweep alone designs, within the
     # quadrature scale, with the node residual <= tol; radii[0] is b1, and
     # the residuals fall strictly, from the closed-form start's or, where
     # that start falls back to the sweep, from where the sweep paused
-    pair, src, tgt, tol = newton_instance(media, case2, seed=7)
+    pair, src, tgt, tol = newton_instance(media, case2, seed=7, dim=dim)
     r = solve_discrete(pair, src, tgt, b1=1.3, tol=tol)
-    o = solver._design(pair, src, tgt, b1=1.3, tol=tol)
+    o = sweep_alone(pair, src, tgt, b1=1.3, tol=tol)
     assert r.info.newton_steps > 0 and o.info.newton_steps == 0
     assert r.radii[0] == 1.3
     assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
@@ -819,7 +825,7 @@ def test_newton_designs_where_the_sweep_stalls():
     tol = 2e-3
     assert 0.45 * tol * src.total / 19 < np.min(src.weights)
     with pytest.raises(NonConvergence, match="the sweep stagnated"):
-        solver._design(pair, src, tgt, b1=1.0, tol=tol)
+        sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     assert r.info.newton_steps > 0
     assert refractor_measure(r, src).residual <= tol
@@ -833,7 +839,7 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     monkeypatch.setattr(kernels, "soup_jacobian",
                         lambda denom, *args: np.zeros((denom.shape[1],) * 2))
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    o = solver._design(pair, src, tgt, b1=1.0, tol=1e-3)
+    o = sweep_alone(pair, src, tgt, b1=1.0, tol=1e-3)
     assert r.info.newton_steps == 0
     assert r.radii.tobytes() == o.radii.tobytes()
     assert (r.info.sweeps, r.info.residual_history, r.info.updates,
@@ -846,7 +852,7 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     monkeypatch.setattr(kernels, "soup_jacobian",
                         lambda *args: calls.append(1) or jacobian(*args))
     messages = []
-    for solve in (solve_discrete, solver._design):
+    for solve in (solve_discrete, sweep_alone):
         with pytest.raises(NonConvergence) as err:
             solve(pair, src, tgt, b1=1.0, tol=1e-6, max_sweeps=200)
         messages.append(str(err.value))
@@ -855,14 +861,17 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     assert "the sweep stagnated" in messages[0]
 
 
-def test_2d_solve_is_the_sweep():
-    # 2D keeps the sweep alone
+def test_2d_solve_is_newton():
+    # 2D designs as 3D does: Newton steps on the segment soup from the
+    # closed-form start, no sweep, and the sweep alone's radii within the
+    # quadrature scale
     pair, src, tgt = instance_2d()
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    o = solver._design(pair, src, tgt, b1=1.0, tol=1e-3)
-    assert r.info.newton_steps == 0
-    assert r.radii.tobytes() == o.radii.tobytes()
-    assert r.info.residual_history == o.info.residual_history
+    o = sweep_alone(pair, src, tgt, b1=1.0, tol=1e-3)
+    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert o.info.sweeps > 0 and o.info.newton_steps == 0
+    assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
+    assert refractor_measure(r, src).residual == r.info.residual <= 1e-3
 
 
 def start_masses(pair, src, tgt):
@@ -877,28 +886,31 @@ DIAGONAL = (Norm.ellipsoidal(np.diag([1.7, 1.55, 1.6])),
 
 
 @pytest.mark.parametrize("off_axis", [False, True], ids=["axis", "off_axis"])
-@pytest.mark.parametrize("media", ["isotropic", "ellipsoidal", "lq"])
+@pytest.mark.parametrize("media, dim", MEDIA_DIMS, ids=MEDIA_DIM_IDS)
 @pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
-def test_start_leaves_no_cell_empty(monkeypatch, case2, media, off_axis):
+def test_start_leaves_no_cell_empty(monkeypatch, case2, media, dim,
+                                    off_axis):
     # after the check and repair every cell of the closed-form start holds
-    # mass, and Newton designs from it with no sweep.  The ellipsoidal pair
-    # is the diagonal one of `aniso_case1` (reversed in Case II); the
-    # anchor is the best-aligned target, or the one farthest from the mean
-    # direction
+    # mass, and Newton designs from it with no sweep, in 2D and 3D.  The 3D
+    # ellipsoidal pair is the diagonal one of `aniso_case1` (reversed in
+    # Case II), the 2D one its first two axes; the anchor is the
+    # best-aligned target, or the one farthest from the mean direction
     starts, newton = [], solver._newton
 
-    def recording(denom, src, g, b, top, masses, delta, info):
+    def recording(denom, src, g, b, top, masses, *args):
         starts.append(masses.copy())
-        return newton(denom, src, g, b, top, masses, delta, info)
+        return newton(denom, src, g, b, top, masses, *args)
 
     monkeypatch.setattr(solver, "_newton", recording)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         if media == "ellipsoidal":
             n1, n2 = DIAGONAL[::-1] if case2 else DIAGONAL
+            if dim == 2:
+                n1, n2 = (Norm.ellipsoidal(n.A[:2, :2]) for n in (n1, n2))
             draw = lambda: MediumPair(n1, n2)
         else:
-            draw = media_pairs(media, case2, 3, rng)
+            draw = media_pairs(media, case2, dim, rng)
         pair, src, dirs = admissible_instance(draw, rng, 0.2, 3000, 12, 0.1)
         if off_axis:
             far = int(np.argmax(np.linalg.norm(dirs - dirs.mean(0), axis=1)))
@@ -938,7 +950,7 @@ def test_unrepairable_start_falls_back():
         masses = start_masses(pair, src, tgt)
         assert (masses[0] <= 0.0) == anchor_empty and masses.min() <= 0.0
         r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
-        o = solver._design(pair, src, tgt, b1=1.0, tol=tol)
+        o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
         assert 0 < r.info.sweeps < o.info.sweeps
         assert r.info.newton_steps > 0
         assert r.info.residual_history[:r.info.sweeps + 1] == \
@@ -1003,6 +1015,8 @@ def test_case1_domain_covers_all_admissible_targets():
        C=st.floats(0.1, 10.0))
 @example(seed=6186, case2=False, dim=2, media="ellipsoidal", nodes=200,
          count=1, C=2.0)  # a pair near kappa = 1: no target is admissible
+@example(seed=117, case2=True, dim=2, media="lq", nodes=200, count=2, C=1.0)
+@example(seed=117, case2=True, dim=2, media="lq", nodes=200, count=3, C=1.0)
 def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     # one solve_discrete for both regimes, 2D and 3D, isotropic, ellipsoidal
     # and lq media: energy balance, the residual, the duality certificate,
@@ -1018,6 +1032,15 @@ def test_design_invariants(seed, case2, dim, media, nodes, count, C):
     tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
     # keep the tolerance above the quadrature resolution
     tol = max(3e-3, 1.3 * (count - 1) * np.max(src.weights) / src.total)
+    if (seed, case2, dim, media, nodes) == (117, True, 2, "lq", 200) \
+            and count in (2, 3):
+        # the pinned draws put target 1 1.85e-6 from target 0 near the
+        # lq(3) axis, where their denominators agree to about 1e-12
+        # relative: the solve refuses the pair
+        with pytest.raises(ValidationError, match="targets 0 and 1 cannot "
+                           "be told apart"):
+            solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+        return
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     rep = refractor_measure(r, src)
     assert np.array_equal(r.info.masses, rep.masses)  # what design reports
