@@ -20,8 +20,10 @@ also solved by the ``refractor`` package in that source directory, and the
 two alternate run by run, so both see the same drift in machine speed.
 Each row reports the median solve time and every run, the sweeps, the
 Newton steps and trial steps (accepted or rejected; null for a version
-that does not count them), the target-radius updates, the updates that read all J nodes
-(``band_misses``; null for a version that does not count them), the
+that does not count them), the target-radius updates (the start's repairs
+and the sweep's updates), why the Newton start gave up (``fallback``:
+null where it designed, or ``SolveInfo.fallback``'s reason; null too for
+a version that does not record it, and for a solve that raises), the
 residual, why the solve stopped (``stop``: "converged", or the
 ``NonConvergence`` reason, "stagnated" or "budget") and a digest of the
 radii and residual history.  With a baseline it also reports the
@@ -141,7 +143,7 @@ def solve_once(J: int, N: int, media: str) -> dict:
             "newton_steps": getattr(r.info, "newton_steps", None),
             "newton_trials": getattr(r.info, "newton_trials", None),
             "updates": getattr(r.info, "updates", None),
-            "band_misses": getattr(r.info, "band_misses", None),
+            "fallback": getattr(r.info, "fallback", None),
             "residual": r.info.residual, "stop": "converged",
             "digest": digest, "radii": r.radii.tolist()}
 
@@ -263,7 +265,7 @@ def run_child(src: Path, J: int, N: int, media: str) -> dict:
 
 
 RUN_KEYS = ("sweeps", "newton_steps", "newton_trials", "updates",
-            "band_misses", "residual", "stop", "digest", "error")
+            "fallback", "residual", "stop", "digest", "error")
 
 
 def summary(runs: list[dict]) -> dict:

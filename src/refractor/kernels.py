@@ -18,12 +18,10 @@ without a (J, N) pass: an untied node sends its whole weight to its
 winner, and only the few tied rows go through ``tally``.  ``lower`` alone
 computes the state, folding in one target's column of heights, which is
 exact while no height grows: ``Top2.of`` folds every column into the empty
-state, and after b_i shrinks the sweep folds in target i's new column, with
-the minima a rebuild would take.  Target i's cell threshold is then the
-second-best height where i wins and the best elsewhere, so
-``win_thresholds`` is O(J).  ``Top2.take`` and ``Top2.put`` copy out and
-write back the state of any subset of rows, so a sweep update can read and
-write only the rows its new radius can reach (its bands).
+state, and after b_i shrinks the sweep or the start's repair folds in
+target i's new column, with the minima a rebuild would take.  Target i's
+cell threshold is then the second-best height where i wins and the best
+elsewhere, so ``win_thresholds`` is O(J).
 
 ``soup_jacobian`` is the derivative of the cell masses in log b for the
 simplex-soup measure on the cap mesh (triangles in 3D, arc segments in
@@ -103,15 +101,6 @@ class Top2(NamedTuple):
             lower(top, heights(denom[:, i], b[i]), i)
         return top
 
-    def take(self, rows) -> "Top2":
-        """A copy of the state of the nodes rows."""
-        return Top2(*(a.take(rows) for a in self))
-
-    def put(self, rows, part: "Top2") -> None:
-        """Write part, the state of the nodes rows, back in place."""
-        for a, p in zip(self, part):
-            a[rows] = p
-
 
 def masses(top: Top2, denom, b, w):
     """The column sums of ``tally(denom, b, w)``'s plan, bit for bit, at the
@@ -159,8 +148,7 @@ def lower(top: Top2, h_i, i: int) -> None:
 
     Exact only when no height grew: a grown radius could hand a node's win
     to a surface the state no longer knows.  A node whose new height is not
-    below its second-best keeps its state, so top need only describe the
-    nodes with h_i < second.
+    below its second-best keeps its state.
     """
     win, first, second = top
     # where i wins, its old height leaves the pair; +inf stands in for it

@@ -10,11 +10,11 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
 pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).  In
 2D and 3D alike, damped Newton steps on the simplex-soup Jacobian design
-from a closed-form start, checked for empty cells.  Where that start fails,
-the monotone sweep of `refractor.sweep` designs; it is imported only then,
-and to repair an empty cell of the start.  The sweep pauses once every cell
-holds mass for one more Newton attempt, and goes on where it paused if that
-fails too.
+from a closed-form start, whose empty cells are repaired in rounds.  Where
+that start fails, the monotone sweep of `refractor.sweep` designs; it is
+imported only then, and to repair an empty cell.  The sweep pauses once
+every cell holds mass for one more Newton attempt, and goes on where it
+paused if that fails too.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -144,10 +144,13 @@ class TargetMeasure(NamedTuple):
 
 
 class SolveInfo:
-    """A solve's counters, residuals and cell masses, filled in as it goes."""
+    """A solve's counters, residuals and cell masses, filled in as it goes;
+    fallback is None, or why the Newton start gave up: "start" (a radius
+    out of float range), "anchor" or "repair" (a cell it left empty), or
+    `_newton`'s "singular", "damping" or "budget"."""
 
     __slots__ = ("sweeps", "newton_steps", "newton_trials", "residual",
-                 "residual_history", "updates", "band_misses", "masses")
+                 "residual_history", "updates", "fallback", "masses")
 
     def __init__(self):
         self.sweeps = 0
@@ -158,7 +161,7 @@ class SolveInfo:
         self.residual = np.inf
         self.residual_history = []
         self.updates = 0      # target-radius updates (and start repairs)
-        self.band_misses = 0  # updates that took the full pass over all nodes
+        self.fallback = None
         self.masses = None    # the cell masses at the radii
 
 
@@ -297,16 +300,18 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
 
 NEWTON_STEPS = 30           # a Newton run's budget of steps
 NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
+REPAIR_SHARE = 0.1  # the share of g_k a repair aims an empty cell k at
+REPAIR_ROUNDS = 32  # the repair's budget of rounds
 
 
 def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
             info: SolveInfo, history=()):
     """Damped Newton steps on the node residual from radii b, their state
-    top and their masses, every one positive: the radii once max|M - g| <=
-    delta, or None.  The arrays given are left as they are.  Each trial
-    step adds one to info.newton_trials; on success info also takes the
-    masses and the steps, and its residual_history history and the
-    accepted steps' residuals.
+    top and their masses, every one positive: (radii, None) once max|M - g|
+    <= delta, or (None, why it gave up).  The arrays given are left as they
+    are.  Each trial step adds one to info.newton_trials; on success info
+    also takes the masses and the steps, and its residual_history history
+    and the accepted steps' residuals.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
@@ -314,8 +319,9 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     1 until, at eta + tau d, every cell holds at least eps0, half the least
     of the start's masses and of g, and the node residual falls to
     (1 - tau / 2) times its last value (Kitagawa, Merigot and Thibert's
-    damping), so it falls strictly.  A singular system, tau <
-    NEWTON_MIN_TAU or NEWTON_STEPS steps without convergence give None.
+    damping), so it falls strictly.  It gives up on a singular system
+    ("singular"), tau < NEWTON_MIN_TAU ("damping") or NEWTON_STEPS steps
+    without convergence ("budget").
     """
     b1 = b[0]
     eta = np.log(b / b1)
@@ -330,7 +336,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
         try:
             d = np.linalg.solve(H[1:, 1:], (g - masses)[1:])
         except np.linalg.LinAlgError:
-            return None
+            return None, "singular"
         tau = 1.0
         while tau >= NEWTON_MIN_TAU:
             # a non-finite step fails the test below and halves tau
@@ -345,15 +351,15 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
                 break
             tau *= 0.5
         else:
-            return None
+            return None, "damping"
         eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
         residuals.append(err / src.total)
     if err > delta:
-        return None
+        return None, "budget"
     info.masses, info.newton_steps = masses, len(residuals) - len(history)
     info.residual_history += residuals
     info.residual = info.residual_history[-1]
-    return b
+    return b, None
 
 
 def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -384,43 +390,59 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
 
 
+def _repair(denom, top, b, masses, g, w, info: SolveInfo):
+    """Give mass to every cell k >= 2 that the start leaves empty, in place
+    on its radii b and their state top: the masses once every cell holds
+    mass, or None.  Each round aims each empty cell at REPAIR_SHARE of g_k
+    through the sweep's update (`_fill_radius`), which can empty another
+    cell, and tallies the masses again; info.updates counts the cells
+    repaired.  Radii only shrink, so the state stays exact.  An emptied
+    anchor cell, a target that cannot absorb its share, or a cell still
+    empty after REPAIR_ROUNDS rounds give None."""
+    for _ in range(REPAIR_ROUNDS):
+        empty = np.flatnonzero(masses <= 0.0)
+        if not empty.size or empty[0] == 0:
+            break
+        from .sweep import _fill_radius
+
+        for k in empty:
+            s = kernels.win_thresholds(denom, top, k)
+            try:
+                b[k] = _fill_radius(s, w, b[k], REPAIR_SHARE * g[k],
+                                    0.5 * REPAIR_SHARE * g[k], k, w.mean())
+            except InfeasibleTarget:
+                return None
+            kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
+        info.updates += empty.size
+        masses = kernels.masses(top, denom, b, w)
+    return masses if masses.min() > 0.0 else None
+
+
 def _newton_start(pair: MediumPair, src: SourceDensity,
                   tgt: TargetMeasure, denom, b1: float, delta: float,
                   info: SolveInfo):
-    """Newton from `_start`'s radii: a Refractor that carries info, or None
-    (info then counts only the trial steps).  A cell k >= 2 the start
-    leaves empty is repaired once, by the sweep's update (`_fill_radius`)
-    aimed at half its mass; radii only shrink there, so the state stays
-    exact.  An empty anchor cell, a cell still empty after the repair, a
-    target that cannot absorb that mass or a failed Newton give None."""
+    """Newton from `_start`'s radii, once `_repair` has given every cell
+    mass: a Refractor that carries info, or None, with info.fallback
+    saying why and info counting only the repairs and the trial steps."""
     g, w = tgt.masses, src.weights
     b = _start(pair, src, tgt, b1)
     if not np.all(np.isfinite(b) & (b > 0.0)):
+        info.fallback = "start"
         return None
     top = kernels.Top2.of(denom, b)
     masses = kernels.masses(top, denom, b, w)
     if masses[0] <= 0.0:
+        info.fallback = "anchor"
         return None
-    empty = np.flatnonzero(masses <= 0.0)
-    if empty.size:
-        from .sweep import _fill_radius
-    for k in empty:
-        s = kernels.win_thresholds(denom, top, k)
-        try:
-            b[k] = _fill_radius(s, w, b[k], 0.5 * g[k], 0.25 * g[k], k,
-                                w.mean())
-        except InfeasibleTarget:
-            return None
-        kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
-    if empty.size:
-        masses = kernels.masses(top, denom, b, w)
-        if masses.min() <= 0.0:
-            return None
+    masses = _repair(denom, top, b, masses, g, w, info)
+    if masses is None:
+        info.fallback = "repair"
+        return None
     start = float(np.max(np.abs(masses - g))) / src.total
-    radii = _newton(denom, src, g, b, top, masses, delta, info, [start])
+    radii, info.fallback = _newton(denom, src, g, b, top, masses, delta,
+                                   info, [start])
     if radii is None:
         return None
-    info.updates = info.band_misses = empty.size
     return Refractor(pair, tgt, radii, info=info)
 
 

@@ -130,5 +130,5 @@ def sweep_alone(*args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_start", lambda *_: None)
-        mp.setattr(sweep, "_newton", lambda *_: None)
+        mp.setattr(sweep, "_newton", lambda *_: (None, None))
         return solver.solve_discrete(*args, **kwargs)

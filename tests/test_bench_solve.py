@@ -34,7 +34,7 @@ def test_bench_solve_smoke(tmp_path):
             run = row[name]
             assert set(run) == {"solve_s", "solve_s_runs", "quadrature_s",
                                 "sweeps", "newton_steps", "newton_trials",
-                                "updates", "band_misses", "residual", "stop",
+                                "updates", "fallback", "residual", "stop",
                                 "digest", "error"}
             assert len(run["solve_s_runs"]) == 1
             assert run["solve_s"] > 0
@@ -55,10 +55,11 @@ def test_bench_solve_smoke(tmp_path):
             assert run["newton_steps"] > 0
             # every accepted step is a trial step, and rejected ones count
             assert run["newton_trials"] >= run["newton_steps"]
-            if run["sweeps"] == 0:  # Newton from the closed-form start
-                assert run["band_misses"] == run["updates"] == 0
-            else:
-                assert 0 < run["band_misses"] <= run["updates"]
+            # the sweep runs only where the Newton start gave up, and the
+            # row says why
+            assert (run["sweeps"] == 0) == (run["fallback"] is None)
+            assert run["fallback"] in (None, "start", "anchor", "repair",
+                                       "singular", "damping", "budget")
         # the largest relative difference of the versions' radii
         assert row["radii_rel_diff"] == (None if row["J"] == 13 else 0.0)
     # the CLI rows: the golden problem and the 20k x 20 grid row, designed

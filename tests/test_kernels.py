@@ -150,38 +150,6 @@ def test_maintained_thresholds_are_exact(run):
 
 
 @settings(max_examples=300, deadline=None)
-@given(shrinking_runs(), st.floats(0.0, 1.0))
-def test_row_updates_match_full_updates(run, extra):
-    # lowering the part of the state at the rows whose new height falls
-    # below their second-best (plus any others) and putting it back leaves
-    # the state a full lower leaves; thresholds read on a part are the full
-    # thresholds' entries
-    dots, b, twin, case2, steps = run
-    denom = (dots - 1.0) if case2 else (1.0 - dots)
-    full = kernels.Top2.of(denom, b)
-    banded = kernels.Top2(*(a.copy() for a in full))
-    rng = np.random.default_rng(len(steps))
-    for i, step in steps:
-        if step == "tie":
-            b[i] = min(b[i], b[twin[i]])
-        elif step != "keep":
-            b[i] *= step
-        h = kernels.heights(denom[:, i], b[i])
-        rows = np.flatnonzero((h < banded.second)
-                              | (rng.random(len(h)) < extra))
-        kernels.lower(full, h, i)
-        part = banded.take(rows)
-        kernels.lower(part, h[rows], i)
-        banded.put(rows, part)
-        for a, c in zip(full, banded):
-            assert np.array_equal(a, c)
-        for k in range(len(b)):
-            assert np.array_equal(
-                kernels.win_thresholds(denom[rows], banded.take(rows), k),
-                kernels.win_thresholds(denom, full, k)[rows])
-
-
-@settings(max_examples=300, deadline=None)
 @given(shrinking_runs())
 def test_masses_match_tally_bit_for_bit(run):
     # the sweep's masses from the maintained state equal the full tally's

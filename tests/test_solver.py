@@ -401,13 +401,8 @@ def test_fill_radius_band_or_tie(seed, size, distinct, g, band, b_i):
         assert mass + float(np.sum(w[tied])) > g + half_band
 
 
-def fill_radius_oracle(s, w, b_i, g_i, half_band, i, w_mean=None,
-                       floor=-np.inf):
-    """`_fill_radius` as it read the profile with one full argsort.  It
-    trusts no band: given a floor it misses, so a solve that uses it takes
-    the full pass on every update."""
-    if floor > -np.inf:
-        return None
+def fill_radius_oracle(s, w, b_i, g_i, half_band, i, w_mean=None):
+    """`_fill_radius` as it read the profile with one full argsort."""
     order = np.argsort(s)[::-1]
     fill = np.cumsum(w[order])
     k = int(np.searchsorted(fill, g_i - half_band))
@@ -454,65 +449,19 @@ def test_fill_radius_matches_full_sort(seed, size, distinct, inside, light,
     assert _fill_radius(s, w, b_i, g, band * g, 3, w.mean()) == expect
 
 
-def test_fill_radius_misses_below_its_floor():
+def test_fill_radius_reads_whole_profiles():
     # 10 of the unit-weight nodes fill g = 10: the radius lands mid-gap at
     # 90.5, read off a first cut at the 21st largest threshold, 80
     s = np.arange(100, 0, -1, dtype=float)
     w = np.ones(100)
-    full = _fill_radius(s, w, 100.5, 10.0, 0.4, 1, 1.0)
-    assert full == 90.5
-    # a band of the nodes down to 70 reads the same radius above a floor of
-    # 75, the cut included; a floor above the cut, or above the answer,
-    # makes it a miss rather than a guess
-    band = s >= 70.0
-    assert _fill_radius(s[band], w[band], 100.5, 10.0, 0.4, 1, 1.0,
-                        75.0) == full
-    assert _fill_radius(s[band], w[band], 100.5, 10.0, 0.4, 1, 1.0,
-                        85.0) is None
-    assert _fill_radius(s, w, 100.5, 10.0, 0.4, 1, 1.0, 95.0) is None
-    # a cut past the band's end is a miss too: the band cannot see below it
-    assert _fill_radius(s[:15], w[:15], 100.5, 10.0, 0.4, 1, 1.0,
-                        86.0) is None
-    # so is a band whose every row the cut takes that cannot fill the cell,
-    # or whose last group k is: the threshold below it lies past the floor
+    assert _fill_radius(s, w, 100.5, 10.0, 0.4, 1, 1.0) == 90.5
+    # a cut that takes every node: too light a group cannot fill the cell,
+    # and a group that fills it is the last, so the gap reaches down to 0
     tied, light = np.full(10, 5.0), np.full(10, 0.1)
-    assert _fill_radius(tied, light, 5.05, 5.0, 0.5, 1, 10.0, 5.0) is None
     with pytest.raises(InfeasibleTarget):
         _fill_radius(tied, light, 5.05, 5.0, 0.5, 1, 10.0)
     heavy = np.ones(10)
-    assert _fill_radius(tied, heavy, 5.05, 10.0, 0.5, 1, 10.0, 5.0) is None
     assert _fill_radius(tied, heavy, 5.05, 10.0, 0.5, 1, 10.0) == 2.5
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(50, 2000),
-       distinct=st.integers(2, 2000), log_g=st.floats(-2.0, -0.1),
-       band=st.floats(1e-4, 0.45), depth=st.floats(0.0, 1.0),
-       extra=st.floats(0.0, 1.0))
-# the cut takes every band row and k's group is the band's last: the mid-gap
-# radius needs the threshold below the floor (1.61 read, 2.32 exact)
-@example(seed=0, size=50, distinct=2, log_g=-0.5, band=0.4375, depth=0.0,
-         extra=0.0)
-def test_fill_radius_band_is_exact_or_misses(seed, size, distinct, log_g,
-                                             band, depth, extra):
-    # a band holds every node whose threshold reaches its floor, plus any
-    # others, in node order; it gives the full profile's radius or a miss
-    rng = np.random.default_rng(seed)
-    s = rng.choice(rng.uniform(0.1, 5.0, distinct), size)
-    s[rng.integers(0, size, rng.integers(0, size // 5))] = -np.inf
-    w = rng.uniform(0.0, 1.0, size)
-    levels = np.unique(s[np.isfinite(s)])[::-1]
-    b_i = levels[0] * 1.01
-    floor = levels[int(depth * (levels.size - 1))]
-    rows = np.flatnonzero((s >= floor) | (rng.random(size) < extra))
-    g = 10.0 ** log_g * w.sum()
-    try:
-        expect = _fill_radius(s, w, b_i, g, band * g, 3, w.mean())
-    except InfeasibleTarget:
-        expect = None
-    got = _fill_radius(s[rows], w[rows], b_i, g, band * g, 3, w.mean(),
-                       floor)
-    assert got is None or got == expect
 
 
 @pytest.fixture
@@ -573,8 +522,7 @@ def instance_2d(nodes=2000, count=6, seed=3):
     (instance_2d, 1e-3),
 ], ids=["case1_3d", "case2_3d", "case1_2d"])
 def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
-    # the partial sort and the bands change no radius, sweep or residual of
-    # the sweep
+    # the partial sort changes no radius, sweep or residual of the sweep
     pair, src, tgt = make()
     r = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
@@ -583,124 +531,6 @@ def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
     assert r.info.residual_history == o.info.residual_history
-
-
-def full_pass_only(fill_radius):
-    """`_fill_radius` reading every band as a miss, so each update of a
-    solve takes the full pass over all J nodes."""
-    def full_pass(s, w, b_i, g_i, half_band, i, w_mean, floor=-np.inf):
-        if floor > -np.inf:
-            return None
-        return fill_radius(s, w, b_i, g_i, half_band, i, w_mean)
-    return full_pass
-
-
-def solve_outcome(pair, src, tgt, tol, max_sweeps):
-    """The sweep's radii bytes, sweeps, residuals and counters, or the type
-    and message of the error it stops with."""
-    try:
-        r = sweep_alone(pair, src, tgt, b1=1.0, tol=tol,
-                        max_sweeps=max_sweeps)
-    except (NonConvergence, InfeasibleTarget) as exc:
-        return type(exc), str(exc)
-    return (r.radii.tobytes(), r.info.sweeps, r.info.residual_history,
-            r.info.updates, r.info.band_misses)
-
-
-def full_pass_outcome(pair, src, tgt, tol, max_sweeps):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_fill_radius",
-                   full_pass_only(sweep._fill_radius))
-        return solve_outcome(pair, src, tgt, tol, max_sweeps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), case2=st.booleans(),
-       dim=st.sampled_from([2, 3]),
-       media=st.sampled_from(["isotropic", "ellipsoidal", "lq"]),
-       nodes=st.integers(200, 3000), count=st.integers(1, 25),
-       spread=st.sampled_from([0.05, 0.1, 0.3]),
-       resolution=st.sampled_from([0.5, 1.3, 3.0]))
-def test_band_matches_full_pass(seed, case2, dim, media, nodes, count,
-                                spread, resolution):
-    # the bands change no radius, sweep, residual or error message: a solve
-    # whose every update takes the full pass gives the same bits.  Tolerances
-    # below the quadrature resolution stop some solves with NonConvergence,
-    # wide spreads with InfeasibleTarget
-    rng = np.random.default_rng(seed)
-    pair = media_pairs(media, case2, dim, rng)()
-    src = SourceDensity.from_cap(pair.n1, np.eye(dim)[-1], 0.2, nodes)
-    # the best-aligned direction, admissible or not: its spread draws both
-    m0 = admissible_targets(pair, src, 1, 0.0, rng, margin=-np.inf)[0]
-    dirs = m0 + spread * rng.standard_normal((count, dim))
-    dirs[0] = m0
-    g = rng.uniform(0.5, 1.5, count)
-    try:
-        tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
-        check_admissibility(pair, src, tgt)
-    except (InfeasibleTarget, ValidationError):
-        return  # the solve would stop before any update
-    tol = resolution * max(1, count - 1) * np.max(src.weights) / src.total
-    banded = solve_outcome(pair, src, tgt, tol, 300)
-    full = full_pass_outcome(pair, src, tgt, tol, 300)
-    if isinstance(full[0], type):
-        assert banded == full
-        return
-    assert banded[:4] == full[:4]
-    assert full[4] == full[3]  # every update was a full pass
-    assert banded[4] <= banded[3]
-
-
-def test_band_miss_rebuilds_the_band(monkeypatch):
-    # a floor closer to each cell makes more band updates miss; a miss
-    # redoes the full pass, which rebuilds the band, and the solve keeps its
-    # bits.  (At a rank of 1 the floor sits at the first node outside the
-    # cell, below every later cut, so every band update misses.)
-    pair, src, tgt = small_instance(nodes=2000, count=20, seed=1)
-    banded = solve_outcome(pair, src, tgt, 5e-3, 10_000)
-    monkeypatch.setattr(sweep, "BAND_RANK", 2)
-    tight = solve_outcome(pair, src, tgt, 5e-3, 10_000)
-    full = full_pass_outcome(pair, src, tgt, 5e-3, 10_000)
-    assert banded[:4] == tight[:4] == full[:4]
-    # the first update of each target builds its band; the rest missed
-    assert tgt.count - 1 < banded[4] < tight[4] < full[4] == full[3]
-
-
-@pytest.mark.parametrize("angle, tilt, count, seed",
-                         [(0.5, 0.4, 20, 2), (0.4, 0.45, 16, 3)])
-def test_band_rows_are_reached(monkeypatch, angle, tilt, count, seed):
-    # Case II targets tilted off a wide cap miss some of its nodes; a band
-    # still holds only nodes its target reaches (positive denominators, so
-    # the band update needs no reach mask), and keeps their weights and
-    # denominators as the full arrays hold them
-    pair = MediumPair.isotropic(1.0, 1.5)
-    src = SourceDensity.from_cap(pair.n1, Z, angle, 3000)
-    rng = np.random.default_rng(seed)
-    phi = rng.uniform(0.0, 2.0 * np.pi, count - 1)
-    th = tilt * np.sqrt(rng.uniform(0.2, 1.0, count - 1))
-    dirs = np.vstack([Z, np.stack([np.sin(th) * np.cos(phi),
-                                   np.sin(th) * np.sin(phi), np.cos(th)], 1)])
-    g = rng.uniform(0.5, 1.5, count)
-    tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
-    denom = pair.denominators(src.nodes, tgt.directions)
-    band, partial = sweep._band, []
-
-    def checked(s, second, den_i, b_i, w):
-        got = band(s, second, den_i, b_i, w)
-        if got is not None:
-            i = next(k for k in range(count)
-                     if np.array_equal(den_i, denom[:, k]))
-            _, rows, w_b, den_b = got
-            assert np.all(denom[rows, i] > 0.0)
-            assert np.array_equal(w_b, src.weights[rows])
-            assert np.array_equal(den_b, denom[rows, i])
-            partial.append(bool(np.any(denom[:, i] <= 0.0)))
-        return got
-
-    monkeypatch.setattr(sweep, "_band", checked)
-    tol = 1.3 * (count - 1) * np.max(src.weights) / src.total
-    sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
-    assert any(partial)  # some band's target misses some nodes
 
 
 def test_balance_required():
@@ -842,9 +672,8 @@ def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
     o = sweep_alone(pair, src, tgt, b1=1.0, tol=1e-3)
     assert r.info.newton_steps == 0
     assert r.radii.tobytes() == o.radii.tobytes()
-    assert (r.info.sweeps, r.info.residual_history, r.info.updates,
-            r.info.band_misses) == (o.info.sweeps, o.info.residual_history,
-                                    o.info.updates, o.info.band_misses)
+    assert (r.info.sweeps, r.info.residual_history, r.info.updates) == (
+        o.info.sweeps, o.info.residual_history, o.info.updates)
     monkeypatch.undo()
     # below the quadrature resolution the Newton finish runs out of steps
     # or of damping, and the sweep's own stop is raised
@@ -926,37 +755,81 @@ def test_start_leaves_no_cell_empty(monkeypatch, case2, media, dim,
 
 
 def test_repaired_start_designs():
-    # the start leaves a cell empty; the repair lowers its radius to half
-    # its mass, counted as one full-pass update, and Newton designs from
-    # there with no sweep
+    # the start leaves a cell empty; one repair lowers its radius to a share
+    # of its mass, counted as one update, and Newton designs from there with
+    # no sweep
     pair, src, tgt, tol = newton_instance("lq", False, seed=0, count=20)
     empty = np.flatnonzero(start_masses(pair, src, tgt) <= 0.0)
     assert empty.size and 0 not in empty
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     assert r.info.sweeps == 0 and r.info.newton_steps > 0
-    assert r.info.updates == r.info.band_misses == empty.size
+    assert r.info.updates == empty.size and r.info.fallback is None
+    assert refractor_measure(r, src).residual <= tol
+
+
+def test_repeated_repair_designs():
+    # strongly anisotropic random pairs can defeat the closed-form start:
+    # here cells 3 and 7 are empty (a repair aimed at half their masses
+    # emptied cells 2 and 6).  The repeated repair gives every cell mass,
+    # and Newton designs with no sweep what the sweep alone designs, within
+    # the quadrature scale
+    pair, src, tgt, tol = newton_instance("ellipsoidal", False, 2, count=8)
+    masses = start_masses(pair, src, tgt)
+    assert list(np.flatnonzero(masses <= 0.0)) == [3, 7]
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert r.info.updates >= 2 and r.info.fallback is None
+    o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
+    assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
     assert refractor_measure(r, src).residual <= tol
 
 
 def test_unrepairable_start_falls_back():
-    # strongly anisotropic random pairs can defeat the closed-form start:
-    # here cells 3 and 7 are empty and repairing them empties cells 2 and
-    # 6, and there the anchor's cell is empty, which no repair of another
-    # radius fills.  Both design through the sweep's fallback, and Newton
-    # finishes once every cell holds mass
-    for seed, count, anchor_empty in ((2, 8, False), (7, 8, True)):
-        pair, src, tgt, tol = newton_instance("ellipsoidal", False, seed,
-                                              count=count)
-        masses = start_masses(pair, src, tgt)
-        assert (masses[0] <= 0.0) == anchor_empty and masses.min() <= 0.0
-        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
-        o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
-        assert 0 < r.info.sweeps < o.info.sweeps
-        assert r.info.newton_steps > 0
-        assert r.info.residual_history[:r.info.sweeps + 1] == \
-            o.info.residual_history[:r.info.sweeps + 1]
-        assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
-        assert refractor_measure(r, src).residual <= tol
+    # here the anchor's cell is empty, which no repair of another radius
+    # fills: the design goes through the sweep's fallback, says why, and
+    # Newton finishes once every cell holds mass
+    pair, src, tgt, tol = newton_instance("ellipsoidal", False, 7, count=8)
+    masses = start_masses(pair, src, tgt)
+    assert masses[0] <= 0.0
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.info.fallback == "anchor"
+    assert 0 < r.info.sweeps < o.info.sweeps
+    assert r.info.newton_steps > 0
+    assert r.info.residual_history[:r.info.sweeps + 1] == \
+        o.info.residual_history[:r.info.sweeps + 1]
+    assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
+    assert refractor_measure(r, src).residual <= tol
+
+
+@pytest.mark.parametrize("media, seed, count, least", [
+    ("lq", 0, 20, 1), ("ellipsoidal", 2, 8, 1), ("ellipsoidal", 0, 20, 2)],
+    ids=["lq", "ellipsoidal", "ellipsoidal_rounds"])
+def test_repair_keeps_the_state_exact(monkeypatch, media, seed, count,
+                                      least):
+    # after the repair rounds every cell holds mass, the maintained state
+    # is the state a rebuild at the repaired radii gives, bit for bit, no
+    # radius grew and the rounds stayed within the budget (the last
+    # instance takes several)
+    pair, src, tgt, _ = newton_instance(media, False, seed, count=count)
+    denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
+    b = solver._start(pair, src, tgt, 1.0)
+    top = kernels.Top2.of(denom, b)
+    masses = kernels.masses(top, denom, b, src.weights)
+    start, rounds, tally = b.copy(), [], kernels.masses
+    monkeypatch.setattr(kernels, "masses",
+                        lambda *args: rounds.append(1) or tally(*args))
+    info = solver.SolveInfo()
+    got = solver._repair(denom, top, b, masses, tgt.masses, src.weights,
+                         info)
+    assert got is not None and got.min() > 0.0
+    assert least <= len(rounds) <= solver.REPAIR_ROUNDS
+    assert info.updates >= np.count_nonzero(masses <= 0.0)
+    assert np.all(b <= start) and b[0] == start[0]
+    rebuilt = kernels.Top2.of(denom, b)
+    for kept, fresh in zip(top, rebuilt):
+        assert kept.tobytes() == fresh.tobytes()
+    assert got.tobytes() == tally(rebuilt, denom, b, src.weights).tobytes()
 
 
 def test_start_residuals_fall_strictly():
