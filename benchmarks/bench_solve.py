@@ -21,18 +21,19 @@ two alternate run by run, so both see the same drift in machine speed.
 Each row reports the median solve time and every run, the sweeps, the
 Newton steps and trial steps (accepted or rejected; null for a version
 that does not count them), the target-radius updates (the start's repairs
-and the sweep's updates), why the Newton start gave up (``fallback``:
-null where it designed, or ``SolveInfo.fallback``'s reason; null too for
-a version that does not record it, and for a solve that raises), the
-residual, why the solve stopped (``stop``: "converged", or the
-``NonConvergence`` reason, "stagnated" or "budget") and a digest of the
-radii and residual history.  With a baseline it also reports the
-largest relative difference between the versions' radii, which shows how far
-apart two results are when their digests differ.  A solve that raises is a
-row too: its ``error`` holds the exception's type and message, its times
-the seconds until the raise, its ``stop``, ``sweeps`` and ``residual``
-what the exception carries (null where it carries none), and the run goes
-on.
+and the sweep start's updates), why the closed-form start gave up
+(``fallback``: null where it designed, or ``SolveInfo.fallback``'s reason;
+null too for a version that does not record it, and for a solve that
+raises), the residual, why the solve stopped (``stop``: "converged", or
+the ``NonConvergence`` reason: the last Newton run's "singular", "damping"
+or "budget", or the sweep start's "stagnated", "budget" or "anchor") and a
+digest of the radii and residual history.  With a baseline it also reports
+the largest relative difference between the versions' radii, which shows
+how far apart two results are when their digests differ.  A solve that
+raises is a row too: its ``error`` holds the exception's type and message,
+its times the seconds until the raise, its ``stop``, ``sweeps`` and
+``residual`` what the exception carries (null where it carries none), and
+the run goes on.
 
 The CLI rows run ``python -m refractor.cli design PROBLEM -o OUT`` in fresh
 interpreters, as the perfbench harness does (one BLAS thread per core), on

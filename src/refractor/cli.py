@@ -54,24 +54,16 @@ def cmd_snell(args) -> int:
     return 0
 
 
-def _solve_problem(spec, tol, max_sweeps):
-    from .solver import solve_discrete
-
-    pair, src, tgt = spec.build()
-    refr = solve_discrete(pair, src, tgt, spec.b1, tol=tol,
-                          max_sweeps=max_sweeps)
-    return pair, src, tgt, refr
-
-
 def cmd_design(args) -> int:
-    from .solver import refractor_to_obj
+    from .solver import refractor_to_obj, solve_discrete
 
     spec = load_problem(args.problem)
     if args.mesh and spec.pair.dim != 3:
         raise ValidationError("OBJ export requires 3D vertices")
     tol = args.tol if args.tol is not None else spec.tol
+    pair, src, tgt = spec.build()
     try:
-        pair, src, tgt, refr = _solve_problem(spec, tol, args.max_sweeps)
+        refr = solve_discrete(pair, src, tgt, spec.b1, tol=tol)
     except NonConvergence as exc:
         _emit({"error": str(exc)}, args.output)
         raise
@@ -126,11 +118,12 @@ def cmd_fresnel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .solver import refractor_measure
+    from .solver import refractor_measure, solve_discrete
     from .transport import certificate
 
     spec = load_problem(args.problem)
-    _, src, _, refr = _solve_problem(spec, spec.tol, args.max_sweeps)
+    pair, src, tgt = spec.build()
+    refr = solve_discrete(pair, src, tgt, spec.b1, tol=spec.tol)
     _emit(certificate(refr, src, refractor_measure(refr, src)), args.output)
     return 0
 
@@ -186,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("-o", "--output")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-sweeps", type=int, default=10_000)
     p.add_argument("--mesh")
     p.add_argument("--report")
     p.add_argument("--log")
@@ -202,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="optimality certificate of the design")
     p.add_argument("problem")
     p.add_argument("-o", "--output")
-    p.add_argument("--max-sweeps", type=int, default=10_000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export meshes for a problem")

@@ -26,13 +26,11 @@ class OutOfDomain(RefractorError):
 
 
 class NonConvergence(RefractorError):
-    """An iterative method (the radius sweep, a Newton iteration) did not
-    reach its tolerance within its cap.
-
-    The design sweep also says why it stopped: stop is "stagnated" (a sweep
-    moved no radius) or "budget" (max_sweeps ran out), sweeps the sweeps it
-    ran and deficit the per-target (g - M) / total at its last masses, whose
-    largest magnitude is the residual.  Other raisers leave them None."""
+    """An iterative method did not reach its tolerance.  A design says why:
+    stop is its last Newton run's "singular", "damping" or "budget", or its
+    sweep start's "stagnated", "budget" or "anchor", sweeps that start's
+    fill rounds, and deficit (g - M) / total at the lowest node residual any
+    fill round or accepted Newton step reached.  Others leave them None."""
 
     def __init__(self, message, stop=None, sweeps=None, deficit=None):
         super().__init__(message)

@@ -8,13 +8,10 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
                                        h = b / (x.p2(m) - 1)   (Case II)
 
 pushes the source energy onto the targets: M_i = g_i up to the requested
-residual.  b_1 pins the scale (solutions are unique up to dilations).  In
-2D and 3D alike, damped Newton steps on the simplex-soup Jacobian design
-from a closed-form start, whose empty cells are repaired in rounds.  Where
-that start fails, the monotone sweep of `refractor.sweep` designs; it is
-imported only then, and to repair an empty cell.  The sweep pauses once
-every cell holds mass for one more Newton attempt, and goes on where it
-paused if that fails too.
+residual.  b_1 pins the scale (solutions are unique up to dilations).
+Damped Newton steps on the simplex-soup Jacobian design, in 2D and 3D,
+from a closed-form start or, where that fails, from the sweep start; fill
+rounds (`refractor.sweep`, imported only then) first give every cell mass.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -145,15 +142,16 @@ class TargetMeasure(NamedTuple):
 
 class SolveInfo:
     """A solve's counters, residuals and cell masses, filled in as it goes;
-    fallback is None, or why the Newton start gave up: "start" (a radius
-    out of float range), "anchor" or "repair" (a cell it left empty), or
-    `_newton`'s "singular", "damping" or "budget"."""
+    fallback is None, or why the closed-form start gave up: "start" (a
+    radius out of float range), "anchor" or "repair" (a cell it left
+    empty), or `_newton`'s "singular", "damping" or "budget"."""
 
     __slots__ = ("sweeps", "newton_steps", "newton_trials", "residual",
-                 "residual_history", "updates", "fallback", "masses")
+                 "residual_history", "updates", "fallback", "masses",
+                 "closest")
 
     def __init__(self):
-        self.sweeps = 0
+        self.sweeps = 0       # fill rounds of the sweep start
         self.newton_steps = 0   # accepted steps of the Newton solve
         # its trial steps, accepted or rejected, in every Newton run: each
         # rebuilds the Top2 state
@@ -163,6 +161,7 @@ class SolveInfo:
         self.updates = 0      # target-radius updates (and start repairs)
         self.fallback = None
         self.masses = None    # the cell masses at the radii
+        self.closest = None   # (g - M) / total at the lowest residual seen
 
 
 class Refractor:
@@ -304,14 +303,24 @@ REPAIR_SHARE = 0.1  # the share of g_k a repair aims an empty cell k at
 REPAIR_ROUNDS = 32  # the repair's budget of rounds
 
 
+def _note(info: SolveInfo, masses, g, total: float) -> float:
+    """The node residual max|M - g| / total of masses; their deficits
+    (g - M) / total go to info.closest if it is the lowest yet."""
+    deficit = (g - masses) / total
+    resid = float(np.abs(deficit).max())
+    if info.closest is None or resid < np.abs(info.closest).max():
+        info.closest = deficit
+    return resid
+
+
 def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
             info: SolveInfo, history=()):
     """Damped Newton steps on the node residual from radii b, their state
     top and their masses, every one positive: (radii, None) once max|M - g|
     <= delta, or (None, why it gave up).  The arrays given are left as they
-    are.  Each trial step adds one to info.newton_trials; on success info
-    also takes the masses and the steps, and its residual_history history
-    and the accepted steps' residuals.
+    are.  Each trial step adds one to info.newton_trials and each accepted
+    one goes to `_note`; on success info takes the masses and the steps,
+    and history and the steps' residuals join its residual_history.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
@@ -353,7 +362,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
         else:
             return None, "damping"
         eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
-        residuals.append(err / src.total)
+        residuals.append(_note(info, masses, g, src.total))
     if err > delta:
         return None, "budget"
     info.masses, info.newton_steps = masses, len(residuals) - len(history)
@@ -390,57 +399,38 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
 
 
-def _repair(denom, top, b, masses, g, w, info: SolveInfo):
-    """Give mass to every cell k >= 2 that the start leaves empty, in place
-    on its radii b and their state top: the masses once every cell holds
-    mass, or None.  Each round aims each empty cell at REPAIR_SHARE of g_k
-    through the sweep's update (`_fill_radius`), which can empty another
-    cell, and tallies the masses again; info.updates counts the cells
-    repaired.  Radii only shrink, so the state stays exact.  An emptied
-    anchor cell, a target that cannot absorb its share, or a cell still
-    empty after REPAIR_ROUNDS rounds give None."""
-    for _ in range(REPAIR_ROUNDS):
-        empty = np.flatnonzero(masses <= 0.0)
-        if not empty.size or empty[0] == 0:
-            break
-        from .sweep import _fill_radius
-
-        for k in empty:
-            s = kernels.win_thresholds(denom, top, k)
-            try:
-                b[k] = _fill_radius(s, w, b[k], REPAIR_SHARE * g[k],
-                                    0.5 * REPAIR_SHARE * g[k], k, w.mean())
-            except InfeasibleTarget:
-                return None
-            kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
-        info.updates += empty.size
-        masses = kernels.masses(top, denom, b, w)
-    return masses if masses.min() > 0.0 else None
-
-
 def _newton_start(pair: MediumPair, src: SourceDensity,
                   tgt: TargetMeasure, denom, b1: float, delta: float,
                   info: SolveInfo):
-    """Newton from `_start`'s radii, once `_repair` has given every cell
-    mass: a Refractor that carries info, or None, with info.fallback
-    saying why and info counting only the repairs and the trial steps."""
-    g, w = tgt.masses, src.weights
+    """Newton from `_start`'s radii once fill rounds aiming each empty cell
+    k >= 2 at REPAIR_SHARE of g_k gave every cell mass: a Refractor that
+    carries info, or None, with info.fallback saying why."""
+    g = tgt.masses
     b = _start(pair, src, tgt, b1)
     if not np.all(np.isfinite(b) & (b > 0.0)):
         info.fallback = "start"
         return None
     top = kernels.Top2.of(denom, b)
-    masses = kernels.masses(top, denom, b, w)
+    masses = kernels.masses(top, denom, b, src.weights)
     if masses[0] <= 0.0:
         info.fallback = "anchor"
         return None
-    masses = _repair(denom, top, b, masses, g, w, info)
-    if masses is None:
-        info.fallback = "repair"
-        return None
-    start = float(np.max(np.abs(masses - g))) / src.total
+    history = [_note(info, masses, g, src.total)]
+    if masses.min() <= 0.0:
+        from .sweep import fill_cells
+
+        aim = REPAIR_SHARE * g
+        try:
+            masses, _, why = fill_cells(
+                denom, top, b, masses, g, src, lambda m: m <= 0.0, aim,
+                0.5 * aim, REPAIR_ROUNDS, info, history)
+        except InfeasibleTarget:
+            why = "infeasible"
+        if why is not None:
+            info.fallback = "repair"
+            return None
     radii, info.fallback = _newton(denom, src, g, b, top, masses, delta,
-                                   info, [start])
+                                   info, history[-1:])
     if radii is None:
         return None
     return Refractor(pair, tgt, radii, info=info)
@@ -469,21 +459,17 @@ def _check_separated(pair: MediumPair, src: SourceDensity,
 
 
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
-                   b1: float, tol: float = 1e-3,
-                   max_sweeps: int = 10_000) -> Refractor:
+                   b1: float, tol: float = 1e-3) -> Refractor:
     """Design in either regime and dimension: unique radii (b_1 fixed) with
-    residual <= tol * total, by `_newton_start`, or where that fails by
-    `sweep.run`, whose stops, messages and errors are the sweep's own."""
+    residual <= tol * total, by `_newton_start`, or else by `sweep.run`."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
-    if max_sweeps < 1:
-        raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
     _check_balance(src, tgt)
     check_admissibility(pair, src, tgt)
 
-    # column-major: the sweep reads one target's column at a time
+    # column-major: a fill round reads one target's column at a time
     denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
 
     bad = np.flatnonzero(denom[:, 0] <= 0.0)
@@ -493,7 +479,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             f"{bad.size} nodes (first: {int(bad[0])}) are outside the anchor "
             f"target's domain, {unreached} of them outside every target's; "
             "the construction needs the anchor m_1 to reach every node")
-    # the anchor's surface is the envelope at the sweep's start; an extreme
+    # the anchor's surface is the envelope at the sweep start; an extreme
     # b1 overflows b1 / denom, which this check names
     with np.errstate(over="ignore"):
         first = b1 / denom[:, 0]
@@ -507,7 +493,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return done
     from . import sweep
 
-    return sweep.run(pair, src, tgt, denom, b1, tol, max_sweeps, info)
+    return sweep.run(pair, src, tgt, denom, b1, tol, info)
 
 
 # perfbench/spans.py looks this name up on the module

@@ -1,15 +1,6 @@
-"""The monotone radius sweep: the fallback of designs whose Newton start
-fails.
-
-Every surface except the first starts inactive, above the anchor's at every
-node; then each sweep shrinks the radius of each under-filled target, which
-can only grow its cell and shrink the others'.  Each update reads target
-i's thresholds at all J nodes (``kernels.win_thresholds``), picks the new
-radius off them (`_fill_radius`) and folds the new heights into the state
-(``kernels.lower``).  Radii only shrink, so the ``kernels.Top2`` state
-stays exact.  `solver.solve_discrete` imports this module only when it runs
-the sweep, and `solver._repair` only to repair an empty cell with
-`_fill_radius`.
+"""The fill rounds that give every cell mass so that `solver._newton` can
+start (`fill_cells`), and the sweep start (`run`).  `solver` imports this
+module only when a start leaves a cell empty.
 """
 
 from __future__ import annotations
@@ -18,7 +9,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InfeasibleTarget, NonConvergence
-from .solver import Refractor, _newton
+from .solver import Refractor, _newton, _note
+
+SWEEP_ROUNDS = 10_000  # the sweep start's budget of fill rounds
 
 
 def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
@@ -63,70 +56,73 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
     return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
 
 
-def run(pair, src, tgt, denom, b1: float, tol: float, max_sweeps: int,
-        info) -> Refractor:
-    """The sweep from its own start on the checked problem and its
-    column-major denominators: a Refractor carrying info, or
-    NonConvergence.  It tries `solver._newton` once, the first time every
-    cell holds mass; if that fails it goes on where it paused."""
-    g, w, N = tgt.masses, src.weights, tgt.count
-    delta = tol * src.total
-    # every other surface starts above the anchor's at every node, inactive
-    b = np.empty(N)
-    b[0] = b1
+def fill_cells(denom, top, b, masses, g, src, under, aim, half_width,
+               rounds: int, info, history: list):
+    """Fill rounds in place on radii b, their state top and masses: each
+    lowers every cell k >= 2 that under(masses) marks to aim_k +-
+    half_width_k (``kernels.win_thresholds``, `_fill_radius` and
+    ``kernels.lower``; info.updates counts them), tallies again and appends
+    `_note`'s residual to history.  Returns (masses, rounds run, why): why
+    is None once every cell holds mass or none is marked, "anchor" once the
+    anchor's cell is empty (shrinking radii never refill it), "stagnated"
+    after a round that moved no radius, or "budget" after `rounds`."""
+    w_mean = src.weights.mean()
+    for n in range(rounds + 1):
+        cells = np.flatnonzero(under(masses)[1:]) + 1
+        if masses[0] <= 0.0:
+            return masses, n, "anchor"
+        if masses.min() > 0.0 or not cells.size:
+            return masses, n, None
+        if n == rounds:
+            return masses, n, "budget"
+        before = b.copy()
+        for k in cells:
+            s = kernels.win_thresholds(denom, top, k)
+            # a radius that does not move leaves the state as it is
+            b[k] = _fill_radius(s, src.weights, b[k], aim[k], half_width[k],
+                                k, w_mean)
+            kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
+        info.updates += cells.size
+        if np.array_equal(b, before):
+            return masses, n + 1, "stagnated"
+        masses = kernels.masses(top, denom, b, src.weights)
+        history.append(_note(info, masses, g, src.total))
+
+
+def run(pair, src, tgt, denom, b1: float, tol: float, info) -> Refractor:
+    """The sweep start: every surface but the anchor's above it at every
+    node, then fill rounds that lower each cell with M_k < g_k - delta_c to
+    g_k +- delta_c / 2, and `_newton` once every cell holds mass.  A
+    Refractor carrying info, or NonConvergence with the closest state."""
+    g, N = tgt.masses, tgt.count
+    b = np.full(N, b1)
     for i in range(1, N):
         feas = denom[:, i] > 0.0
         if not np.any(feas):
             raise InfeasibleTarget(f"target {i} is feasible for no node")
         ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
         b[i] = b1 * ratio * (1.0 + 1e-6)
-
+    delta = tol * src.total
     delta_c = 0.9 * delta / max(1, N - 1)
-    half_width = 0.5 * delta_c
-    w_mean = w.mean()
-    # radii only shrink from here on, which keeps this state exact
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
-    newton = True  # until tried once
-
-    for sweep in range(max_sweeps):
-        masses = kernels.masses(top, denom, b, w)
-        resid = float(np.max(np.abs(masses - g)))
-        info.sweeps = sweep
-        info.residual = resid / src.total
-        info.residual_history.append(resid / src.total)
-        if resid <= delta:
-            info.masses = masses
-            return Refractor(pair, tgt, b, info=info)
-        if newton and np.all(masses > 0.0):
-            newton = False
-            radii = _newton(denom, src, g, b, top, masses, delta, info)[0]
-            if radii is not None:
-                return Refractor(pair, tgt, radii, info=info)
-        moved = False
-        for i in range(1, N):
-            if masses[i] >= g[i] - delta_c:
-                continue
-            info.updates += 1
-            s = kernels.win_thresholds(denom, top, i)
-            new_b = _fill_radius(s, w, b[i], g[i], half_width, i, w_mean)
-            if new_b < b[i]:
-                b[i] = new_b
-                kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
-                moved = True
-        if not moved:
-            # no radius moved, so every later sweep would repeat this one
-            stop, sweeps = "stagnated", sweep + 1
-            why = f"the sweep stagnated after {sweeps} sweeps"
-            break
-    else:
-        stop, sweeps = "budget", max_sweeps
-        why = f"after {max_sweeps} sweeps"
-    deficit = (g - masses) / src.total
-    under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
+    masses = kernels.masses(top, denom, b, src.weights)
+    history = [_note(info, masses, g, src.total)]
+    masses, info.sweeps, stop = fill_cells(
+        denom, top, b, masses, g, src, lambda m: m < g - delta_c, g,
+        np.full(N, 0.5 * delta_c), SWEEP_ROUNDS, info, history)
+    who = "the sweep"
+    if stop is None:
+        radii, stop = _newton(denom, src, g, b, top, masses, delta, info,
+                              history)
+        if radii is not None:
+            return Refractor(pair, tgt, radii, info=info)
+        who = "Newton"
+    d = info.closest
+    under, over = int(np.argmax(d)), int(np.argmin(d))
     raise NonConvergence(
-        f"residual {info.residual:.3e} > tol {tol:.3e}: {why}; most "
-        f"under-filled: target {under} (deficit {deficit[under]:+.3e} of the "
-        f"total), most over-filled: target {over} ({deficit[over]:+.3e}) "
-        "(tolerance is below the quadrature resolution?)",
-        stop=stop, sweeps=sweeps, deficit=deficit)
+        f"residual {np.abs(d).max():.3e} > tol {tol:.3e}: {who} stopped "
+        f"({stop}) after {info.sweeps} sweeps; most under-filled: target "
+        f"{under} (deficit {d[under]:+.3e} of the total), most over-filled: "
+        f"target {over} ({d[over]:+.3e}) (tolerance is below the quadrature "
+        "resolution?)", stop=stop, sweeps=info.sweeps, deficit=d)

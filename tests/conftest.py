@@ -122,13 +122,80 @@ def admissible_instance(draw_pair, rng, angle, nodes, count, spread):
     raise AssertionError("no admissible instance in 10 draws")
 
 
+SWEEP_BUDGET = 10_000  # the oracle sweep's budget
+
+
+def sweep_oracle(pair, src, tgt, denom, b1, tol, info):
+    """The monotone radius sweep run to convergence, with no Newton step:
+    the design algorithm that Newton replaced, kept as an oracle.  Every
+    surface but the anchor's starts above it at every node; each sweep
+    lowers the radius of each cell with M_k < g_k - delta_c to
+    g_k +- delta_c / 2 (`sweep._fill_radius`, looked up at each call), until
+    max|M - g| <= tol * total, a sweep that moves no radius
+    ("stagnated") or SWEEP_BUDGET sweeps ("budget")."""
+    from refractor import kernels, sweep
+    from refractor.errors import InfeasibleTarget, NonConvergence
+    from refractor.solver import Refractor
+
+    g, w, N = tgt.masses, src.weights, tgt.count
+    delta = tol * src.total
+    b = np.empty(N)
+    b[0] = b1
+    for i in range(1, N):
+        feas = denom[:, i] > 0.0
+        if not np.any(feas):
+            raise InfeasibleTarget(f"target {i} is feasible for no node")
+        ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
+        b[i] = b1 * ratio * (1.0 + 1e-6)
+    delta_c = 0.9 * delta / max(1, N - 1)
+    half_width = 0.5 * delta_c
+    w_mean = w.mean()
+    with np.errstate(over="ignore"):
+        top = kernels.Top2.of(denom, b)
+    for n in range(SWEEP_BUDGET):
+        masses = kernels.masses(top, denom, b, w)
+        resid = float(np.max(np.abs(masses - g)))
+        info.sweeps = n
+        info.residual = resid / src.total
+        info.residual_history.append(resid / src.total)
+        if resid <= delta:
+            info.masses = masses
+            return Refractor(pair, tgt, b, info=info)
+        moved = False
+        for i in range(1, N):
+            if masses[i] >= g[i] - delta_c:
+                continue
+            info.updates += 1
+            s = kernels.win_thresholds(denom, top, i)
+            new_b = sweep._fill_radius(s, w, b[i], g[i], half_width, i,
+                                       w_mean)
+            if new_b < b[i]:
+                b[i] = new_b
+                kernels.lower(top, kernels.heights(denom[:, i], new_b), i)
+                moved = True
+        if not moved:
+            stop, sweeps = "stagnated", n + 1
+            why = f"the sweep stagnated after {sweeps} sweeps"
+            break
+    else:
+        stop, sweeps = "budget", SWEEP_BUDGET
+        why = f"after {SWEEP_BUDGET} sweeps"
+    deficit = (g - masses) / src.total
+    under, over = int(np.argmax(deficit)), int(np.argmin(deficit))
+    raise NonConvergence(
+        f"residual {info.residual:.3e} > tol {tol:.3e}: {why}; most "
+        f"under-filled: target {under} (deficit {deficit[under]:+.3e} of the "
+        f"total), most over-filled: target {over} ({deficit[over]:+.3e})",
+        stop=stop, sweeps=sweeps, deficit=deficit)
+
+
 def sweep_alone(*args, **kwargs):
-    """`solve_discrete` with both Newton attempts switched off (the start's
-    and the sweep's pause): the monotone sweep alone, an oracle for what
-    Newton designs."""
+    """`solve_discrete` with its checks but no Newton attempt: the
+    closed-form start is switched off and `sweep_oracle` designs in place of
+    the sweep start, an oracle for what Newton designs."""
     from refractor import solver, sweep
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_start", lambda *_: None)
-        mp.setattr(sweep, "_newton", lambda *_: (None, None))
+        mp.setattr(sweep, "run", sweep_oracle)
         return solver.solve_discrete(*args, **kwargs)

@@ -41,9 +41,9 @@ def test_bench_solve_smoke(tmp_path):
             if row["J"] == 13:  # 13 nodes cannot balance 5 targets
                 assert run["error"]["type"] == "NonConvergence"
                 message = run["error"]["message"]
-                assert "the sweep stagnated" in message
+                assert "Newton stopped (damping)" in message
                 # the stop reason, sweeps and residual as fields
-                assert run["stop"] == "stagnated"
+                assert run["stop"] == "damping"
                 assert f"after {run['sweeps']} sweeps" in message
                 assert f"residual {run['residual']:.3e} >" in message
                 assert run["digest"] is run["newton_steps"] is None

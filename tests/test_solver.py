@@ -293,9 +293,13 @@ def test_lipschitz_bound_holds():
 
 
 def test_nonconvergence_below_resolution():
+    # 120 nodes cannot balance 3 targets to 1e-9: both Newton runs give up
+    # for want of a damping factor, and the last one's reason is raised
     pair, src, tgt = small_instance(nodes=120, count=3, seed=11)
-    with pytest.raises(NonConvergence):
-        solve_discrete(pair, src, tgt, b1=1.0, tol=1e-9, max_sweeps=60)
+    with pytest.raises(NonConvergence) as err:
+        solve_discrete(pair, src, tgt, b1=1.0, tol=1e-9)
+    assert err.value.stop == "damping"
+    assert "Newton stopped (damping) after" in str(err.value)
 
 
 def test_infeasible_targets_rejected():
@@ -545,7 +549,7 @@ def test_balance_required():
     ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
     ({"b1": 0.0}, "b1 must be finite and positive, got 0.0"),
     ({"tol": float("nan")}, "tol must be finite and positive"),
-    ({"max_sweeps": 0}, "max_sweeps must be >= 1"),
+    ({"b1": -1.0}, "b1 must be finite and positive, got -1.0"),
     ({"b1": float("nan")}, "b1 must be finite and positive, got nan"),
     ({"b1": float("inf")}, "b1 must be finite and positive, got inf"),
     ({"b1": 1e-310}, "b1 = 1e-310 puts start heights b1 / denom outside"),
@@ -661,33 +665,80 @@ def test_newton_designs_where_the_sweep_stalls():
     assert refractor_measure(r, src).residual <= tol
 
 
-def test_failed_newton_finish_resumes_the_sweep(monkeypatch):
-    # a singular Jacobian stops the Newton finish, and the sweep goes on
-    # from where it paused: the same bits, counters, stops and messages as
-    # the sweep alone
+def first_all_mass_sweep(monkeypatch, pair, src, tgt, tol):
+    """The sweep alone at tol, which tallies once per sweep, and its first
+    sweep whose every cell holds mass: the result, or the NonConvergence
+    it raises, and that sweep."""
+    least, masses = [], kernels.masses
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "masses",
+                   lambda *args: least.append(masses(*args).min())
+                   or masses(*args))
+        try:
+            got = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
+        except NonConvergence as exc:
+            got = exc
+    return got, next(n for n, m in enumerate(least) if m > 0.0)
+
+
+def test_singular_newton_step_raises_at_once(monkeypatch):
+    # a singular Jacobian stops both Newton runs: the closed-form start
+    # falls back, the sweep start fills until every cell holds mass, and
+    # the solve raises there, with no further sweep.  It reports the
+    # closest state either start reached: here the closed-form start's
     pair, src, tgt = small_instance(nodes=2000, count=6, seed=3)
+    o, first = first_all_mass_sweep(monkeypatch, pair, src, tgt, 1e-3)
     monkeypatch.setattr(kernels, "soup_jacobian",
                         lambda denom, *args: np.zeros((denom.shape[1],) * 2))
-    r = solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
-    o = sweep_alone(pair, src, tgt, b1=1.0, tol=1e-3)
-    assert r.info.newton_steps == 0
-    assert r.radii.tobytes() == o.radii.tobytes()
-    assert (r.info.sweeps, r.info.residual_history, r.info.updates) == (
-        o.info.sweeps, o.info.residual_history, o.info.updates)
-    monkeypatch.undo()
-    # below the quadrature resolution the Newton finish runs out of steps
-    # or of damping, and the sweep's own stop is raised
-    calls, jacobian = [], kernels.soup_jacobian
-    monkeypatch.setattr(kernels, "soup_jacobian",
-                        lambda *args: calls.append(1) or jacobian(*args))
-    messages = []
-    for solve in (solve_discrete, sweep_alone):
-        with pytest.raises(NonConvergence) as err:
-            solve(pair, src, tgt, b1=1.0, tol=1e-6, max_sweeps=200)
-        messages.append(str(err.value))
-    assert calls
-    assert messages[0] == messages[1]
-    assert "the sweep stagnated" in messages[0]
+    with pytest.raises(NonConvergence) as err:
+        solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
+    assert err.value.stop == "singular"
+    assert "Newton stopped (singular) after" in str(err.value)
+    assert 0 < err.value.sweeps == first < o.info.sweeps
+    start = (tgt.masses - start_masses(pair, src, tgt)) / src.total
+    resid = float(np.abs(start).max())
+    assert resid < min(o.info.residual_history[:first + 1])
+    assert err.value.deficit.tobytes() == start.tobytes()
+    assert f"residual {resid:.3e} > tol" in str(err.value)
+
+
+def test_below_the_node_floor_fails_fast(monkeypatch):
+    # below the node floor Newton cannot balance the cells: the solve
+    # raises once Newton fails from the sweep start's first state whose
+    # every cell holds mass, where the sweep alone sweeps on to stagnation
+    pair, src, tgt = small_instance(nodes=2000, count=6, seed=3)
+    with pytest.raises(NonConvergence) as new:
+        solve_discrete(pair, src, tgt, b1=1.0, tol=1e-6)
+    old, first = first_all_mass_sweep(monkeypatch, pair, src, tgt, 1e-6)
+    assert isinstance(old, NonConvergence) and old.stop == "stagnated"
+    assert new.value.stop in ("singular", "damping", "budget")
+    assert new.value.sweeps <= first < old.sweeps
+
+
+@pytest.mark.parametrize("stop", ["stagnated", "budget"])
+def test_sweep_start_stops_short_of_mass(monkeypatch, stop):
+    # a sweep start whose fill never gives every cell mass raises with the
+    # fill's reason and no Newton run: a fill whose radii do not move
+    # stagnates in its first round, and a budget of no rounds is spent at
+    # once.  The closest state is then the sweep start's own, where the
+    # anchor holds all the mass
+    pair, src, tgt = small_instance(nodes=2000, count=6, seed=3)
+    monkeypatch.setattr(solver, "_newton_start", lambda *_: None)
+    if stop == "stagnated":
+        monkeypatch.setattr(sweep, "_fill_radius", lambda s, w, b_i, *_: b_i)
+    else:
+        monkeypatch.setattr(sweep, "SWEEP_ROUNDS", 0)
+    with pytest.raises(NonConvergence) as err:
+        solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
+    sweeps = 1 if stop == "stagnated" else 0
+    assert (err.value.stop, err.value.sweeps) == (stop, sweeps)
+    assert f"the sweep stopped ({stop}) after {sweeps} sweeps" in str(
+        err.value)
+    held = np.zeros(tgt.count)
+    held[0] = src.total
+    # the anchor's mass is summed in another order than the total
+    assert np.allclose(err.value.deficit, (tgt.masses - held) / src.total,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_2d_solve_is_newton():
@@ -819,11 +870,12 @@ def test_repair_keeps_the_state_exact(monkeypatch, media, seed, count,
     start, rounds, tally = b.copy(), [], kernels.masses
     monkeypatch.setattr(kernels, "masses",
                         lambda *args: rounds.append(1) or tally(*args))
-    info = solver.SolveInfo()
-    got = solver._repair(denom, top, b, masses, tgt.masses, src.weights,
-                         info)
-    assert got is not None and got.min() > 0.0
-    assert least <= len(rounds) <= solver.REPAIR_ROUNDS
+    info, aim = solver.SolveInfo(), solver.REPAIR_SHARE * tgt.masses
+    got, n, why = sweep.fill_cells(denom, top, b, masses, tgt.masses, src,
+                                   lambda m: m <= 0.0, aim, 0.5 * aim,
+                                   solver.REPAIR_ROUNDS, info, [])
+    assert why is None and got.min() > 0.0
+    assert least <= len(rounds) == n <= solver.REPAIR_ROUNDS
     assert info.updates >= np.count_nonzero(masses <= 0.0)
     assert np.all(b <= start) and b[0] == start[0]
     rebuilt = kernels.Top2.of(denom, b)
