@@ -16,12 +16,12 @@ The design keeps, per node, the envelope's winner and its best and
 second-best heights (``Top2``), from which ``masses`` reads the cell masses
 without a (J, N) pass: an untied node sends its whole weight to its
 winner, and only the few tied rows go through ``tally``.  ``lower`` alone
-computes the state, folding in one target's column of heights, which is
-exact while no height grows: ``Top2.of`` folds every column into the empty
-state, and after b_i shrinks a fill round (``refractor.sweep``) folds in
-target i's new column, with the minima a rebuild would take.  Target i's
-cell threshold is then the second-best height where i wins and the best
-elsewhere, so ``win_thresholds`` is O(J).
+computes the state, folding in one target's column of heights, exact
+while no height grows: ``Top2.of`` folds every column into the empty state
+(at a start and after a dilation), and after b_i shrinks a fill round
+(``refractor.sweep``) folds in i's new column, with the minima a rebuild
+would take.  Target i's cell threshold is then the second-best height where
+i wins and the best elsewhere, so ``win_thresholds`` is O(J).
 
 ``soup_jacobian`` is the derivative of the cell masses in log b for the
 simplex-soup measure on the cap mesh (triangles in 3D, arc segments in

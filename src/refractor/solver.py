@@ -9,9 +9,10 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
 
 pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).
-Damped Newton steps on the simplex-soup Jacobian design, in 2D and 3D,
-from a closed-form start or, where that fails, from the sweep start; fill
-rounds (`refractor.sweep`, imported only then) first give every cell mass.
+One descent designs, in 2D and 3D, from a closed-form start or, where that
+fails, from the sweep start: fill rounds (`refractor.sweep`, imported only
+when a cell is empty) give every cell mass, the anchor's too, a dilation
+restores b_1, and damped Newton steps on the simplex-soup Jacobian finish.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleTarget, ValidationError
+from .errors import InfeasibleTarget, NonConvergence, ValidationError
 from .geometry import (cap_triangulation, fibonacci_cap, node_area_weights,
                        short_matmul, write_obj)
 from .norms import MediumPair, Norm, norm_eval, norm_gradient
@@ -143,15 +144,15 @@ class TargetMeasure(NamedTuple):
 class SolveInfo:
     """A solve's counters, residuals and cell masses, filled in as it goes;
     fallback is None, or why the closed-form start gave up: "start" (a
-    radius out of float range), "anchor" or "repair" (a cell it left
-    empty), or `_newton`'s "singular", "damping" or "budget"."""
+    radius out of float range), "repair" (its fill stopped short), or
+    `_newton`'s "singular", "damping" or "budget"."""
 
     __slots__ = ("sweeps", "newton_steps", "newton_trials", "residual",
                  "residual_history", "updates", "fallback", "masses",
                  "closest")
 
     def __init__(self):
-        self.sweeps = 0       # fill rounds of the sweep start
+        self.sweeps = 0       # fill rounds of the last start
         self.newton_steps = 0   # accepted steps of the Newton solve
         # its trial steps, accepted or rejected, in every Newton run: each
         # rebuilds the Top2 state
@@ -300,7 +301,6 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
 NEWTON_STEPS = 30           # a Newton run's budget of steps
 NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
 REPAIR_SHARE = 0.1  # the share of g_k a repair aims an empty cell k at
-REPAIR_ROUNDS = 32  # the repair's budget of rounds
 
 
 def _note(info: SolveInfo, masses, g, total: float) -> float:
@@ -314,13 +314,13 @@ def _note(info: SolveInfo, masses, g, total: float) -> float:
 
 
 def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
-            info: SolveInfo, history=()):
+            info: SolveInfo):
     """Damped Newton steps on the node residual from radii b, their state
     top and their masses, every one positive: (radii, None) once max|M - g|
     <= delta, or (None, why it gave up).  The arrays given are left as they
     are.  Each trial step adds one to info.newton_trials and each accepted
-    one goes to `_note`; on success info takes the masses and the steps,
-    and history and the steps' residuals join its residual_history.
+    one appends `_note`'s residual to info.residual_history; on success
+    info takes the masses, the steps and the last residual.
 
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
@@ -336,7 +336,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     eta = np.log(b / b1)
     err = float(np.max(np.abs(masses - g)))
     eps0 = 0.5 * min(float(masses.min()), float(g.min()))
-    residuals = list(history)
+    first = len(info.residual_history)
     for _ in range(NEWTON_STEPS):
         if err <= delta:
             break
@@ -362,11 +362,10 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
         else:
             return None, "damping"
         eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
-        residuals.append(_note(info, masses, g, src.total))
+        info.residual_history.append(_note(info, masses, g, src.total))
     if err > delta:
         return None, "budget"
-    info.masses, info.newton_steps = masses, len(residuals) - len(history)
-    info.residual_history += residuals
+    info.masses, info.newton_steps = masses, len(info.residual_history) - first
     info.residual = info.residual_history[-1]
     return b, None
 
@@ -399,41 +398,34 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
 
 
-def _newton_start(pair: MediumPair, src: SourceDensity,
-                  tgt: TargetMeasure, denom, b1: float, delta: float,
-                  info: SolveInfo):
-    """Newton from `_start`'s radii once fill rounds aiming each empty cell
-    k >= 2 at REPAIR_SHARE of g_k gave every cell mass: a Refractor that
-    carries info, or None, with info.fallback saying why."""
-    g = tgt.masses
-    b = _start(pair, src, tgt, b1)
-    if not np.all(np.isfinite(b) & (b > 0.0)):
-        info.fallback = "start"
-        return None
-    top = kernels.Top2.of(denom, b)
+def _descend(denom, src: SourceDensity, g, b, fill, delta, info: SolveInfo):
+    """`_newton` from radii b (changed in place) once every cell holds
+    mass: (radii, None, None), or (None, who, why) if "the sweep" (the fill)
+    or "Newton" stopped short.  The residual history restarts at b's.  An
+    empty cell starts `sweep.fill_cells` with fill's rule, aim and
+    half-width; if it lowered b_1, a dilation by b_1 / b[0], which moves no
+    cell, restores b_1 exactly, and the state is rebuilt."""
+    b1 = b[0]
+    with np.errstate(over="ignore"):
+        top = kernels.Top2.of(denom, b)
     masses = kernels.masses(top, denom, b, src.weights)
-    if masses[0] <= 0.0:
-        info.fallback = "anchor"
-        return None
-    history = [_note(info, masses, g, src.total)]
+    info.residual_history, info.sweeps = [_note(info, masses, g, src.total)], 0
     if masses.min() <= 0.0:
         from .sweep import fill_cells
 
-        aim = REPAIR_SHARE * g
-        try:
-            masses, _, why = fill_cells(
-                denom, top, b, masses, g, src, lambda m: m <= 0.0, aim,
-                0.5 * aim, REPAIR_ROUNDS, info, history)
-        except InfeasibleTarget:
-            why = "infeasible"
+        masses, info.sweeps, why = fill_cells(denom, top, b, masses, g, src,
+                                              *fill, info)
         if why is not None:
-            info.fallback = "repair"
-            return None
-    radii, info.fallback = _newton(denom, src, g, b, top, masses, delta,
-                                   info, history[-1:])
-    if radii is None:
-        return None
-    return Refractor(pair, tgt, radii, info=info)
+            return None, "the sweep", why
+        if b[0] != b1:
+            b *= b1 / b[0]
+            b[0] = b1
+            with np.errstate(over="ignore"):
+                top = kernels.Top2.of(denom, b)
+            masses = kernels.masses(top, denom, b, src.weights)
+            info.residual_history[-1] = _note(info, masses, g, src.total)
+    radii, why = _newton(denom, src, g, b, top, masses, delta, info)
+    return radii, "Newton", why
 
 
 def _check_separated(pair: MediumPair, src: SourceDensity,
@@ -461,7 +453,9 @@ def _check_separated(pair: MediumPair, src: SourceDensity,
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3) -> Refractor:
     """Design in either regime and dimension: unique radii (b_1 fixed) with
-    residual <= tol * total, by `_newton_start`, or else by `sweep.run`."""
+    residual <= tol * total, by `_descend` from `_start`'s radii (filling
+    each empty cell k to REPAIR_SHARE of g_k) or else from `sweep.start`'s
+    (filling each cell with M_k < g_k - delta_c to g_k +- delta_c / 2)."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -488,12 +482,31 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                               "outside the normal float range")
     _check_separated(pair, src, tgt, denom)
     info = SolveInfo()
-    done = _newton_start(pair, src, tgt, denom, b1, tol * src.total, info)
-    if done is not None:
-        return done
-    from . import sweep
+    g, delta = tgt.masses, tol * src.total
+    b = _start(pair, src, tgt, b1)
+    radii, info.fallback = None, "start"
+    if np.all(np.isfinite(b) & (b > 0.0)):
+        aim = REPAIR_SHARE * g
+        fill = (lambda m: m <= 0.0, aim, 0.5 * aim)
+        radii, who, why = _descend(denom, src, g, b, fill, delta, info)
+        info.fallback = "repair" if who == "the sweep" else why
+    if radii is None:
+        from . import sweep
 
-    return sweep.run(pair, src, tgt, denom, b1, tol, info)
+        delta_c = 0.9 * delta / max(1, g.size - 1)
+        fill = (lambda m: m < g - delta_c, g, np.full_like(g, 0.5 * delta_c))
+        radii, who, why = _descend(denom, src, g, sweep.start(denom, b1),
+                                   fill, delta, info)
+    if radii is not None:
+        return Refractor(pair, tgt, radii, info=info)
+    d = info.closest
+    under, over = int(np.argmax(d)), int(np.argmin(d))
+    raise NonConvergence(
+        f"residual {np.abs(d).max():.3e} > tol {tol:.3e}: {who} stopped "
+        f"({why}) after {info.sweeps} sweeps; most under-filled: target "
+        f"{under} (deficit {d[under]:+.3e} of the total), most over-filled: "
+        f"target {over} ({d[over]:+.3e}) (tolerance is below the quadrature "
+        "resolution?)", stop=why, sweeps=info.sweeps, deficit=d)
 
 
 # perfbench/spans.py looks this name up on the module

@@ -1,6 +1,6 @@
 """The fill rounds that give every cell mass so that `solver._newton` can
-start (`fill_cells`), and the sweep start (`run`).  `solver` imports this
-module only when a start leaves a cell empty.
+start (`fill_cells`), and the sweep start's radii (`start`).  `solver`
+imports this module only when a start leaves a cell empty.
 """
 
 from __future__ import annotations
@@ -8,10 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import InfeasibleTarget, NonConvergence
-from .solver import Refractor, _newton, _note
+from .errors import InfeasibleTarget
+from .solver import _note
 
-SWEEP_ROUNDS = 10_000  # the sweep start's budget of fill rounds
+FILL_ROUNDS = 1_000  # a fill's budget of rounds
 
 
 def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
@@ -56,24 +56,21 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
     return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
 
 
-def fill_cells(denom, top, b, masses, g, src, under, aim, half_width,
-               rounds: int, info, history: list):
+def fill_cells(denom, top, b, masses, g, src, under, aim, half_width, info):
     """Fill rounds in place on radii b, their state top and masses: each
-    lowers every cell k >= 2 that under(masses) marks to aim_k +-
-    half_width_k (``kernels.win_thresholds``, `_fill_radius` and
+    lowers every cell k, the anchor's too, that under(masses) marks to
+    aim_k +- half_width_k (``kernels.win_thresholds``, `_fill_radius` and
     ``kernels.lower``; info.updates counts them), tallies again and appends
-    `_note`'s residual to history.  Returns (masses, rounds run, why): why
-    is None once every cell holds mass or none is marked, "anchor" once the
-    anchor's cell is empty (shrinking radii never refill it), "stagnated"
-    after a round that moved no radius, or "budget" after `rounds`."""
+    `_note`'s residual to info.residual_history.  Returns (masses, rounds
+    run, why): why is None once every cell holds mass or none is marked,
+    "stagnated" after a round that moved no radius, or "budget" after
+    FILL_ROUNDS."""
     w_mean = src.weights.mean()
-    for n in range(rounds + 1):
-        cells = np.flatnonzero(under(masses)[1:]) + 1
-        if masses[0] <= 0.0:
-            return masses, n, "anchor"
+    for n in range(FILL_ROUNDS + 1):
+        cells = np.flatnonzero(under(masses))
         if masses.min() > 0.0 or not cells.size:
             return masses, n, None
-        if n == rounds:
+        if n == FILL_ROUNDS:
             return masses, n, "budget"
         before = b.copy()
         for k in cells:
@@ -86,43 +83,17 @@ def fill_cells(denom, top, b, masses, g, src, under, aim, half_width,
         if np.array_equal(b, before):
             return masses, n + 1, "stagnated"
         masses = kernels.masses(top, denom, b, src.weights)
-        history.append(_note(info, masses, g, src.total))
+        info.residual_history.append(_note(info, masses, g, src.total))
 
 
-def run(pair, src, tgt, denom, b1: float, tol: float, info) -> Refractor:
-    """The sweep start: every surface but the anchor's above it at every
-    node, then fill rounds that lower each cell with M_k < g_k - delta_c to
-    g_k +- delta_c / 2, and `_newton` once every cell holds mass.  A
-    Refractor carrying info, or NonConvergence with the closest state."""
-    g, N = tgt.masses, tgt.count
-    b = np.full(N, b1)
-    for i in range(1, N):
+def start(denom, b1: float) -> np.ndarray:
+    """The sweep start's radii: b_1, and every other surface just above the
+    anchor's at every node it reaches."""
+    b = np.full(denom.shape[1], b1)
+    for i in range(1, b.size):
         feas = denom[:, i] > 0.0
         if not np.any(feas):
             raise InfeasibleTarget(f"target {i} is feasible for no node")
         ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
         b[i] = b1 * ratio * (1.0 + 1e-6)
-    delta = tol * src.total
-    delta_c = 0.9 * delta / max(1, N - 1)
-    with np.errstate(over="ignore"):
-        top = kernels.Top2.of(denom, b)
-    masses = kernels.masses(top, denom, b, src.weights)
-    history = [_note(info, masses, g, src.total)]
-    masses, info.sweeps, stop = fill_cells(
-        denom, top, b, masses, g, src, lambda m: m < g - delta_c, g,
-        np.full(N, 0.5 * delta_c), SWEEP_ROUNDS, info, history)
-    who = "the sweep"
-    if stop is None:
-        radii, stop = _newton(denom, src, g, b, top, masses, delta, info,
-                              history)
-        if radii is not None:
-            return Refractor(pair, tgt, radii, info=info)
-        who = "Newton"
-    d = info.closest
-    under, over = int(np.argmax(d)), int(np.argmin(d))
-    raise NonConvergence(
-        f"residual {np.abs(d).max():.3e} > tol {tol:.3e}: {who} stopped "
-        f"({stop}) after {info.sweeps} sweeps; most under-filled: target "
-        f"{under} (deficit {d[under]:+.3e} of the total), most over-filled: "
-        f"target {over} ({d[over]:+.3e}) (tolerance is below the quadrature "
-        "resolution?)", stop=stop, sweeps=info.sweeps, deficit=d)
+    return b

@@ -125,17 +125,16 @@ def admissible_instance(draw_pair, rng, angle, nodes, count, spread):
 SWEEP_BUDGET = 10_000  # the oracle sweep's budget
 
 
-def sweep_oracle(pair, src, tgt, denom, b1, tol, info):
-    """The monotone radius sweep run to convergence, with no Newton step:
-    the design algorithm that Newton replaced, kept as an oracle.  Every
-    surface but the anchor's starts above it at every node; each sweep
-    lowers the radius of each cell with M_k < g_k - delta_c to
+def sweep_oracle(src, tgt, denom, b1, tol, info):
+    """The radii of the monotone radius sweep run to convergence, with no
+    Newton step: the design algorithm that Newton replaced, kept as an
+    oracle.  Every surface but the anchor's starts above it at every node;
+    each sweep lowers the radius of each cell with M_k < g_k - delta_c to
     g_k +- delta_c / 2 (`sweep._fill_radius`, looked up at each call), until
     max|M - g| <= tol * total, a sweep that moves no radius
     ("stagnated") or SWEEP_BUDGET sweeps ("budget")."""
     from refractor import kernels, sweep
     from refractor.errors import InfeasibleTarget, NonConvergence
-    from refractor.solver import Refractor
 
     g, w, N = tgt.masses, src.weights, tgt.count
     delta = tol * src.total
@@ -160,7 +159,7 @@ def sweep_oracle(pair, src, tgt, denom, b1, tol, info):
         info.residual_history.append(resid / src.total)
         if resid <= delta:
             info.masses = masses
-            return Refractor(pair, tgt, b, info=info)
+            return b
         moved = False
         for i in range(1, N):
             if masses[i] >= g[i] - delta_c:
@@ -189,13 +188,17 @@ def sweep_oracle(pair, src, tgt, denom, b1, tol, info):
         stop=stop, sweeps=sweeps, deficit=deficit)
 
 
-def sweep_alone(*args, **kwargs):
+def sweep_alone(pair, src, tgt, b1, tol=1e-3):
     """`solve_discrete` with its checks but no Newton attempt: the
-    closed-form start is switched off and `sweep_oracle` designs in place of
-    the sweep start, an oracle for what Newton designs."""
-    from refractor import solver, sweep
+    closed-form start is switched off (its radii are not finite) and
+    `sweep_oracle` designs in place of the descent from the sweep start,
+    an oracle for what Newton designs."""
+    from refractor import solver
+
+    def oracle(denom, _src, _g, _b, _fill, _delta, info):
+        return sweep_oracle(src, tgt, denom, b1, tol, info), None, None
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_newton_start", lambda *_: None)
-        mp.setattr(sweep, "run", sweep_oracle)
-        return solver.solve_discrete(*args, **kwargs)
+        mp.setattr(solver, "_start", lambda *_: np.full(tgt.count, np.nan))
+        mp.setattr(solver, "_descend", oracle)
+        return solver.solve_discrete(pair, src, tgt, b1, tol)

@@ -590,11 +590,10 @@ def test_sweep_tallies_tied_rows_only(monkeypatch, n1, n2):
     evaluations.clear()
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=2e-3)
     assert r.info.sweeps == 0 and r.info.newton_steps > 0
-    # one evaluation at the start (and one after its repairs), then one per
-    # trial step, accepted or rejected
+    # one evaluation at the start, then one per trial step, accepted or
+    # rejected
     assert r.info.newton_trials >= r.info.newton_steps
-    assert len(evaluations) == (1 + (r.info.updates > 0)
-                                + r.info.newton_trials)
+    assert len(evaluations) == 1 + r.info.newton_trials
     assert len(rows) <= len(evaluations)
     assert all(n < src.count for n in rows)
 
@@ -620,15 +619,15 @@ MEDIA_DIM_IDS = [media + ("" if dim == 3 else "_2d")
 @pytest.mark.parametrize("media, dim", MEDIA_DIMS, ids=MEDIA_DIM_IDS)
 @pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
 def test_newton_finish_agrees_with_sweep(media, dim, case2):
-    # in 2D and 3D Newton designs what the sweep alone designs, within the
-    # quadrature scale, with the node residual <= tol; radii[0] is b1, and
-    # the residuals fall strictly, from the closed-form start's or, where
-    # that start falls back to the sweep, from where the sweep paused
+    # in 2D and 3D Newton designs from the closed-form start what the sweep
+    # alone designs, within the quadrature scale, with the node residual
+    # <= tol; radii[0] is b1, the history holds the start's residual and
+    # its fill rounds', and the residuals fall strictly from there
     pair, src, tgt, tol = newton_instance(media, case2, seed=7, dim=dim)
     r = solve_discrete(pair, src, tgt, b1=1.3, tol=tol)
     o = sweep_alone(pair, src, tgt, b1=1.3, tol=tol)
     assert r.info.newton_steps > 0 and o.info.newton_steps == 0
-    assert r.radii[0] == 1.3
+    assert r.info.fallback is None and r.radii[0] == 1.3
     assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
     rep = refractor_measure(r, src)
     assert np.array_equal(r.info.masses, rep.masses)
@@ -637,12 +636,6 @@ def test_newton_finish_agrees_with_sweep(media, dim, case2):
     assert len(hist) == r.info.sweeps + r.info.newton_steps + 1
     newton = hist[r.info.sweeps:]
     assert all(b < a for a, b in zip(newton, newton[1:]))
-    if r.info.sweeps:
-        # the fallback: the sweep's own residuals up to the first sweep
-        # whose every cell holds mass
-        assert hist[:r.info.sweeps + 1] == o.info.residual_history[
-            :r.info.sweeps + 1]
-        assert r.info.sweeps < o.info.sweeps
 
 
 def test_newton_designs_where_the_sweep_stalls():
@@ -721,13 +714,14 @@ def test_sweep_start_stops_short_of_mass(monkeypatch, stop):
     # fill's reason and no Newton run: a fill whose radii do not move
     # stagnates in its first round, and a budget of no rounds is spent at
     # once.  The closest state is then the sweep start's own, where the
-    # anchor holds all the mass
+    # anchor holds all the mass (the closed-form start's radii are made
+    # non-finite, so it gives up at once)
     pair, src, tgt = small_instance(nodes=2000, count=6, seed=3)
-    monkeypatch.setattr(solver, "_newton_start", lambda *_: None)
+    monkeypatch.setattr(solver, "_start", lambda *_: np.full(6, np.nan))
     if stop == "stagnated":
         monkeypatch.setattr(sweep, "_fill_radius", lambda s, w, b_i, *_: b_i)
     else:
-        monkeypatch.setattr(sweep, "SWEEP_ROUNDS", 0)
+        monkeypatch.setattr(sweep, "FILL_ROUNDS", 0)
     with pytest.raises(NonConvergence) as err:
         solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
     sweeps = 1 if stop == "stagnated" else 0
@@ -806,14 +800,14 @@ def test_start_leaves_no_cell_empty(monkeypatch, case2, media, dim,
 
 
 def test_repaired_start_designs():
-    # the start leaves a cell empty; one repair lowers its radius to a share
-    # of its mass, counted as one update, and Newton designs from there with
-    # no sweep
+    # the start leaves a cell empty; one fill round lowers its radius to a
+    # share of its mass, counted as one update, and Newton designs from
+    # there
     pair, src, tgt, tol = newton_instance("lq", False, seed=0, count=20)
     empty = np.flatnonzero(start_masses(pair, src, tgt) <= 0.0)
     assert empty.size and 0 not in empty
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
-    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert r.info.sweeps == 1 and r.info.newton_steps > 0
     assert r.info.updates == empty.size and r.info.fallback is None
     assert refractor_measure(r, src).residual <= tol
 
@@ -821,67 +815,111 @@ def test_repaired_start_designs():
 def test_repeated_repair_designs():
     # strongly anisotropic random pairs can defeat the closed-form start:
     # here cells 3 and 7 are empty (a repair aimed at half their masses
-    # emptied cells 2 and 6).  The repeated repair gives every cell mass,
-    # and Newton designs with no sweep what the sweep alone designs, within
-    # the quadrature scale
+    # emptied cells 2 and 6).  The repair gives every cell mass, and Newton
+    # designs from the closed-form start what the sweep alone designs,
+    # within the quadrature scale
     pair, src, tgt, tol = newton_instance("ellipsoidal", False, 2, count=8)
     masses = start_masses(pair, src, tgt)
     assert list(np.flatnonzero(masses <= 0.0)) == [3, 7]
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
-    assert r.info.sweeps == 0 and r.info.newton_steps > 0
+    assert r.info.sweeps > 0 and r.info.newton_steps > 0
     assert r.info.updates >= 2 and r.info.fallback is None
     o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
     assert refractor_measure(r, src).residual <= tol
 
 
-def test_unrepairable_start_falls_back():
-    # here the anchor's cell is empty, which no repair of another radius
-    # fills: the design goes through the sweep's fallback, says why, and
-    # Newton finishes once every cell holds mass
+def test_empty_anchor_is_filled():
+    # here the anchor's cell is empty: the fill lowers b_1 with the other
+    # empty radii, a dilation restores it, and Newton designs from the
+    # closed-form start what the sweep alone designs
     pair, src, tgt, tol = newton_instance("ellipsoidal", False, 7, count=8)
     masses = start_masses(pair, src, tgt)
     assert masses[0] <= 0.0
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
-    assert r.info.fallback == "anchor"
-    assert 0 < r.info.sweeps < o.info.sweeps
-    assert r.info.newton_steps > 0
-    assert r.info.residual_history[:r.info.sweeps + 1] == \
-        o.info.residual_history[:r.info.sweeps + 1]
+    assert r.info.fallback is None and r.radii[0] == 1.0
+    assert r.info.sweeps > 0 and r.info.newton_steps > 0
     assert np.max(np.abs(r.radii / o.radii - 1.0)) <= 1e-3
     assert refractor_measure(r, src).residual <= tol
 
 
+@pytest.mark.parametrize("seed", [2, 6])
+def test_many_empty_2d_cells_are_filled(seed):
+    # these 2D starts leave 18 and 21 of 40 cells empty, and the fill
+    # takes dozens of rounds to give every cell mass; Newton then designs
+    # from the closed-form start
+    pair, src, tgt, tol = newton_instance("ellipsoidal", False, seed,
+                                          count=40, dim=2)
+    assert np.count_nonzero(start_masses(pair, src, tgt) <= 0.0) > 15
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.info.fallback is None and r.info.newton_steps > 0
+    assert 32 < r.info.sweeps <= sweep.FILL_ROUNDS
+    assert refractor_measure(r, src).residual <= tol
+
+
+@pytest.mark.parametrize("dim", [3, 2], ids=["3d", "2d"])
+@pytest.mark.parametrize("case2", [False, True], ids=["case1", "case2"])
+def test_ellipsoidal_draws_design(case2, dim):
+    # 8 random ellipsoidal draws of 5-50 targets each design; the sweep
+    # start serves only where Newton from the closed-form start gave up on
+    # its damping
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        count = int(rng.integers(5, 51))
+        pair, src, dirs = admissible_instance(
+            media_pairs("ellipsoidal", case2, dim, rng), rng, 0.2, 4000,
+            count, 0.1)
+        g = rng.uniform(0.5, 1.5, count)
+        tgt = TargetMeasure.of(pair.n2, dirs, g * (src.total / g.sum()))
+        tol = max(1e-3, 1.3 * (count - 1) * np.max(src.weights) / src.total)
+        r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+        assert r.info.fallback in (None, "damping")
+        assert r.radii[0] == 1.0
+        assert refractor_measure(r, src).residual <= tol
+
+
 @pytest.mark.parametrize("media, seed, count, least", [
-    ("lq", 0, 20, 1), ("ellipsoidal", 2, 8, 1), ("ellipsoidal", 0, 20, 2)],
-    ids=["lq", "ellipsoidal", "ellipsoidal_rounds"])
+    ("lq", 0, 20, 1), ("ellipsoidal", 2, 8, 1), ("ellipsoidal", 0, 20, 2),
+    ("ellipsoidal", 7, 8, 1)],
+    ids=["lq", "ellipsoidal", "ellipsoidal_rounds", "ellipsoidal_anchor"])
 def test_repair_keeps_the_state_exact(monkeypatch, media, seed, count,
                                       least):
-    # after the repair rounds every cell holds mass, the maintained state
-    # is the state a rebuild at the repaired radii gives, bit for bit, no
-    # radius grew and the rounds stayed within the budget (the last
-    # instance takes several)
+    # after the repair's fill rounds every cell holds mass, the state that
+    # Newton starts from is the state a rebuild at its radii gives, bit for
+    # bit, with b_1 exact, no radius grew in the fill and the rounds stayed
+    # within the budget (the third instance takes several).  The last
+    # instance's fill lowers b_1, and a dilation restores it
     pair, src, tgt, _ = newton_instance(media, False, seed, count=count)
     denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
     b = solver._start(pair, src, tgt, 1.0)
-    top = kernels.Top2.of(denom, b)
-    masses = kernels.masses(top, denom, b, src.weights)
-    start, rounds, tally = b.copy(), [], kernels.masses
-    monkeypatch.setattr(kernels, "masses",
-                        lambda *args: rounds.append(1) or tally(*args))
+    start, filled, fill, seen = b.copy(), [], sweep.fill_cells, []
+
+    def recording(*args):
+        got = fill(*args)
+        filled.append((args[2].copy(), *got))
+        return got
+
+    monkeypatch.setattr(sweep, "fill_cells", recording)
+    monkeypatch.setattr(solver, "_newton",
+                        lambda *args: seen.append(args) or (args[3], None))
     info, aim = solver.SolveInfo(), solver.REPAIR_SHARE * tgt.masses
-    got, n, why = sweep.fill_cells(denom, top, b, masses, tgt.masses, src,
-                                   lambda m: m <= 0.0, aim, 0.5 * aim,
-                                   solver.REPAIR_ROUNDS, info, [])
+    solver._descend(denom, src, tgt.masses, b,
+                    (lambda m: m <= 0.0, aim, 0.5 * aim), 1e-3, info)
+    (lowered, got, n, why), = filled
     assert why is None and got.min() > 0.0
-    assert least <= len(rounds) == n <= solver.REPAIR_ROUNDS
-    assert info.updates >= np.count_nonzero(masses <= 0.0)
-    assert np.all(b <= start) and b[0] == start[0]
-    rebuilt = kernels.Top2.of(denom, b)
+    assert least <= n == info.sweeps <= sweep.FILL_ROUNDS
+    assert info.updates >= np.count_nonzero(start_masses(pair, src, tgt)
+                                            <= 0.0)
+    assert np.all(lowered <= start)
+    assert (lowered[0] < start[0]) == ((media, seed) == ("ellipsoidal", 7))
+    _, _, _, radii, top, masses, *_ = seen[0]
+    assert radii[0] == 1.0
+    rebuilt = kernels.Top2.of(denom, radii)
     for kept, fresh in zip(top, rebuilt):
         assert kept.tobytes() == fresh.tobytes()
-    assert got.tobytes() == tally(rebuilt, denom, b, src.weights).tobytes()
+    assert masses.tobytes() == kernels.masses(rebuilt, denom, radii,
+                                              src.weights).tobytes()
 
 
 def test_start_residuals_fall_strictly():
