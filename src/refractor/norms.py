@@ -262,8 +262,9 @@ class MediumPair:
         """nu.x = sign (1 - x.p2(m)), at least 1 - kappa > 0 in Case I.
 
         The surface through m reaches x iff denom > 0; its radius there is
-        b / denom.  nodes (J, n) against directions (N, n) gives (J, N); a
-        single direction (n,) gives (J,).
+        b / denom.  nodes (J, n) against directions (N, n) gives a
+        column-major (J, N) array (`short_matmul`); a single direction (n,)
+        gives (J,).
         """
         dots = short_matmul(nodes, norm_gradient(self.n2, directions).T)
         dots *= -self.sign  # then + sign: exactly 1 - d or d - 1, +0 at d = 1

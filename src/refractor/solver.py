@@ -11,8 +11,9 @@ pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).
 One descent designs, in 2D and 3D, from a closed-form start or, where that
 fails, from the sweep start: fill rounds (`refractor.sweep`, imported only
-when a cell is empty) give every cell mass, the anchor's too, a dilation
-restores b_1, and damped Newton steps on the simplex-soup Jacobian finish.
+when a cell is empty) lower every empty cell, the anchor's too, toward its
+whole mass, a dilation restores b_1, and damped Newton steps on the
+simplex-soup Jacobian finish.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -300,7 +301,6 @@ def _check_balance(src: SourceDensity, tgt: TargetMeasure) -> None:
 
 NEWTON_STEPS = 30           # a Newton run's budget of steps
 NEWTON_MIN_TAU = 2.0 ** -12  # its smallest damping factor
-REPAIR_SHARE = 0.1  # the share of g_k a repair aims an empty cell k at
 
 
 def _note(info: SolveInfo, masses, g, total: float) -> float:
@@ -398,13 +398,14 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
 
 
-def _descend(denom, src: SourceDensity, g, b, fill, delta, info: SolveInfo):
+def _descend(denom, src: SourceDensity, g, b, half_width, delta,
+             info: SolveInfo):
     """`_newton` from radii b (changed in place) once every cell holds
     mass: (radii, None, None), or (None, who, why) if "the sweep" (the fill)
     or "Newton" stopped short.  The residual history restarts at b's.  An
-    empty cell starts `sweep.fill_cells` with fill's rule, aim and
-    half-width; if it lowered b_1, a dilation by b_1 / b[0], which moves no
-    cell, restores b_1 exactly, and the state is rebuilt."""
+    empty cell starts `sweep.fill_cells`, which lowers every empty cell
+    toward g_k +- half_width; if it lowered b_1, a dilation by b_1 / b[0],
+    which moves no cell, restores b_1 exactly, and the state is rebuilt."""
     b1 = b[0]
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
@@ -414,7 +415,7 @@ def _descend(denom, src: SourceDensity, g, b, fill, delta, info: SolveInfo):
         from .sweep import fill_cells
 
         masses, info.sweeps, why = fill_cells(denom, top, b, masses, g, src,
-                                              *fill, info)
+                                              half_width, info)
         if why is not None:
             return None, "the sweep", why
         if b[0] != b1:
@@ -453,9 +454,9 @@ def _check_separated(pair: MediumPair, src: SourceDensity,
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3) -> Refractor:
     """Design in either regime and dimension: unique radii (b_1 fixed) with
-    residual <= tol * total, by `_descend` from `_start`'s radii (filling
-    each empty cell k to REPAIR_SHARE of g_k) or else from `sweep.start`'s
-    (filling each cell with M_k < g_k - delta_c to g_k +- delta_c / 2)."""
+    residual <= tol * total, by `_descend` from `_start`'s radii or else
+    from `sweep.start`'s; from either, the fill aims each empty cell k at
+    g_k +- delta_c / 2, delta_c = 0.9 tol total / max(1, N - 1)."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -463,8 +464,8 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     _check_balance(src, tgt)
     check_admissibility(pair, src, tgt)
 
-    # column-major: a fill round reads one target's column at a time
-    denom = np.asfortranarray(pair.denominators(src.nodes, tgt.directions))
+    # column-major (`MediumPair.denominators`): a fill reads it by column
+    denom = pair.denominators(src.nodes, tgt.directions)
 
     bad = np.flatnonzero(denom[:, 0] <= 0.0)
     if bad.size:
@@ -483,20 +484,17 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     _check_separated(pair, src, tgt, denom)
     info = SolveInfo()
     g, delta = tgt.masses, tol * src.total
+    half_width = 0.5 * (0.9 * delta / max(1, g.size - 1))
     b = _start(pair, src, tgt, b1)
     radii, info.fallback = None, "start"
     if np.all(np.isfinite(b) & (b > 0.0)):
-        aim = REPAIR_SHARE * g
-        fill = (lambda m: m <= 0.0, aim, 0.5 * aim)
-        radii, who, why = _descend(denom, src, g, b, fill, delta, info)
+        radii, who, why = _descend(denom, src, g, b, half_width, delta, info)
         info.fallback = "repair" if who == "the sweep" else why
     if radii is None:
         from . import sweep
 
-        delta_c = 0.9 * delta / max(1, g.size - 1)
-        fill = (lambda m: m < g - delta_c, g, np.full_like(g, 0.5 * delta_c))
         radii, who, why = _descend(denom, src, g, sweep.start(denom, b1),
-                                   fill, delta, info)
+                                   half_width, delta, info)
     if radii is not None:
         return Refractor(pair, tgt, radii, info=info)
     d = info.closest

@@ -1,6 +1,7 @@
-"""The fill rounds that give every cell mass so that `solver._newton` can
-start (`fill_cells`), and the sweep start's radii (`start`).  `solver`
-imports this module only when a start leaves a cell empty.
+"""The fill rounds, one rule for both starts, that give every empty cell
+its whole mass so that `solver._newton` can start (`fill_cells`), and the
+sweep start's radii (`start`), used only where the closed-form start gives
+up.  `solver` imports this module only when a start leaves a cell empty.
 """
 
 from __future__ import annotations
@@ -56,19 +57,18 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
     return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
 
 
-def fill_cells(denom, top, b, masses, g, src, under, aim, half_width, info):
+def fill_cells(denom, top, b, masses, g, src, half_width, info):
     """Fill rounds in place on radii b, their state top and masses: each
-    lowers every cell k, the anchor's too, that under(masses) marks to
-    aim_k +- half_width_k (``kernels.win_thresholds``, `_fill_radius` and
+    lowers every empty cell k (M_k <= 0), the anchor's too, toward its whole
+    mass g_k +- half_width (``kernels.win_thresholds``, `_fill_radius` and
     ``kernels.lower``; info.updates counts them), tallies again and appends
     `_note`'s residual to info.residual_history.  Returns (masses, rounds
-    run, why): why is None once every cell holds mass or none is marked,
-    "stagnated" after a round that moved no radius, or "budget" after
-    FILL_ROUNDS."""
+    run, why): why is None once no cell is empty, "stagnated" after a round
+    that moved no radius, or "budget" after FILL_ROUNDS."""
     w_mean = src.weights.mean()
     for n in range(FILL_ROUNDS + 1):
-        cells = np.flatnonzero(under(masses))
-        if masses.min() > 0.0 or not cells.size:
+        cells = np.flatnonzero(masses <= 0.0)
+        if not cells.size:
             return masses, n, None
         if n == FILL_ROUNDS:
             return masses, n, "budget"
@@ -76,8 +76,8 @@ def fill_cells(denom, top, b, masses, g, src, under, aim, half_width, info):
         for k in cells:
             s = kernels.win_thresholds(denom, top, k)
             # a radius that does not move leaves the state as it is
-            b[k] = _fill_radius(s, src.weights, b[k], aim[k], half_width[k],
-                                k, w_mean)
+            b[k] = _fill_radius(s, src.weights, b[k], g[k], half_width, k,
+                                w_mean)
             kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
         info.updates += cells.size
         if np.array_equal(b, before):

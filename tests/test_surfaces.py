@@ -151,6 +151,10 @@ def test_normal_dot_identities(make):
     x_dot_nu, m_dot_nu = np.sum(nodes * raw, axis=-1), raw @ s.m
     assert np.max(np.abs(x_dot_nu - pair.denominators(nodes, s.m))) <= 1e-12
     assert np.max(np.abs(m_dot_nu - pair.margins(nodes, s.m))) <= 1e-12
+    # a (J, N) table is column-major, as the solve's fill reads it
+    table = pair.denominators(nodes, np.array([s.m, -s.m]))
+    assert table.flags["F_CONTIGUOUS"] and table.shape == (len(nodes), 2)
+    assert np.array_equal(table[:, 0], pair.denominators(nodes, s.m))
     if pair.regime is Regime.CASE_I:
         assert np.min(x_dot_nu) >= 1.0 - pair.kappa - 1e-12
     else:
