@@ -11,9 +11,8 @@ pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).
 One descent designs, in 2D and 3D, from a closed-form start or, where that
 fails, from the sweep start: fill rounds (`refractor.sweep`, imported only
-when a cell is empty) lower every empty cell, the anchor's too, toward its
-whole mass, a dilation restores b_1, and damped Newton steps on the
-simplex-soup Jacobian finish.
+when a cell is empty) fill every empty cell to its whole mass, a dilation
+restores b_1, and damped Newton steps on the simplex-soup Jacobian finish.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -325,12 +324,12 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     The variables are eta = log(b / b_1), eta_1 = 0 pinned, and the radii
     b_1 exp(eta), so radii[0] is b_1 exactly.  Each step solves H d = g - M
     over targets 2..N, H being `kernels.soup_jacobian`, and halves tau from
-    1 until, at eta + tau d, every cell holds at least eps0, half the least
-    of the start's masses and of g, and the node residual falls to
-    (1 - tau / 2) times its last value (Kitagawa, Merigot and Thibert's
-    damping), so it falls strictly.  It gives up on a singular system
-    ("singular"), tau < NEWTON_MIN_TAU ("damping") or NEWTON_STEPS steps
-    without convergence ("budget").
+    1 until, at eta + tau d, every radius is a positive float, every cell
+    holds at least eps0, half the least of the start's masses and of g,
+    and the node residual falls to (1 - tau / 2) times its last value
+    (Kitagawa, Merigot and Thibert's damping), so it falls strictly.  It
+    gives up on a singular system ("singular"), tau < NEWTON_MIN_TAU
+    ("damping") or NEWTON_STEPS steps without convergence ("budget").
     """
     b1 = b[0]
     eta = np.log(b / b1)
@@ -348,7 +347,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
             return None, "singular"
         tau = 1.0
         while tau >= NEWTON_MIN_TAU:
-            # a non-finite step fails the test below and halves tau
+            # a non-finite or underflowed step fails the test and halves tau
             with np.errstate(over="ignore", invalid="ignore"):
                 eta_t = np.r_[0.0, eta[1:] + tau * d]
                 b_t = b1 * np.exp(eta_t)
@@ -356,7 +355,8 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
                 top_t = kernels.Top2.of(denom, b_t)
                 m_t = kernels.masses(top_t, denom, b_t, src.weights)
             err_t = float(np.max(np.abs(m_t - g)))
-            if m_t.min() >= eps0 and err_t <= (1.0 - 0.5 * tau) * err:
+            if (b_t.min() > 0.0 and m_t.min() >= eps0
+                    and err_t <= (1.0 - 0.5 * tau) * err):
                 break
             tau *= 0.5
         else:
@@ -398,13 +398,12 @@ def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
         return b1 * np.exp(-2.0 * beta0 * short_matmul(q - q[0], v))
 
 
-def _descend(denom, src: SourceDensity, g, b, half_width, delta,
-             info: SolveInfo):
+def _descend(denom, src: SourceDensity, g, b, delta, info: SolveInfo):
     """`_newton` from radii b (changed in place) once every cell holds
     mass: (radii, None, None), or (None, who, why) if "the sweep" (the fill)
     or "Newton" stopped short.  The residual history restarts at b's.  An
     empty cell starts `sweep.fill_cells`, which lowers every empty cell
-    toward g_k +- half_width; if it lowered b_1, a dilation by b_1 / b[0],
+    toward its whole mass; if it lowered b_1, a dilation by b_1 / b[0],
     which moves no cell, restores b_1 exactly, and the state is rebuilt."""
     b1 = b[0]
     with np.errstate(over="ignore"):
@@ -415,7 +414,7 @@ def _descend(denom, src: SourceDensity, g, b, half_width, delta,
         from .sweep import fill_cells
 
         masses, info.sweeps, why = fill_cells(denom, top, b, masses, g, src,
-                                              half_width, info)
+                                              delta, info)
         if why is not None:
             return None, "the sweep", why
         if b[0] != b1:
@@ -455,8 +454,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3) -> Refractor:
     """Design in either regime and dimension: unique radii (b_1 fixed) with
     residual <= tol * total, by `_descend` from `_start`'s radii or else
-    from `sweep.start`'s; from either, the fill aims each empty cell k at
-    g_k +- delta_c / 2, delta_c = 0.9 tol total / max(1, N - 1)."""
+    from `sweep.start`'s, with one fill rule (`sweep.fill_cells`)."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -484,17 +482,16 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     _check_separated(pair, src, tgt, denom)
     info = SolveInfo()
     g, delta = tgt.masses, tol * src.total
-    half_width = 0.5 * (0.9 * delta / max(1, g.size - 1))
     b = _start(pair, src, tgt, b1)
     radii, info.fallback = None, "start"
     if np.all(np.isfinite(b) & (b > 0.0)):
-        radii, who, why = _descend(denom, src, g, b, half_width, delta, info)
+        radii, who, why = _descend(denom, src, g, b, delta, info)
         info.fallback = "repair" if who == "the sweep" else why
     if radii is None:
         from . import sweep
 
         radii, who, why = _descend(denom, src, g, sweep.start(denom, b1),
-                                   half_width, delta, info)
+                                   delta, info)
     if radii is not None:
         return Refractor(pair, tgt, radii, info=info)
     d = info.closest

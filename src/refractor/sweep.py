@@ -1,7 +1,6 @@
-"""The fill rounds, one rule for both starts, that give every empty cell
-its whole mass so that `solver._newton` can start (`fill_cells`), and the
-sweep start's radii (`start`), used only where the closed-form start gives
-up.  `solver` imports this module only when a start leaves a cell empty.
+"""The fill rounds that give every empty cell its whole mass so that
+`solver._newton` can start (`fill_cells`), and the sweep start's radii
+(`start`); `solver` imports it only when a start leaves a cell empty.
 """
 
 from __future__ import annotations
@@ -57,15 +56,18 @@ def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
     return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
 
 
-def fill_cells(denom, top, b, masses, g, src, half_width, info):
+def fill_cells(denom, top, b, masses, g, src, delta, info):
     """Fill rounds in place on radii b, their state top and masses: each
     lowers every empty cell k (M_k <= 0), the anchor's too, toward its whole
-    mass g_k +- half_width (``kernels.win_thresholds``, `_fill_radius` and
-    ``kernels.lower``; info.updates counts them), tallies again and appends
+    mass g_k +- delta_c / 2, delta_c = 0.9 delta / max(1, N - 1), or toward
+    the weight R_k of the nodes it reaches if less (InfeasibleTarget once
+    R_k < g_k - delta), by ``kernels.win_thresholds``, `_fill_radius` and
+    ``kernels.lower`` (info.updates counts them), then tallies and appends
     `_note`'s residual to info.residual_history.  Returns (masses, rounds
-    run, why): why is None once no cell is empty, "stagnated" after a round
-    that moved no radius, or "budget" after FILL_ROUNDS."""
-    w_mean = src.weights.mean()
+    run, why): why is None once no cell is empty, "stagnated" after a
+    round that moved no radius, or "budget" after FILL_ROUNDS."""
+    w, half_width = src.weights, 0.45 * delta / max(1, g.size - 1)
+    w_mean = w.mean()
     for n in range(FILL_ROUNDS + 1):
         cells = np.flatnonzero(masses <= 0.0)
         if not cells.size:
@@ -75,9 +77,12 @@ def fill_cells(denom, top, b, masses, g, src, half_width, info):
         before = b.copy()
         for k in cells:
             s = kernels.win_thresholds(denom, top, k)
+            # a cell further short of g_k than delta makes `_fill_radius` raise
+            reached = s > -np.inf
+            reach = src.total if reached.all() else float(w[reached].sum())
+            aim = min(g[k], max(reach, g[k] - delta + half_width))
             # a radius that does not move leaves the state as it is
-            b[k] = _fill_radius(s, src.weights, b[k], g[k], half_width, k,
-                                w_mean)
+            b[k] = _fill_radius(s, w, b[k], aim, half_width, k, w_mean)
             kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
         info.updates += cells.size
         if np.array_equal(b, before):

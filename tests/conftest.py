@@ -195,7 +195,7 @@ def sweep_alone(pair, src, tgt, b1, tol=1e-3):
     an oracle for what Newton designs."""
     from refractor import solver
 
-    def oracle(denom, _src, _g, _b, _fill, _delta, info):
+    def oracle(denom, _src, _g, _b, _delta, info):
         return sweep_oracle(src, tgt, denom, b1, tol, info), None, None
 
     with pytest.MonkeyPatch.context() as mp:

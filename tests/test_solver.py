@@ -915,6 +915,43 @@ def test_2d_below_the_node_floor_stops_on_damping():
     assert "Newton stopped (damping) after" in str(err.value)
 
 
+def short_reach_instance(tilt, share, tol=1e-3):
+    """A 2D Case II problem of three targets: the anchor on the cap's axis,
+    target 1 tilted by `tilt`, so that it reaches only part of the cap, and
+    target 2 by 0.3.  Target 1's nodes carry its mass less
+    share * tol * total; the other two split the rest."""
+    pair = MediumPair.isotropic(1.0, 1.5, dim=2)
+    axis = np.array([0.0, 1.0])
+    src = SourceDensity.from_cap(pair.n1, axis, 0.25, 2000)
+    dirs = np.array([axis, [np.sin(tilt), np.cos(tilt)],
+                     [np.sin(0.3), np.cos(0.3)]])
+    reach = src.weights[pair.denominators(src.nodes, dirs[1]) > 0.0].sum()
+    g1 = reach + share * tol * src.total
+    g = np.array([0.5 * (src.total - g1), g1, 0.5 * (src.total - g1)])
+    return pair, src, TargetMeasure.of(pair.n2, dirs, g), tol
+
+
+@pytest.mark.parametrize("tilt, share", [(0.95, 0.6), (0.9, 0.9)])
+def test_target_short_of_its_reach_designs(tilt, share):
+    # target 1's nodes carry less than its mass, but by less than tol, so
+    # a design exists.  The start leaves its cell empty, and the fill aims
+    # it at the weight it reaches, since no radius gives g_1 -+ delta_c / 2.
+    # In the second problem a Newton step would take b_1 below the
+    # smallest float, to radii no `Refractor` takes; that trial is refused
+    pair, src, tgt, tol = short_reach_instance(tilt, share)
+    assert start_masses(pair, src, tgt)[1] <= 0.0
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.radii[0] == 1.0 and np.all(r.radii > 0.0)
+    assert refractor_measure(r, src).residual <= tol
+
+
+def test_target_short_of_its_reach_by_tol_is_infeasible():
+    # short by more than tol, no design exists, and the fill says so
+    pair, src, tgt, tol = short_reach_instance(0.95, 1.05)
+    with pytest.raises(InfeasibleTarget, match="target 1 cannot absorb"):
+        solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+
+
 @pytest.mark.parametrize("media, seed, count, least", [
     ("lq", 0, 20, 1), ("ellipsoidal", 2, 8, 1), ("ellipsoidal", 0, 20, 2),
     ("ellipsoidal", 7, 8, 1)],
@@ -941,8 +978,7 @@ def test_repair_keeps_the_state_exact(monkeypatch, media, seed, count,
     monkeypatch.setattr(solver, "_newton",
                         lambda *args: seen.append(args) or (args[3], None))
     info, delta = solver.SolveInfo(), tol * src.total
-    solver._descend(denom, src, tgt.masses, b, 0.45 * delta / (count - 1),
-                    delta, info)
+    solver._descend(denom, src, tgt.masses, b, delta, info)
     (lowered, got, n, why), = filled
     assert why is None and got.min() > 0.0
     assert least <= n == info.sweeps <= sweep.FILL_ROUNDS
