@@ -23,13 +23,15 @@ rounds of the start that designed), the Newton steps and trial steps
 (accepted or rejected; null for a version that does not count them), the
 target-radius updates (every fill round's, of either start), why the
 closed-form start gave up (``fallback``: null where it designed, or
-``SolveInfo.fallback``'s reason; null too for a version that does not
-record it, and for a solve that raises), the residual, why the solve
-stopped (``stop``: "converged", or the ``NonConvergence`` reason: the last
-Newton run's "singular", "damping" or "budget", or the sweep start's fill's
-"stagnated" or "budget") and a digest of the radii and residual history.  With a baseline it also reports
-the largest relative difference between the versions' radii, which shows
-how far apart two results are when their digests differ.  A solve that
+``SolveInfo.fallback``'s reason, "repair", "singular", "damping" or
+"budget"; null too for a version that does not record it, and for a solve
+that raises), the residual, why the solve stopped (``stop``: "converged",
+or the ``NonConvergence`` reason: the last Newton run's "singular",
+"damping" or "budget", or the sweep start's fill's "stagnated" or
+"budget") and a digest of the radii and residual history.  With a
+baseline it also reports the largest relative difference between the
+versions' radii, which shows how far apart two results are when their
+digests differ.  A solve that
 raises is a row too: its ``error`` holds the exception's type and message,
 its times the seconds until the raise, its ``stop``, ``sweeps`` and
 ``residual`` what the exception carries (null where it carries none), and

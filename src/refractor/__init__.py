@@ -7,7 +7,7 @@ modules, e.g. ``from refractor.snell import refract``):
 * ``snell``     vector Snell law and the Fermat least-path oracle
 * ``surfaces``  uniformly refracting surfaces S_I / S_II
 * ``solver``    semi-discrete refractor design (radii from target masses)
-* ``sweep``     fill rounds (the anchor's too) and the sweep start's radii
+* ``sweep``     fill rounds that give every empty cell (the anchor's too) mass
 * ``theory``    continuous targets, dilations and the Lipschitz bound
 * ``fresnel``   Fresnel sheet algebra and material-to-norm conversion
 * ``transport`` transport cost and the design's duality certificate

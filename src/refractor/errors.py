@@ -28,9 +28,9 @@ class OutOfDomain(RefractorError):
 class NonConvergence(RefractorError):
     """An iterative method did not reach its tolerance.  A design says why:
     stop is its last Newton run's "singular", "damping" or "budget", or the
-    sweep start's fill's "stagnated" or "budget", sweeps that fill's rounds,
-    and deficit (g - M) / total at the lowest node residual any fill round
-    or accepted Newton step of either start reached.  Others leave None."""
+    last fill's "stagnated" or "budget", sweeps that fill's rounds, and
+    deficit (g - M) / total at the lowest node residual any fill round or
+    accepted Newton step of either start reached.  Others leave None."""
 
     def __init__(self, message, stop=None, sweeps=None, deficit=None):
         super().__init__(message)

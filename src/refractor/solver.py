@@ -10,9 +10,10 @@ with prescribed masses g_1..g_N, find radii b_1..b_N so that the min-envelope
 pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).
 One descent designs, in 2D and 3D, from a closed-form start or, where that
-fails, from the sweep start: fill rounds (`refractor.sweep`, imported only
-when a cell is empty) fill every empty cell to its whole mass, a dilation
-restores b_1, and damped Newton steps on the simplex-soup Jacobian finish.
+fails, from the anchor alone (every other surface out of reach, b = +inf):
+fill rounds (`refractor.sweep`, imported only when a cell is empty) fill
+every empty cell to its whole mass, a dilation restores b_1, and damped
+Newton steps on the simplex-soup Jacobian finish.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -143,9 +144,9 @@ class TargetMeasure(NamedTuple):
 
 class SolveInfo:
     """A solve's counters, residuals and cell masses, filled in as it goes;
-    fallback is None, or why the closed-form start gave up: "start" (a
-    radius out of float range), "repair" (its fill stopped short), or
-    `_newton`'s "singular", "damping" or "budget"."""
+    fallback is None, or why the closed-form start gave up: "repair" (its
+    fill stopped short), or `_newton`'s "singular", "damping" or
+    "budget"."""
 
     __slots__ = ("sweeps", "newton_steps", "newton_trials", "residual",
                  "residual_history", "updates", "fallback", "masses",
@@ -326,10 +327,11 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     over targets 2..N, H being `kernels.soup_jacobian`, and halves tau from
     1 until, at eta + tau d, every radius is a positive float, every cell
     holds at least eps0, half the least of the start's masses and of g,
-    and the node residual falls to (1 - tau / 2) times its last value
-    (Kitagawa, Merigot and Thibert's damping), so it falls strictly.  It
-    gives up on a singular system ("singular"), tau < NEWTON_MIN_TAU
-    ("damping") or NEWTON_STEPS steps without convergence ("budget").
+    and the node residual meets delta or falls to (1 - tau / 2) times its
+    last value (Kitagawa, Merigot and Thibert's damping), so it falls
+    strictly.  It gives up on a singular system ("singular"), tau <
+    NEWTON_MIN_TAU ("damping") or NEWTON_STEPS steps without convergence
+    ("budget").
     """
     b1 = b[0]
     eta = np.log(b / b1)
@@ -356,7 +358,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
                 m_t = kernels.masses(top_t, denom, b_t, src.weights)
             err_t = float(np.max(np.abs(m_t - g)))
             if (b_t.min() > 0.0 and m_t.min() >= eps0
-                    and err_t <= (1.0 - 0.5 * tau) * err):
+                    and err_t <= max(delta, (1.0 - 0.5 * tau) * err)):
                 break
             tau *= 0.5
         else:
@@ -453,8 +455,9 @@ def _check_separated(pair: MediumPair, src: SourceDensity,
 def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
                    b1: float, tol: float = 1e-3) -> Refractor:
     """Design in either regime and dimension: unique radii (b_1 fixed) with
-    residual <= tol * total, by `_descend` from `_start`'s radii or else
-    from `sweep.start`'s, with one fill rule (`sweep.fill_cells`)."""
+    residual <= tol * total, by `_descend` from `_start`'s radii (+inf, out
+    of reach, where not a positive float) or else from the anchor alone,
+    with one fill rule (`sweep.fill_cells`)."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):
@@ -472,8 +475,8 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
             f"{bad.size} nodes (first: {int(bad[0])}) are outside the anchor "
             f"target's domain, {unreached} of them outside every target's; "
             "the construction needs the anchor m_1 to reach every node")
-    # the anchor's surface is the envelope at the sweep start; an extreme
-    # b1 overflows b1 / denom, which this check names
+    # the anchor's surface is the envelope of the anchor-alone start; an
+    # extreme b1 overflows b1 / denom, which this check names
     with np.errstate(over="ignore"):
         first = b1 / denom[:, 0]
     if not np.all((first >= np.finfo(float).tiny) & (first < np.inf)):
@@ -483,15 +486,14 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     info = SolveInfo()
     g, delta = tgt.masses, tol * src.total
     b = _start(pair, src, tgt, b1)
-    radii, info.fallback = None, "start"
-    if np.all(np.isfinite(b) & (b > 0.0)):
-        radii, who, why = _descend(denom, src, g, b, delta, info)
-        info.fallback = "repair" if who == "the sweep" else why
+    # a radius out of float range (or NaN) is a surface out of reach
+    b[~(b > 0.0)] = np.inf
+    radii, who, why = _descend(denom, src, g, b, delta, info)
+    info.fallback = "repair" if who == "the sweep" else why
     if radii is None:
-        from . import sweep
-
-        radii, who, why = _descend(denom, src, g, sweep.start(denom, b1),
-                                   delta, info)
+        # the anchor alone: every other surface out of reach
+        b = np.r_[b1, np.full(tgt.count - 1, np.inf)]
+        radii, who, why = _descend(denom, src, g, b, delta, info)
     if radii is not None:
         return Refractor(pair, tgt, radii, info=info)
     d = info.closest

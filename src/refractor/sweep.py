@@ -1,6 +1,7 @@
 """The fill rounds that give every empty cell its whole mass so that
-`solver._newton` can start (`fill_cells`), and the sweep start's radii
-(`start`); `solver` imports it only when a start leaves a cell empty.
+`solver._newton` can start (`fill_cells`); `solver` imports it only when a
+start leaves a cell empty.  A radius of +inf (a surface out of reach) is
+an empty cell like any other.
 """
 
 from __future__ import annotations
@@ -90,15 +91,3 @@ def fill_cells(denom, top, b, masses, g, src, delta, info):
         masses = kernels.masses(top, denom, b, src.weights)
         info.residual_history.append(_note(info, masses, g, src.total))
 
-
-def start(denom, b1: float) -> np.ndarray:
-    """The sweep start's radii: b_1, and every other surface just above the
-    anchor's at every node it reaches."""
-    b = np.full(denom.shape[1], b1)
-    for i in range(1, b.size):
-        feas = denom[:, i] > 0.0
-        if not np.any(feas):
-            raise InfeasibleTarget(f"target {i} is feasible for no node")
-        ratio = float(np.max(denom[feas, i] / denom[feas, 0]))
-        b[i] = b1 * ratio * (1.0 + 1e-6)
-    return b

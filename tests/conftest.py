@@ -189,16 +189,14 @@ def sweep_oracle(src, tgt, denom, b1, tol, info):
 
 
 def sweep_alone(pair, src, tgt, b1, tol=1e-3):
-    """`solve_discrete` with its checks but no Newton attempt: the
-    closed-form start is switched off (its radii are not finite) and
-    `sweep_oracle` designs in place of the descent from the sweep start,
-    an oracle for what Newton designs."""
+    """`solve_discrete` with its checks but no Newton attempt:
+    `sweep_oracle` designs in place of the descent, an oracle for what
+    Newton designs."""
     from refractor import solver
 
     def oracle(denom, _src, _g, _b, _delta, info):
         return sweep_oracle(src, tgt, denom, b1, tol, info), None, None
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_start", lambda *_: np.full(tgt.count, np.nan))
         mp.setattr(solver, "_descend", oracle)
         return solver.solve_discrete(pair, src, tgt, b1, tol)

@@ -58,7 +58,7 @@ def test_bench_solve_smoke(tmp_path):
             # the sweep start runs only where the closed-form start gave
             # up, and the row says why; it always fills
             assert run["fallback"] is None or run["sweeps"] > 0
-            assert run["fallback"] in (None, "start", "repair", "singular",
+            assert run["fallback"] in (None, "repair", "singular",
                                        "damping", "budget")
         # the largest relative difference of the versions' radii
         assert row["radii_rel_diff"] == (None if row["J"] == 13 else 0.0)
