@@ -6,8 +6,7 @@ modules, e.g. ``from refractor.snell import refract``):
 * ``norms``     norm calculus, ``Norm.dual()``, contrast constant kappa
 * ``snell``     vector Snell law and the Fermat least-path oracle
 * ``surfaces``  uniformly refracting surfaces S_I / S_II
-* ``solver``    semi-discrete refractor design (radii from target masses)
-* ``sweep``     fill rounds that give every empty cell (the anchor's too) mass
+* ``solver``    semi-discrete refractor design: fill rounds, then Newton
 * ``theory``    continuous targets, dilations and the Lipschitz bound
 * ``fresnel``   Fresnel sheet algebra and material-to-norm conversion
 * ``transport`` transport cost and the design's duality certificate

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (InfeasibleTarget, NoRefraction, NonConvergence,
                      NotProportional, RefractorError, ValidationError)
 from .geometry import fibonacci_sphere
-from .problems import (_require, dumps17, load_json_object, load_problem,
-                       parse_pair, write_csv, write_json)
+from .problems import (_require, dumps17, floats, load_json_object,
+                       load_problem, parse_material, parse_pair, write_csv,
+                       write_json)
 
 EXIT_VALIDATION = 1
 EXIT_NO_REFRACTION = 2
@@ -48,8 +49,8 @@ def cmd_snell(args) -> int:
     raw = load_json_object(args.input)
     pair = parse_pair(raw["pair"] if "pair" in raw
                       else _require(raw, "media", "event"))
-    event = refract(pair, np.asarray(_require(raw, "x", "event"), float),
-                    np.asarray(_require(raw, "nu", "event"), float))
+    event = refract(pair, *(floats(_require(raw, k, "event"), f"event {k}")
+                            for k in ("x", "nu")))
     _emit(event.to_json_dict(), args.output)
     return 0
 
@@ -92,9 +93,9 @@ def cmd_design(args) -> int:
 
 
 def cmd_fresnel(args) -> int:
-    from .fresnel import FresnelMaterial, induced_norm, sheet_radii
+    from .fresnel import induced_norm, sheet_radii
 
-    mat = FresnelMaterial.from_json_dict(load_json_object(args.material))
+    mat = parse_material(load_json_object(args.material))
     # principal axes first so the axis radii are directly readable
     dirs = np.vstack([np.eye(3), fibonacci_sphere(args.samples)])
     rows = []
@@ -135,8 +136,8 @@ def cmd_export(args) -> int:
     spec = load_problem(args.problem)
     pair, src, tgt = spec.build()
     if args.solution:
-        radii = np.asarray(_require(load_json_object(args.solution),
-                                    "radii", "solution"), dtype=float)
+        radii = floats(_require(load_json_object(args.solution), "radii",
+                                "solution"), "solution radii")
         refr = Refractor(pair, tgt, radii)
         refractor_to_obj(refr, src, args.mesh)
     elif args.target_index is not None:

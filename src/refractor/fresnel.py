@@ -69,16 +69,6 @@ class FresnelMaterial:
     def to_json_dict(self) -> dict:
         return {"eps": self.eps.tolist(), "mu": self.mu_perm.tolist()}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FresnelMaterial":
-        if not isinstance(d, dict):
-            raise ValidationError(f"a material must be an object, got {d!r}")
-        try:
-            return cls(np.asarray(d["eps"], dtype=float),
-                       np.asarray(d["mu"], dtype=float))
-        except KeyError as exc:
-            raise ValidationError(f"material is missing {exc}") from None
-
 
 @dataclass(frozen=True)
 class SheetRadii:

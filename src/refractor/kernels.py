@@ -18,8 +18,8 @@ without a (J, N) pass: an untied node sends its whole weight to its
 winner, and only the few tied rows go through ``tally``.  ``lower`` alone
 computes the state, folding in one target's column of heights, exact
 while no height grows: ``Top2.of`` folds every column into the empty state
-(at a start and after a dilation), and after b_i shrinks a fill round
-(``refractor.sweep``) folds in i's new column, with the minima a rebuild
+(at a start and at each Newton trial), and after b_i shrinks a fill round
+(``solver.fill_cells``) folds in i's new column, with the minima a rebuild
 would take.  Target i's cell threshold is then the second-best height where
 i wins and the best elsewhere, so ``win_thresholds`` is O(J).
 

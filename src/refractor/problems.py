@@ -30,8 +30,8 @@ from .geometry import format_float
 from .norms import MediumPair, Norm
 from .solver import _DENSITIES, SourceDensity, TargetMeasure
 
-__all__ = ["ProblemSpec", "load_problem", "parse_pair", "dumps17",
-           "write_json", "write_csv"]
+__all__ = ["ProblemSpec", "load_problem", "parse_pair", "parse_material",
+           "floats", "dumps17", "write_json", "write_csv"]
 
 MAX_ENTRIES = 20_000_000  # node_count x targets: 160 MB per (J, N) array
 
@@ -78,20 +78,31 @@ def parse_pair(media: dict) -> MediumPair:
     if not isinstance(media, dict):
         raise ValidationError("'media' must be an object")
     if "A1" in media and "A2" in media:
-        A1, A2 = (_finite(np.asarray(media[k], float), f"media {k}")
-                  for k in ("A1", "A2"))
+        A1, A2 = (floats(media[k], f"media {k}") for k in ("A1", "A2"))
         return MediumPair(Norm.ellipsoidal(A1), Norm.ellipsoidal(A2))
     if "n1" in media and "n2" in media:
         return MediumPair(Norm.from_json_dict(media["n1"]),
                           Norm.from_json_dict(media["n2"]))
     if "material1" in media and "material2" in media:
-        from .fresnel import FresnelMaterial, induced_norm
+        from .fresnel import induced_norm
 
-        m1, m2 = (FresnelMaterial.from_json_dict(media[k])
-                  for k in ("material1", "material2"))
-        return MediumPair(induced_norm(m1), induced_norm(m2))
+        return MediumPair(*(induced_norm(parse_material(media[k]))
+                            for k in ("material1", "material2")))
     raise ValidationError(
         "'media' must provide A1/A2, n1/n2, or material1/material2")
+
+
+def parse_material(d: dict) -> "FresnelMaterial":
+    """The `FresnelMaterial` of a {"eps": [[...]], "mu": [[...]]} object."""
+    from .fresnel import FresnelMaterial
+
+    if not isinstance(d, dict):
+        raise ValidationError(f"a material must be an object, got {d!r}")
+    for k in ("eps", "mu"):
+        if k not in d:
+            raise ValidationError(f"material is missing {k!r}")
+    return FresnelMaterial(floats(d["eps"], "material eps"),
+                           floats(d["mu"], "material mu"))
 
 
 class ProblemSpec(NamedTuple):
@@ -119,17 +130,24 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _finite(value, what: str):
-    # json.load accepts NaN and Infinity, which no comparison below rejects
-    if not np.all(np.isfinite(value)):
+def floats(value, what: str) -> np.ndarray:
+    """value as an array of finite floats, or a ValidationError naming what:
+    JSON may hold an object, a string or a huge integer there, and NaN and
+    Infinity, which json.load accepts and no comparison below rejects."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{what} must be numbers, got {value!r}") from None
+    if not np.all(np.isfinite(array)):
         raise ValidationError(f"{what} must be finite")
-    return value
+    return array
 
 
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return _finite(float(value), what)
+    return float(floats(value, what))
 
 
 def _integer(value, what: str) -> int:
@@ -161,8 +179,7 @@ def load_problem(source) -> ProblemSpec:
     s = _require(raw, "source", "problem")
     if not isinstance(s, dict):
         raise ValidationError("'source' must be an object")
-    axis = _finite(np.asarray(_require(s, "axis", "source"), dtype=float),
-                   "source axis")
+    axis = floats(_require(s, "axis", "source"), "source axis")
     if axis.shape != (pair.dim,):
         raise ValidationError("source axis dimension does not match the media")
     if not np.any(axis):
@@ -184,8 +201,7 @@ def load_problem(source) -> ProblemSpec:
         raise ValidationError("at least one target is required")
     dirs, gs = [], []
     for k, t in enumerate(targets):
-        m = _finite(np.asarray(_require(t, "m", f"target {k}"), dtype=float),
-                    f"target {k} direction")
+        m = floats(_require(t, "m", f"target {k}"), f"target {k} direction")
         if m.shape != (pair.dim,):
             raise ValidationError(f"target {k} direction has wrong dimension")
         g = _number(_require(t, "g", f"target {k}"), f"target {k} mass")

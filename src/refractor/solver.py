@@ -11,9 +11,9 @@ pushes the source energy onto the targets: M_i = g_i up to the requested
 residual.  b_1 pins the scale (solutions are unique up to dilations).
 One descent designs, in 2D and 3D, from a closed-form start or, where that
 fails, from the anchor alone (every other surface out of reach, b = +inf):
-fill rounds (`refractor.sweep`, imported only when a cell is empty) fill
-every empty cell to its whole mass, a dilation restores b_1, and damped
-Newton steps on the simplex-soup Jacobian finish.
+fill rounds (`fill_cells`) fill every empty cell to its whole mass, a
+dilation restores b_1, and damped Newton steps on the simplex-soup
+Jacobian finish.
 
 The records are named tuples, and `SolveInfo` and `Refractor` slotted
 classes, so importing this module generates no code.
@@ -313,12 +313,12 @@ def _note(info: SolveInfo, masses, g, total: float) -> float:
     return resid
 
 
-def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
+def _newton(denom, src: SourceDensity, g, b, win, masses, delta,
             info: SolveInfo):
-    """Damped Newton steps on the node residual from radii b, their state
-    top and their masses, every one positive: (radii, None) once max|M - g|
-    <= delta, or (None, why it gave up).  The arrays given are left as they
-    are.  Each trial step adds one to info.newton_trials and each accepted
+    """Damped Newton steps on the node residual from radii b, a winner win
+    of each node there (all of the state that the steps read) and the cell
+    masses, every one positive: (radii, None) once max|M - g| <= delta, or
+    (None, why it gave up).  The arrays given are left as they are.  Each trial step adds one to info.newton_trials and each accepted
     one appends `_note`'s residual to info.residual_history; on success
     info takes the masses, the steps and the last residual.
 
@@ -341,8 +341,7 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
     for _ in range(NEWTON_STEPS):
         if err <= delta:
             break
-        H = kernels.soup_jacobian(denom, b, top.win, src.tris,
-                                  src.tri_masses)
+        H = kernels.soup_jacobian(denom, b, win, src.tris, src.tri_masses)
         try:
             d = np.linalg.solve(H[1:, 1:], (g - masses)[1:])
         except np.linalg.LinAlgError:
@@ -363,13 +362,93 @@ def _newton(denom, src: SourceDensity, g, b, top, masses, delta,
             tau *= 0.5
         else:
             return None, "damping"
-        eta, b, top, masses, err = eta_t, b_t, top_t, m_t, err_t
+        eta, b, win, masses, err = eta_t, b_t, top_t.win, m_t, err_t
         info.residual_history.append(_note(info, masses, g, src.total))
     if err > delta:
         return None, "budget"
     info.masses, info.newton_steps = masses, len(info.residual_history) - first
     info.residual = info.residual_history[-1]
     return b, None
+
+
+FILL_ROUNDS = 1_000  # a fill's budget of rounds
+
+
+def _fill_radius(s: np.ndarray, w: np.ndarray, b_i: float, g_i: float,
+                 half_width: float, i: int, w_mean: float) -> float:
+    """Target i's new radius, read off its node thresholds s and weights w:
+    node j is in the cell iff b_i <= s_j, so with s sorted downward the cell
+    holds fill[k] for b_i in (s[k+1], s[k]].  At the first k with fill[k] >=
+    g_i - half_width, b_i goes mid-gap, where no node ties, or, if node k
+    jumps past g_i + half_width, just above s[k], leaving the cell
+    under-filled: overfilling cannot be undone.  b_i never grows; the
+    solve's state is exact only while radii shrink.
+
+    Only the top of the profile is sorted: one partition cuts it at the
+    m-th largest threshold, m being the nodes already in the cell plus
+    twice the deficit in mean node weights w_mean, and m grows 4-fold until
+    k's group of equal thresholds ends above the cut."""
+    inside = s >= b_i
+    deficit = g_i - half_width - float(w[inside].sum())
+    m = np.count_nonzero(inside) + 2 + int(2.0 * max(deficit, 0.0) / w_mean)
+    while True:
+        # the cut takes every threshold equal to it: no group is split
+        cut = np.partition(s, -m)[-m] if m < s.size else -np.inf
+        cand = np.flatnonzero(s >= cut)
+        order = cand[np.argsort(s[cand])[::-1]]
+        top = s[order]
+        fill = np.cumsum(w[order])
+        k = int(np.searchsorted(fill, g_i - half_width))
+        # done once k's group ends above the cut, so the gap below is known
+        if cand.size == s.size or (k < cand.size and top[k] > top[-1]):
+            break
+        m *= 4
+    # the nodes i cannot reach (-inf) sort last, so they never count for k
+    if k == s.size or top[k] == -np.inf:
+        raise InfeasibleTarget(
+            f"target {i} cannot absorb its mass: the nodes it reaches carry "
+            f"{np.sum(w[s > -np.inf]):.6g} < {g_i - half_width:.6g}")
+    # equal thresholds join together: the cell at s_k holds all s >= s_k
+    k = int(np.count_nonzero(top >= top[k])) - 1
+    if fill[k] > g_i + half_width:
+        return min(b_i, float(top[k]) * (1.0 + 1e-15))
+    below = top[k + 1] if k + 1 < top.size else -np.inf
+    return min(b_i, 0.5 * (float(top[k]) + max(float(below), 0.0)))
+
+
+def fill_cells(denom, top, b, masses, g, src, delta, info):
+    """Fill rounds in place on radii b, their state top and masses: each
+    lowers every empty cell k (M_k <= 0), the anchor's too, toward its whole
+    mass g_k +- delta_c / 2, delta_c = 0.9 delta / max(1, N - 1), or toward
+    the weight R_k of the nodes it reaches if less (InfeasibleTarget once
+    R_k < g_k - delta), by ``kernels.win_thresholds``, `_fill_radius` and
+    ``kernels.lower`` (info.updates counts them), then tallies and appends
+    `_note`'s residual to info.residual_history.  Returns (masses, rounds
+    run, why): why is None once no cell is empty, "stagnated" after a
+    round that moved no radius, or "budget" after FILL_ROUNDS."""
+    w, half_width = src.weights, 0.45 * delta / max(1, g.size - 1)
+    w_mean = w.mean()
+    for n in range(FILL_ROUNDS + 1):
+        cells = np.flatnonzero(masses <= 0.0)
+        if not cells.size:
+            return masses, n, None
+        if n == FILL_ROUNDS:
+            return masses, n, "budget"
+        before = b.copy()
+        for k in cells:
+            s = kernels.win_thresholds(denom, top, k)
+            # a cell further short of g_k than delta makes `_fill_radius` raise
+            reached = s > -np.inf
+            reach = src.total if reached.all() else float(w[reached].sum())
+            aim = min(g[k], max(reach, g[k] - delta + half_width))
+            # a radius that does not move leaves the state as it is
+            b[k] = _fill_radius(s, w, b[k], aim, half_width, k, w_mean)
+            kernels.lower(top, kernels.heights(denom[:, k], b[k]), k)
+        info.updates += cells.size
+        if np.array_equal(b, before):
+            return masses, n + 1, "stagnated"
+        masses = kernels.masses(top, denom, b, src.weights)
+        info.residual_history.append(_note(info, masses, g, src.total))
 
 
 def _start(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
@@ -404,29 +483,22 @@ def _descend(denom, src: SourceDensity, g, b, delta, info: SolveInfo):
     """`_newton` from radii b (changed in place) once every cell holds
     mass: (radii, None, None), or (None, who, why) if "the sweep" (the fill)
     or "Newton" stopped short.  The residual history restarts at b's.  An
-    empty cell starts `sweep.fill_cells`, which lowers every empty cell
-    toward its whole mass; if it lowered b_1, a dilation by b_1 / b[0],
-    which moves no cell, restores b_1 exactly, and the state is rebuilt."""
+    empty cell starts `fill_cells`, which lowers every empty cell toward its
+    whole mass; a dilation by b_1 / b[0], which moves no cell, then
+    restores b_1 exactly."""
     b1 = b[0]
     with np.errstate(over="ignore"):
         top = kernels.Top2.of(denom, b)
     masses = kernels.masses(top, denom, b, src.weights)
     info.residual_history, info.sweeps = [_note(info, masses, g, src.total)], 0
     if masses.min() <= 0.0:
-        from .sweep import fill_cells
-
         masses, info.sweeps, why = fill_cells(denom, top, b, masses, g, src,
                                               delta, info)
         if why is not None:
             return None, "the sweep", why
-        if b[0] != b1:
-            b *= b1 / b[0]
-            b[0] = b1
-            with np.errstate(over="ignore"):
-                top = kernels.Top2.of(denom, b)
-            masses = kernels.masses(top, denom, b, src.weights)
-            info.residual_history[-1] = _note(info, masses, g, src.total)
-    radii, why = _newton(denom, src, g, b, top, masses, delta, info)
+        b *= b1 / b[0]
+        b[0] = b1
+    radii, why = _newton(denom, src, g, b, top.win, masses, delta, info)
     return radii, "Newton", why
 
 
@@ -457,7 +529,7 @@ def solve_discrete(pair: MediumPair, src: SourceDensity, tgt: TargetMeasure,
     """Design in either regime and dimension: unique radii (b_1 fixed) with
     residual <= tol * total, by `_descend` from `_start`'s radii (+inf, out
     of reach, where not a positive float) or else from the anchor alone,
-    with one fill rule (`sweep.fill_cells`)."""
+    with one fill rule (`fill_cells`)."""
     if not (np.isfinite(b1) and b1 > 0.0):
         raise ValidationError(f"b1 must be finite and positive, got {b1!r}")
     if not (np.isfinite(tol) and tol > 0.0):

@@ -130,10 +130,10 @@ def sweep_oracle(src, tgt, denom, b1, tol, info):
     Newton step: the design algorithm that Newton replaced, kept as an
     oracle.  Every surface but the anchor's starts above it at every node;
     each sweep lowers the radius of each cell with M_k < g_k - delta_c to
-    g_k +- delta_c / 2 (`sweep._fill_radius`, looked up at each call), until
+    g_k +- delta_c / 2 (`solver._fill_radius`, looked up at each call), until
     max|M - g| <= tol * total, a sweep that moves no radius
     ("stagnated") or SWEEP_BUDGET sweeps ("budget")."""
-    from refractor import kernels, sweep
+    from refractor import kernels, solver
     from refractor.errors import InfeasibleTarget, NonConvergence
 
     g, w, N = tgt.masses, src.weights, tgt.count
@@ -166,8 +166,8 @@ def sweep_oracle(src, tgt, denom, b1, tol, info):
                 continue
             info.updates += 1
             s = kernels.win_thresholds(denom, top, i)
-            new_b = sweep._fill_radius(s, w, b[i], g[i], half_width, i,
-                                       w_mean)
+            new_b = solver._fill_radius(s, w, b[i], g[i], half_width, i,
+                                        w_mean)
             if new_b < b[i]:
                 b[i] = new_b
                 kernels.lower(top, kernels.heights(denom[:, i], new_b), i)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (admissible_targets, random_ellipsoidal_pair, src_env,
                       sweep_alone)
-from refractor import sweep
+from refractor import solver
 from refractor.errors import NoRefraction
 from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
                                sheet_radii, single_sheet_check)
@@ -218,7 +218,7 @@ def test_criterion_5_energy_balance(desk_scale_solutions):
         pair, src, tgt, refr = desk_scale_solutions[key]
         rep = refractor_measure(refr, src)
         assert rep.residual <= 1e-3
-        assert refr.info.sweeps <= sweep.FILL_ROUNDS
+        assert refr.info.sweeps <= solver.FILL_ROUNDS
         # the sweep alone, from its own start, designs what Newton designs
         refr2 = sweep_alone(pair, src, tgt, 1.0, 1e-3)
         rel = float(np.max(np.abs(refr2.radii - refr.radii) / refr.radii))

@@ -120,7 +120,11 @@ EVENT = {"pair": {"A1": (1.5 * np.eye(3)).tolist(), "A2": np.eye(3).tolist()},
 INVALID_FILES = {
     "x_zero": ("snell", {**EVENT, "x": [0.0, 0.0, 0.0]}, "x must be nonzero"),
     "nu_nan": ("snell", {**EVENT, "nu": [float("nan"), 0.0, 1.0]},
-               "nu must be 3 finite numbers"),
+               "event nu must be finite"),
+    "x_object": ("snell", {**EVENT, "x": {"a": 1}},
+                 "event x must be numbers, got {'a': 1}"),
+    "nu_string": ("snell", {**EVENT, "nu": "abc"},
+                  "event nu must be numbers, got 'abc'"),
     "x_2d": ("snell", {**EVENT, "x": [0.0, 1.0]}, "x must be 3 finite numbers"),
     "x_missing": ("snell", {"pair": EVENT["pair"], "nu": EVENT["nu"]},
                   "missing 'x' in event"),
@@ -128,21 +132,31 @@ INVALID_FILES = {
     "solution_array": ("export", [1.0, 2.0], "must hold a JSON object"),
     "solution_without_radii": ("export", {"b": [1.0]},
                                "missing 'radii' in solution"),
+    "radii_object": ("export", {"radii": {"a": 1}},
+                     "solution radii must be numbers, got {'a': 1}"),
+    "radii_string": ("export", {"radii": "abc"},
+                     "solution radii must be numbers, got 'abc'"),
+    "eps_object": ("fresnel", {"eps": {"a": 1}, "mu": np.eye(3).tolist()},
+                   "material eps must be numbers, got {'a': 1}"),
+    "mu_string": ("fresnel", {"eps": np.eye(3).tolist(), "mu": "abc"},
+                  "material mu must be numbers, got 'abc'"),
 }
 
 
 @pytest.mark.parametrize("command, content, message", INVALID_FILES.values(),
                          ids=INVALID_FILES.keys())
 def test_invalid_file_exit_code(tmp_path, capsys, command, content, message):
-    # a snell event or an export solution that is not an object holding
-    # finite, nonzero fields exits 1 with a message naming the field
+    # a snell event, a material or an export solution that is not an
+    # object holding finite, nonzero fields exits 1 with a message naming
+    # the field, and no traceback
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
-    argv = ["snell", str(bad)] if command == "snell" else [
+    argv = [command, str(bad)] if command != "export" else [
         "export", str(small_problem(tmp_path)), "--solution", str(bad),
         "--mesh", str(tmp_path / "out.obj")]
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_import_surface():
@@ -155,9 +169,9 @@ def test_cli_import_surface():
     loaded = set(ast.literal_eval(out))
     assert not loaded & {"refractor.snell", "refractor.surfaces",
                          "refractor.fresnel", "refractor.transport", "scipy"}
-    # the records are named tuples, not dataclasses; the sweep loads only
-    # where a design runs it, and the theory module never
-    assert not loaded & {"dataclasses", "refractor.sweep", "refractor.theory"}
+    # the records are named tuples, not dataclasses, and the theory module
+    # never loads
+    assert not loaded & {"dataclasses", "refractor.theory"}
 
 
 def loaded_by_design(problem, out):
@@ -170,24 +184,12 @@ def loaded_by_design(problem, out):
     return set(ast.literal_eval(run.stdout))
 
 
-def test_design_loads_the_sweep_only_to_run_it(tmp_path):
-    # the golden 3D design and a 2D one are Newton's from the closed-form
-    # start: no sweep
+def test_design_loads_no_theory_or_dataclasses(tmp_path):
+    # the golden design loads the solver, but neither the theory module nor
+    # dataclasses
     loaded = loaded_by_design(GOLDEN_PROBLEM, tmp_path / "golden.json")
     assert "refractor.solver" in loaded
-    assert not loaded & {"refractor.sweep", "refractor.theory",
-                         "dataclasses"}
-    prob = json.loads(small_problem(tmp_path).read_text())
-    prob["media"] = {"A1": [[1.5, 0.0], [0.0, 1.5]],
-                     "A2": [[1.0, 0.0], [0.0, 1.0]]}
-    prob["source"]["axis"] = [0.0, 1.0]
-    prob["targets"] = [{"m": [0.0, 1.0], "g": 1.0},
-                       {"m": [0.1, 0.995], "g": 0.7},
-                       {"m": [-0.1, 0.995], "g": 1.3}]
-    path = tmp_path / "problem_2d.json"
-    path.write_text(json.dumps(prob))
-    assert "refractor.sweep" not in loaded_by_design(path,
-                                                     tmp_path / "2d.json")
+    assert not loaded & {"refractor.theory", "dataclasses"}
 
 
 NON_FINITE_EDITS = {
@@ -275,6 +277,31 @@ MALFORMED_EDITS = {
         "material1": {"eps": (2.25 * np.eye(3)).tolist()},
         "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),
         "material is missing 'mu'"),
+    # an object, a string or an integer beyond float range where numbers
+    # belong is named, not left to a TypeError, an OverflowError or numpy's
+    # conversion message
+    "axis_object": (lambda p: p["source"].update(axis={"x": 1}),
+                    "source axis must be numbers, got {'x': 1}"),
+    "axis_string": (lambda p: p["source"].update(axis="abc"),
+                    "source axis must be numbers, got 'abc'"),
+    "axis_huge_integer": (lambda p: p["source"].update(axis=[10**400, 0, 1]),
+                          "source axis must be numbers, got [1000"),
+    "m_object": (lambda p: p["targets"][1].update(m={"x": 1}),
+                 "target 1 direction must be numbers, got {'x': 1}"),
+    "m_string": (lambda p: p["targets"][1].update(m=["abc", 0.0, 1.0]),
+                 "target 1 direction must be numbers, got ['abc', 0.0, 1.0]"),
+    "A1_object": (lambda p: p["media"].update(A1={"x": 1}),
+                  "media A1 must be numbers, got {'x': 1}"),
+    "A2_string": (lambda p: p["media"].update(A2="abc"),
+                  "media A2 must be numbers, got 'abc'"),
+    "eps_object": (lambda p: p.update(media={
+        "material1": {"eps": {"x": 1}, "mu": np.eye(3).tolist()},
+        "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),
+        "material eps must be numbers, got {'x': 1}"),
+    "mu_string": (lambda p: p.update(media={
+        "material1": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()},
+        "material2": {"eps": np.eye(3).tolist(), "mu": "abc"}}),
+        "material mu must be numbers, got 'abc'"),
 }
 
 
@@ -286,7 +313,8 @@ def test_malformed_input_exit_code(tmp_path, capsys, edit, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(prob))
     assert main(["design", str(path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["design", "verify", "export"])
@@ -713,7 +741,7 @@ def test_export_solution_and_surface(tmp_path, capsys):
         bad_sol.write_text(json.dumps(payload))
         assert main(["export", str(prob), "--solution", str(bad_sol),
                      "--mesh", str(tmp_path / "x.obj")]) == 1
-        assert "radii must be finite and positive" in capsys.readouterr().err
+        assert "solution radii must be finite" in capsys.readouterr().err
     for b in ("nan", "inf", "-inf"):
         assert main(["export", str(prob), "--target-index", "1", f"--b={b}",
                      "--mesh", str(tmp_path / "x.obj")]) == 1

@@ -5,6 +5,7 @@ from refractor.errors import NotProportional, ValidationError
 from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
                                sheet_radii, single_sheet_check)
 from refractor.norms import MediumPair, Regime, norm_eval
+from refractor.problems import parse_material
 
 
 def ortho(rng):
@@ -251,5 +252,5 @@ def test_spd_validation():
 
 def test_json_round_trip():
     mat = FresnelMaterial(np.diag([1.0, 2.0, 3.0]), 2.0 * np.eye(3))
-    back = FresnelMaterial.from_json_dict(mat.to_json_dict())
+    back = parse_material(mat.to_json_dict())
     assert np.allclose(back.taus, mat.taus, rtol=1e-15)

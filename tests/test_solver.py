@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (admissible_instance, admissible_targets, media_pairs,
                       sweep_alone)
-from refractor import kernels, solver, sweep
+from refractor import kernels, solver
 from refractor.errors import (InfeasibleTarget, NonConvergence,
                               ValidationError)
 from refractor.norms import (MediumPair, Norm, Regime, norm_eval,
                              norm_gradient)
 from refractor.snell import fermat_path, refract
 from refractor.solver import (Refractor, SourceDensity, TargetMeasure,
-                              refractor_map, refractor_measure, rho_values,
-                              solve_discrete, check_admissibility)
-from refractor.sweep import _fill_radius
+                              _fill_radius, refractor_map, refractor_measure,
+                              rho_values, solve_discrete, check_admissibility)
 from refractor.surfaces import UniformSurface, surface_normal
 from refractor.theory import (TargetDensity, approximate_measure, dilate,
                               lipschitz_bound, max_difference_quotient)
@@ -530,7 +529,7 @@ def test_solve_matches_full_sort(monkeypatch, partition_cuts, make, tol):
     pair, src, tgt = make()
     r = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert partition_cuts
-    monkeypatch.setattr(sweep, "_fill_radius", fill_radius_oracle)
+    monkeypatch.setattr(solver, "_fill_radius", fill_radius_oracle)
     o = sweep_alone(pair, src, tgt, b1=1.0, tol=tol)
     assert r.radii.tobytes() == o.radii.tobytes()
     assert r.info.sweeps == o.info.sweeps
@@ -720,9 +719,9 @@ def test_sweep_start_stops_short_of_mass(monkeypatch, stop):
     monkeypatch.setattr(solver, "_start",
                         lambda *_: np.r_[1.0, np.full(5, np.inf)])
     if stop == "stagnated":
-        monkeypatch.setattr(sweep, "_fill_radius", lambda s, w, b_i, *_: b_i)
+        monkeypatch.setattr(solver, "_fill_radius", lambda s, w, b_i, *_: b_i)
     else:
-        monkeypatch.setattr(sweep, "FILL_ROUNDS", 0)
+        monkeypatch.setattr(solver, "FILL_ROUNDS", 0)
     with pytest.raises(NonConvergence) as err:
         solve_discrete(pair, src, tgt, b1=1.0, tol=1e-3)
     sweeps = 1 if stop == "stagnated" else 0
@@ -855,7 +854,7 @@ def test_many_empty_2d_cells_are_filled(seed):
     assert np.count_nonzero(start_masses(pair, src, tgt) <= 0.0) > 15
     r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
     assert r.info.fallback is None and r.info.newton_steps > 0
-    assert 32 < r.info.sweeps <= sweep.FILL_ROUNDS
+    assert 32 < r.info.sweeps <= solver.FILL_ROUNDS
     assert refractor_measure(r, src).residual <= tol
 
 
@@ -946,6 +945,19 @@ def test_target_short_of_its_reach_designs(tilt, share):
     assert refractor_measure(r, src).residual <= tol
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergence, reason=(
+    "Newton stops on its damping from both starts, at residual 1.075e-3 "
+    "(share 0.9) and 1.100e-3 (share 0.95) against tol 1e-3"))
+@pytest.mark.parametrize("share", [0.9, 0.95])
+def test_target_short_of_its_reach_turned_designs(share):
+    # the problems above with target 1 tilted by 0.95 and target 2 turned
+    # to -0.3 have designs too, which the descent does not find yet
+    pair, src, tgt, tol = short_reach_instance(0.95, share, turn=-0.3)
+    r = solve_discrete(pair, src, tgt, b1=1.0, tol=tol)
+    assert r.radii[0] == 1.0 and np.all(r.radii > 0.0)
+    assert refractor_measure(r, src).residual <= tol
+
+
 def test_newton_accepts_a_trial_within_tol():
     # with target 2 turned to -0.3 a Newton trial ends within tol but
     # misses the damping's decrease test; a trial that meets tol is
@@ -1008,39 +1020,38 @@ def test_target_short_of_its_reach_by_tol_is_infeasible():
     ids=["lq", "ellipsoidal", "ellipsoidal_rounds", "ellipsoidal_anchor"])
 def test_repair_keeps_the_state_exact(monkeypatch, media, seed, count,
                                       least):
-    # after the repair's fill rounds every cell holds mass, the state that
-    # Newton starts from is the state a rebuild at its radii gives, bit for
-    # bit, with b_1 exact, no radius grew in the fill and the rounds stayed
-    # within the budget (the third instance takes several).  The fill of
-    # the second and the last instance lowers b_1, and a dilation restores
-    # it
+    # after the repair's fill rounds every cell holds mass, the winners and
+    # masses that Newton starts from are those a rebuild at its radii gives,
+    # bit for bit, with b_1 exact, no radius grew in the fill and the rounds
+    # stayed within the budget (the third instance takes several).  The
+    # fill of the second and the last instance lowers b_1, and a dilation,
+    # which moves no cell, restores it
     pair, src, tgt, tol = newton_instance(media, False, seed, count=count)
     denom = pair.denominators(src.nodes, tgt.directions)
     b = solver._start(pair, src, tgt, 1.0)
-    start, filled, fill, seen = b.copy(), [], sweep.fill_cells, []
+    start, filled, fill, seen = b.copy(), [], solver.fill_cells, []
 
     def recording(*args):
         got = fill(*args)
         filled.append((args[2].copy(), *got))
         return got
 
-    monkeypatch.setattr(sweep, "fill_cells", recording)
+    monkeypatch.setattr(solver, "fill_cells", recording)
     monkeypatch.setattr(solver, "_newton",
                         lambda *args: seen.append(args) or (args[3], None))
     info, delta = solver.SolveInfo(), tol * src.total
     solver._descend(denom, src, tgt.masses, b, delta, info)
     (lowered, got, n, why), = filled
     assert why is None and got.min() > 0.0
-    assert least <= n == info.sweeps <= sweep.FILL_ROUNDS
+    assert least <= n == info.sweeps <= solver.FILL_ROUNDS
     assert info.updates >= np.count_nonzero(start_masses(pair, src, tgt)
                                             <= 0.0)
     assert np.all(lowered <= start)
     assert (lowered[0] < start[0]) == (media == "ellipsoidal" and seed != 0)
-    _, _, _, radii, top, masses, *_ = seen[0]
+    _, _, _, radii, win, masses, *_ = seen[0]
     assert radii[0] == 1.0
     rebuilt = kernels.Top2.of(denom, radii)
-    for kept, fresh in zip(top, rebuilt):
-        assert kept.tobytes() == fresh.tobytes()
+    assert win.tobytes() == rebuilt.win.tobytes()
     assert masses.tobytes() == kernels.masses(rebuilt, denom, radii,
                                               src.weights).tobytes()
 
