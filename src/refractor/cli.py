@@ -21,12 +21,14 @@ from .errors import (InfeasibleTarget, NoRefraction, NonConvergence,
 from .geometry import fibonacci_sphere
 from .problems import (_require, dumps17, floats, load_json_object,
                        load_problem, parse_material, parse_pair, write_csv,
-                       write_json)
+                       write_json, write_norm)
 
 EXIT_VALIDATION = 1
 EXIT_NO_REFRACTION = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_INFEASIBLE = 4
+
+MAX_SAMPLES = 100_000  # fresnel --samples: about 27 us and 5 CSV cells each
 
 _EXIT_CODES = [
     (NoRefraction, EXIT_NO_REFRACTION),
@@ -47,8 +49,8 @@ def cmd_snell(args) -> int:
     from .snell import refract
 
     raw = load_json_object(args.input)
-    pair = parse_pair(raw["pair"] if "pair" in raw
-                      else _require(raw, "media", "event"))
+    key = "pair" if "pair" in raw else "media"
+    pair = parse_pair(_require(raw, key, "event"), key)
     event = refract(pair, *(floats(_require(raw, k, "event"), f"event {k}")
                             for k in ("x", "nu")))
     _emit(event.to_json_dict(), args.output)
@@ -95,7 +97,10 @@ def cmd_design(args) -> int:
 def cmd_fresnel(args) -> int:
     from .fresnel import induced_norm, sheet_radii
 
-    mat = parse_material(load_json_object(args.material))
+    if args.samples > MAX_SAMPLES:
+        raise ValidationError(f"--samples {args.samples:,} exceeds the limit "
+                              f"of {MAX_SAMPLES:,}")
+    mat = parse_material(load_json_object(args.material), "material")
     # principal axes first so the axis radii are directly readable
     dirs = np.vstack([np.eye(3), fibonacci_sphere(args.samples)])
     rows = []
@@ -114,7 +119,7 @@ def cmd_fresnel(args) -> int:
         except NotProportional as exc:
             sys.stderr.write(f"no induced norm: {exc}\n")
         else:
-            write_json(args.norm_out, norm.to_json_dict())
+            write_norm(args.norm_out, norm)
     return 0
 
 
@@ -187,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fresnel", help="sheet radii CSV and induced norm")
     p.add_argument("material", help="JSON file with eps and mu matrices")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=int, default=500,
+                   help=f"lattice directions, at most {MAX_SAMPLES:,}")
     p.add_argument("-o", "--output")
     p.add_argument("--norm-out")
     p.set_defaults(func=cmd_fresnel)

@@ -66,9 +66,6 @@ class FresnelMaterial:
     def isotropic(cls, eps: float, mu: float) -> "FresnelMaterial":
         return cls(eps * np.eye(3), mu * np.eye(3))
 
-    def to_json_dict(self) -> dict:
-        return {"eps": self.eps.tolist(), "mu": self.mu_perm.tolist()}
-
 
 @dataclass(frozen=True)
 class SheetRadii:

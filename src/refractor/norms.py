@@ -23,7 +23,6 @@ relative error on strongly anisotropic pairs).
 from __future__ import annotations
 
 import enum
-import numbers
 
 import numpy as np
 
@@ -90,7 +89,7 @@ class Norm:
     @classmethod
     def ellipsoidal(cls, A) -> "Norm":
         A = np.asarray(A, dtype=float)
-        return cls("ellipsoidal", A.shape[0], A=A)
+        return cls("ellipsoidal", len(A) if A.ndim else 0, A=A)
 
     @classmethod
     def lq(cls, q: float, dim: int = 3) -> "Norm":
@@ -109,33 +108,6 @@ class Norm:
                           if self.kind == "ellipsoidal"
                           else Norm.lq(self.q / (self.q - 1.0), self.dim))
         return self._dual
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "ellipsoidal":
-            return {"kind": "ellipsoidal", "A": self.A.tolist()}
-        return {"kind": "lq", "q": self.q, "dim": self.dim}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Norm":
-        if not isinstance(d, dict):
-            raise ValidationError(f"a norm must be an object, got {d!r}")
-        kind = d.get("kind")
-        try:
-            if kind == "ellipsoidal":
-                return cls.ellipsoidal(np.asarray(d["A"], dtype=float))
-            if kind == "lq":
-                q, dim = d["q"], d["dim"]
-                if isinstance(q, bool) or not isinstance(q, numbers.Real):
-                    raise TypeError(f"q must be a number, got {q!r}")
-                if (isinstance(dim, bool)
-                        or not isinstance(dim, numbers.Integral)):
-                    raise TypeError(f"dim must be an integer, got {dim!r}")
-                return cls.lq(float(q), int(dim))
-        except KeyError as exc:
-            raise ValidationError(f"{kind} norm is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed {kind} norm: {exc}") from None
-        raise ValidationError(f"unknown norm kind {kind!r}")
 
     def __repr__(self):
         if self.kind == "ellipsoidal":

@@ -12,6 +12,9 @@ A problem JSON pins down a design instance:
       "b1": positive, "tol": positive, "seed": int  (checked, never read)
     }
 
+A {norm} is {"kind": "ellipsoidal", "A": [[...]]} or {"kind": "lq", "q": q,
+"dim": 2 | 3}, as `write_norm` writes it for `fresnel --norm-out`; the pair
+may sit under "pair" in place of "media".
 Target masses are relative: they are rescaled to the quadrature total on
 load.  All emitted numbers carry 17 significant digits so identical inputs
 produce byte-identical artifacts.
@@ -30,8 +33,9 @@ from .geometry import format_float
 from .norms import MediumPair, Norm
 from .solver import _DENSITIES, SourceDensity, TargetMeasure
 
-__all__ = ["ProblemSpec", "load_problem", "parse_pair", "parse_material",
-           "floats", "dumps17", "write_json", "write_csv"]
+__all__ = ["ProblemSpec", "load_problem", "parse_pair", "parse_norm",
+           "parse_material", "write_norm", "floats", "dumps17", "write_json",
+           "write_csv"]
 
 MAX_ENTRIES = 20_000_000  # node_count x targets: 160 MB per (J, N) array
 
@@ -73,36 +77,58 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def parse_pair(media: dict) -> MediumPair:
-    """Build the medium pair from any of the three accepted media forms."""
+def parse_pair(media, where: str) -> MediumPair:
+    """The medium pair of any of the three media forms, read at key path
+    where ('media' or 'pair'), so each message names the medium's key."""
     if not isinstance(media, dict):
-        raise ValidationError("'media' must be an object")
+        raise ValidationError(f"'{where}' must be an object")
     if "A1" in media and "A2" in media:
-        A1, A2 = (floats(media[k], f"media {k}") for k in ("A1", "A2"))
+        A1, A2 = (floats(media[k], f"{where} {k}") for k in ("A1", "A2"))
         return MediumPair(Norm.ellipsoidal(A1), Norm.ellipsoidal(A2))
     if "n1" in media and "n2" in media:
-        return MediumPair(Norm.from_json_dict(media["n1"]),
-                          Norm.from_json_dict(media["n2"]))
+        return MediumPair(*(parse_norm(media[k], f"{where} {k}")
+                            for k in ("n1", "n2")))
     if "material1" in media and "material2" in media:
         from .fresnel import induced_norm
 
-        return MediumPair(*(induced_norm(parse_material(media[k]))
+        return MediumPair(*(induced_norm(parse_material(media[k],
+                                                        f"{where} {k}"))
                             for k in ("material1", "material2")))
     raise ValidationError(
-        "'media' must provide A1/A2, n1/n2, or material1/material2")
+        f"'{where}' must provide A1/A2, n1/n2, or material1/material2")
 
 
-def parse_material(d: dict) -> "FresnelMaterial":
-    """The `FresnelMaterial` of a {"eps": [[...]], "mu": [[...]]} object."""
+def parse_norm(d, where: str) -> Norm:
+    """The `Norm` of a {norm} object (module docstring) read at key path
+    where; `Norm` itself checks the matrix and the exponent."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be an object, got {d!r}")
+    kind = d.get("kind")
+    if kind == "ellipsoidal":
+        return Norm.ellipsoidal(floats(_require(d, "A", where), f"{where} A"))
+    if kind == "lq":
+        return Norm.lq(_number(_require(d, "q", where), f"{where} q"),
+                       _integer(_require(d, "dim", where), f"{where} dim"))
+    raise ValidationError(
+        f"{where} kind must be 'ellipsoidal' or 'lq', got {kind!r}")
+
+
+def write_norm(path, norm: Norm) -> None:
+    """Write norm as the object that parse_norm reads back."""
+    write_json(path, {"kind": "ellipsoidal", "A": norm.A}
+               if norm.kind == "ellipsoidal"
+               else {"kind": "lq", "q": norm.q, "dim": norm.dim})
+
+
+def parse_material(d, where: str) -> "FresnelMaterial":
+    """The `FresnelMaterial` of a {"eps": [[...]], "mu": [[...]]} object
+    read at key path where ('material' for a fresnel input)."""
     from .fresnel import FresnelMaterial
 
     if not isinstance(d, dict):
-        raise ValidationError(f"a material must be an object, got {d!r}")
-    for k in ("eps", "mu"):
-        if k not in d:
-            raise ValidationError(f"material is missing {k!r}")
-    return FresnelMaterial(floats(d["eps"], "material eps"),
-                           floats(d["mu"], "material mu"))
+        raise ValidationError(f"{where} must be an object, got {d!r}")
+    return FresnelMaterial(*(floats(_require(d, k, where), f"{where} {k}")
+                             for k in ("eps", "mu")))
 
 
 class ProblemSpec(NamedTuple):
@@ -172,10 +198,8 @@ def load_problem(source) -> ProblemSpec:
     raw = source if isinstance(source, dict) else load_json_object(source)
 
     _integer(raw.get("seed", 0), "seed")
-    media = raw.get("media", raw.get("pair"))
-    if media is None:
-        raise ValidationError("missing 'media' (or 'pair') in problem")
-    pair = parse_pair(media)
+    key = "pair" if "pair" in raw else "media"
+    pair = parse_pair(_require(raw, key, "problem"), key)
     s = _require(raw, "source", "problem")
     if not isinstance(s, dict):
         raise ValidationError("'source' must be an object")

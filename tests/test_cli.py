@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import re
 import subprocess
@@ -129,6 +130,10 @@ INVALID_FILES = {
     "x_missing": ("snell", {"pair": EVENT["pair"], "nu": EVENT["nu"]},
                   "missing 'x' in event"),
     "event_array": ("snell", [EVENT], "must hold a JSON object"),
+    "pair_n1_malformed": ("snell", {**EVENT, "pair": {
+        "n1": {"kind": "ellipsoidal", "A": {"x": 1}},
+        "n2": {"kind": "ellipsoidal", "A": np.eye(3).tolist()}}},
+        "pair n1 A must be numbers, got {'x': 1}"),
     "solution_array": ("export", [1.0, 2.0], "must hold a JSON object"),
     "solution_without_radii": ("export", {"b": [1.0]},
                                "missing 'radii' in solution"),
@@ -248,27 +253,34 @@ MALFORMED_EDITS = {
                         "source node_count must be an integer"),
     "node_count_fraction": (lambda p: p["source"].update(node_count=2000.7),
                             "source node_count must be an integer"),
+    # a malformed norm or material is named by its key path in the problem
     "norm_string": (lambda p: p.update(media={"n1": "x", "n2": LQ2}),
-                    "a norm must be an object"),
+                    "media n1 must be an object, got 'x'"),
+    "norm_kind_unknown": (lq_n1(kind="conic"),
+                          "media n1 kind must be 'ellipsoidal' or 'lq', "
+                          "got 'conic'"),
     "lq_without_q": (lambda p: p.update(media={
-        "n1": {"kind": "lq", "dim": 3}, "n2": LQ2}), "lq norm is missing 'q'"),
-    "lq_q_null": (lambda p: p.update(media={
-        "n1": {"kind": "lq", "q": None, "dim": 3}, "n2": LQ2}),
-        "malformed lq norm"),
+        "n1": {"kind": "lq", "dim": 3}, "n2": LQ2}),
+        "missing 'q' in media n1"),
+    "lq_q_null": (lq_n1(q=None), "media n1 q must be a number, got None"),
     # q is a number and dim an integer: no string or bool, and no float dim,
     # which int() would truncate
     "lq_dim_fraction": (lq_n1(dim=3.7),
-                        "malformed lq norm: dim must be an integer, got 3.7"),
+                        "media n1 dim must be an integer, got 3.7"),
     "lq_dim_float": (lq_n1(dim=3.0),
-                     "malformed lq norm: dim must be an integer, got 3.0"),
+                     "media n1 dim must be an integer, got 3.0"),
     "lq_dim_string": (lq_n1(dim="3"),
-                      "malformed lq norm: dim must be an integer, got '3'"),
+                      "media n1 dim must be an integer, got '3'"),
     "lq_dim_bool": (lq_n1(dim=True),
-                    "malformed lq norm: dim must be an integer, got True"),
-    "lq_q_string": (lq_n1(q="3"),
-                    "malformed lq norm: q must be a number, got '3'"),
-    "lq_q_bool": (lq_n1(q=False),
-                  "malformed lq norm: q must be a number, got False"),
+                    "media n1 dim must be an integer, got True"),
+    "lq_q_string": (lq_n1(q="3"), "media n1 q must be a number, got '3'"),
+    "lq_q_bool": (lq_n1(q=False), "media n1 q must be a number, got False"),
+    "n1_A_object": (lambda p: p.update(media={
+        "n1": {"kind": "ellipsoidal", "A": {"x": 1}}, "n2": LQ2}),
+        "media n1 A must be numbers, got {'x': 1}"),
+    "n2_A_string": (lambda p: p.update(media={
+        "n1": LQ2, "n2": {"kind": "ellipsoidal", "A": "abc"}}),
+        "media n2 A must be numbers, got 'abc'"),
     "touching_pair": (lambda p: p.update(media={
         "n1": {"kind": "lq", "q": 1.5, "dim": 3},
         "n2": {"kind": "lq", "q": 4.0, "dim": 3}}),
@@ -276,7 +288,7 @@ MALFORMED_EDITS = {
     "material_without_mu": (lambda p: p.update(media={
         "material1": {"eps": (2.25 * np.eye(3)).tolist()},
         "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),
-        "material is missing 'mu'"),
+        "missing 'mu' in media material1"),
     # an object, a string or an integer beyond float range where numbers
     # belong is named, not left to a TypeError, an OverflowError or numpy's
     # conversion message
@@ -294,14 +306,17 @@ MALFORMED_EDITS = {
                   "media A1 must be numbers, got {'x': 1}"),
     "A2_string": (lambda p: p["media"].update(A2="abc"),
                   "media A2 must be numbers, got 'abc'"),
+    # a number where a matrix belongs is refused, not left to an IndexError
+    "A1_scalar": (lambda p: p["media"].update(A1=5),
+                  "dimension must be 2 or 3, got 0"),
     "eps_object": (lambda p: p.update(media={
         "material1": {"eps": {"x": 1}, "mu": np.eye(3).tolist()},
         "material2": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()}}),
-        "material eps must be numbers, got {'x': 1}"),
+        "media material1 eps must be numbers, got {'x': 1}"),
     "mu_string": (lambda p: p.update(media={
         "material1": {"eps": np.eye(3).tolist(), "mu": np.eye(3).tolist()},
         "material2": {"eps": np.eye(3).tolist(), "mu": "abc"}}),
-        "material mu must be numbers, got 'abc'"),
+        "media material2 mu must be numbers, got 'abc'"),
 }
 
 
@@ -419,6 +434,41 @@ def test_design_thread_count_invariance(tmp_path):
                    "--mesh", str(mesh)])
         assert rc == 0
         outs.append((sol.read_bytes(), csv.read_bytes(), mesh.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def load_bench_solve():
+    spec = importlib.util.spec_from_file_location(
+        "bench_solve", REPO / "benchmarks" / "bench_solve.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("problem", [
+    "golden",
+    pytest.param("grid_20000x400", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="threaded LAPACK LU in _newton's np.linalg.solve sums in a "
+               "thread-dependent order at N = 400 (ROADMAP item 20)")),
+])
+def test_design_bytes_at_both_blas_thread_counts(tmp_path, problem):
+    # `design -o` in fresh interpreters at 1 and 2 BLAS threads; the golden
+    # half shows that the comparison itself is sound
+    if problem == "golden":
+        path = GOLDEN_PROBLEM
+    else:
+        path = tmp_path / "grid.json"
+        path.write_text(load_bench_solve().grid_problem(20000, 400))
+    outs = []
+    for threads in ("1", "2"):
+        sol = tmp_path / f"sol_{threads}.json"
+        subprocess.run([sys.executable, "-m", "refractor.cli", "design",
+                        str(path), "-o", str(sol)], check=True,
+                       capture_output=True,
+                       env={**src_env(), "OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": threads})
+        outs.append(sol.read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -627,6 +677,27 @@ def test_fresnel_csv_and_norm(tmp_path):
     vals = np.array([[float(v) for v in r.split(",")] for r in rows])
     # isotropic: both sheets coincide at r = sqrt(eps/mu), constant columns
     assert np.allclose(vals[:, 3], 2.0) and np.allclose(vals[:, 4], 2.0)
+
+    # the written norm is a problem's n1 as it stands: index 2 -> 1, Case I
+    prob = json.loads(small_problem(tmp_path).read_text())
+    prob["media"] = {"n1": norm, "n2": {"kind": "lq", "q": 2.0, "dim": 3}}
+    path = tmp_path / "from_norm.json"
+    path.write_text(json.dumps(prob))
+    sol = tmp_path / "sol.json"
+    assert main(["design", str(path), "-o", str(sol)]) == 0
+    assert json.loads(sol.read_text())["regime"] == "CaseI"
+
+
+def test_fresnel_samples_limit(tmp_path, capsys, monkeypatch):
+    # refused before the material is read or any direction is drawn
+    calls = []
+    monkeypatch.setattr("refractor.cli.fibonacci_sphere",
+                        lambda *args: calls.append(args))
+    assert main(["fresnel", str(tmp_path / "absent.json"),
+                 "--samples", str(10**9)]) == 1
+    assert capsys.readouterr().err == \
+        "error: --samples 1,000,000,000 exceeds the limit of 100,000\n"
+    assert calls == []
 
 
 def case2_problem(tmp_path, seed, count=8, node_count=3000, tol=2e-3):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from refractor.errors import NotProportional, ValidationError
 from refractor.fresnel import (FresnelMaterial, induced_norm, phi_psi,
                                sheet_radii, single_sheet_check)
 from refractor.norms import MediumPair, Regime, norm_eval
-from refractor.problems import parse_material
+from refractor.problems import (dumps17, load_json_object, parse_material,
+                                parse_norm, write_norm)
 
 
 def ortho(rng):
@@ -250,7 +253,14 @@ def test_spd_validation():
                         np.eye(3))
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
+    # a material written by problems' dumps17 reads back through
+    # parse_material, and its induced norm through write_norm / parse_norm
     mat = FresnelMaterial(np.diag([1.0, 2.0, 3.0]), 2.0 * np.eye(3))
-    back = parse_material(mat.to_json_dict())
+    text = dumps17({"eps": mat.eps, "mu": mat.mu_perm})
+    back = parse_material(json.loads(text), "material")
     assert np.allclose(back.taus, mat.taus, rtol=1e-15)
+    norm = induced_norm(FresnelMaterial(mat.eps, 2.0 * mat.eps))
+    path = tmp_path / "norm.json"
+    write_norm(path, norm)
+    assert repr(parse_norm(load_json_object(path), "norm")) == repr(norm)

@@ -5,6 +5,7 @@ from refractor.errors import RegimeViolation, ValidationError, ZeroVector
 from refractor.geometry import fibonacci_sphere
 from refractor.norms import (MediumPair, Norm, Regime, _ratio_extrema,
                              contrast_kappa, norm_eval, norm_gradient)
+from refractor.problems import load_json_object, parse_norm, write_norm
 
 
 def test_eval_scaled_identity():
@@ -281,9 +282,13 @@ def test_medium_pair_case2():
     assert pair.kappa == pytest.approx(1.5, abs=1e-14)
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
+    # the norm file problems writes is the norm object problems reads
+    path = tmp_path / "norm.json"
     for n in (Norm.ellipsoidal(np.diag([1.0, 2.0, 0.5])), Norm.lq(4.0, dim=3)):
-        back = Norm.from_json_dict(n.to_json_dict())
+        write_norm(path, n)
+        back = parse_norm(load_json_object(path), "norm")
+        assert repr(back) == repr(n)
         x = np.array([0.2, -1.3, 0.7])
         assert norm_eval(back, x) == pytest.approx(norm_eval(n, x), abs=1e-15)
 

@@ -34,14 +34,14 @@ def test_pair_key_alias():
 
 def test_media_forms():
     p1 = parse_pair({"A1": (1.5 * np.eye(3)).tolist(),
-                     "A2": np.eye(3).tolist()})
+                     "A2": np.eye(3).tolist()}, "media")
     p2 = parse_pair({"n1": {"kind": "ellipsoidal",
                             "A": (1.5 * np.eye(3)).tolist()},
-                     "n2": {"kind": "lq", "q": 4.0, "dim": 3}})
+                     "n2": {"kind": "lq", "q": 4.0, "dim": 3}}, "media")
     p3 = parse_pair({"material1": {"eps": np.eye(3).tolist(),
                                    "mu": np.eye(3).tolist()},
                      "material2": {"eps": (4.0 * np.eye(3)).tolist(),
-                                   "mu": np.eye(3).tolist()}})
+                                   "mu": np.eye(3).tolist()}}, "media")
     assert p1.kappa == pytest.approx(2.0 / 3.0)
     assert p2.regime is Regime.CASE_I
     assert p3.regime is Regime.CASE_II  # n on the far side doubles
